@@ -269,6 +269,10 @@ class GraphCutOracle(SetFunctionOracle):
 
     Submodular, non-monotone, f(empty) = f(V) = 0.  Duplicate edges have
     their weights summed; self-loops contribute nothing.
+
+    The graph is stored once in compressed sparse row (CSR) form and shared
+    by clones: ``adjacency[v]`` is a read-only view of v's neighbour ids in
+    increasing order and ``edge_weights[v]`` the matching edge weights.
     """
 
     monotone = False
@@ -276,31 +280,56 @@ class GraphCutOracle(SetFunctionOracle):
 
     def __init__(self, n, edges, name="cut", counter=None):
         super().__init__(n, name=name, counter=counter)
-        adj = [dict() for _ in range(self.n)]
+        ends, weights = [], []
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge
                 w = 1.0
             else:
                 u, v, w = edge
-            u = self._check_element(u)
-            v = self._check_element(v)
-            w = float(w)
-            if w < 0:
-                raise InputError(f"negative edge weight {w}")
-            if u == v:
-                continue
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            adj[v][u] = adj[v].get(u, 0.0) + w
-        self.adjacency = tuple(adj)
-        self.weighted_degree = tuple(sum(nbrs.values()) for nbrs in adj)
+            ends.append(u)
+            ends.append(v)
+            weights.append(w)
+        ends = np.array(ends, dtype=np.int64)
+        weights = np.array(weights, dtype=float)
+        bad = np.flatnonzero((ends < 0) | (ends >= self.n))
+        if bad.size:
+            self._check_element(ends[bad[0]])  # raises the usual message
+        bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+        if bad.size:
+            w = weights[bad[0]]
+            if not math.isfinite(w):
+                raise InputError(f"edge weight must be finite, got {w}")
+            raise InputError(f"negative edge weight {w}")
+        ends = ends.reshape(-1, 2)
+        keep = ends[:, 0] != ends[:, 1]  # self-loops contribute nothing
+        ends, weights = ends[keep], weights[keep]
+        # both orientations of every edge, sorted by (row, neighbour); the
+        # sort is stable, so duplicate weights are summed in input order
+        rows, cols = ends.ravel(), ends[:, ::-1].ravel()
+        keys = rows * self.n + cols
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights.repeat(2)[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        if starts.size:
+            weights = np.add.reduceat(weights, starts)
+        rows, cols = np.divmod(keys[starts], self.n)
+        cols.setflags(write=False)
+        weights.setflags(write=False)
+        indptr = [0, *np.cumsum(np.bincount(rows, minlength=self.n)).tolist()]
+        bounds = list(zip(indptr, indptr[1:]))
+        self.adjacency = tuple(cols[a:b] for a, b in bounds)
+        self.edge_weights = tuple(weights[a:b] for a, b in bounds)
+        self.weighted_degree = tuple(
+            np.bincount(rows, weights=weights, minlength=self.n).tolist())
 
     def _value(self, members):
-        total = 0.0
-        internal = 0.0
+        # a scan of the members' rows: cost O(volume of members), so peeks of
+        # small sets stay cheap on large graphs
+        total = internal = 0.0
         for v in members:
             total += self.weighted_degree[v]
-            for nbr, w in self.adjacency[v].items():
+            for nbr, w in zip(self.adjacency[v].tolist(), self.edge_weights[v].tolist()):
                 if nbr > v and nbr in members:
                     internal += w
         return total - 2.0 * internal
@@ -312,40 +341,49 @@ class GraphCutOracle(SetFunctionOracle):
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
     def clone(self):
-        dup = GraphCutOracle.__new__(GraphCutOracle)
+        dup = object.__new__(GraphCutOracle)
+        dup.__dict__.update(self.__dict__)  # shares the CSR arrays
         SetFunctionOracle.__init__(dup, self.n, name=self.name)
-        dup.adjacency = self.adjacency
-        dup.weighted_degree = self.weighted_degree
-        if hasattr(self, "original_ids"):
-            dup.original_ids = self.original_ids
         return dup
 
 
 class _GraphCutState(SolutionState):
-    def _to_members(self, x):
-        w = 0.0
-        for nbr, weight in self.oracle.adjacency[x].items():
-            if nbr in self.members:
-                w += weight
-        return w
+    """Cut state with ``_inside[v]``, the edge weight from v into the solution.
+
+    Gains are O(1); add and remove update the neighbours of x in O(deg x).
+    """
+
+    def __init__(self, oracle, members):
+        self._inside = np.zeros(oracle.n)
+        super().__init__(oracle, members)
+        for x in self.members:
+            self._inside[oracle.adjacency[x]] += oracle.edge_weights[x]
 
     def _gain(self, x):
-        return self.oracle.weighted_degree[x] - 2.0 * self._to_members(x)
+        return self.oracle.weighted_degree[x] - 2.0 * self._inside.item(x)
 
     def _removal_gain(self, x):
-        inside = 0.0
-        for nbr, weight in self.oracle.adjacency[x].items():
-            if nbr != x and nbr in self.members:
-                inside += weight
-        return 2.0 * inside - self.oracle.weighted_degree[x]
+        return 2.0 * self._inside.item(x) - self.oracle.weighted_degree[x]
+
+    def _apply_add(self, x):
+        self.members.add(x)
+        self._inside[self.oracle.adjacency[x]] += self.oracle.edge_weights[x]
+
+    def _apply_remove(self, x):
+        self.members.discard(x)
+        self._inside[self.oracle.adjacency[x]] -= self.oracle.edge_weights[x]
+
+    def _copy_into(self, dup):
+        dup.members = set(self.members)
+        dup._inside = self._inside.copy()
 
 
 class TruncatedOracle(SetFunctionOracle):
     """min(f, tau) wrapper; shares the inner oracle's query counter."""
 
     def __init__(self, inner, tau):
-        if tau < 0:
-            raise InputError(f"truncation threshold must be non-negative, got {tau}")
+        if not math.isfinite(tau) or tau < 0:
+            raise InputError(f"truncation threshold must be finite and non-negative, got {tau}")
         super().__init__(inner.n, name=f"min({inner.name},{tau:g})", counter=inner._counter)
         self.inner = inner
         self.tau = float(tau)
@@ -444,8 +482,8 @@ class CoverInstance:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise InputError(f"tau must be non-negative, got {self.tau}")
+        if not math.isfinite(self.tau) or self.tau < 0:
+            raise InputError(f"tau must be finite and non-negative, got {self.tau}")
 
     def feasible(self):
         """Whether f(U) >= tau; only meaningful for monotone objectives."""
@@ -573,11 +611,15 @@ class RegularizedInstance:
         costs = np.asarray(self.costs, dtype=float)
         if costs.shape != (self.oracle.n,):
             raise InputError("cost vector length must match the ground set size")
+        if not np.isfinite(costs).all():
+            raise InputError("costs must be finite")
         if (costs < 0).any():
             raise InputError("costs must be non-negative")
         object.__setattr__(self, "costs", costs)
         if self.kappa is not None and self.kappa < 1:
             raise InputError(f"budget must be at least 1, got {self.kappa}")
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise InputError(f"tau must be finite, got {self.tau}")
 
     def cost(self, S):
         return float(sum(self.costs[x] for x in S))

@@ -4,6 +4,7 @@ import pytest
 
 from subcover import (
     CSV_COLUMNS,
+    InputError,
     ParseError,
     ResultRow,
     parse_edge_list,
@@ -51,6 +52,11 @@ class TestParseEdgeList:
         path = write(tmp_path, "bad.txt", "0 1\nnot an edge line x\n")
         with pytest.raises(ParseError, match=":2"):
             parse_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        with pytest.raises(InputError):
+            parse_edge_list(write(tmp_path, "nf.txt", f"0 1 {weight}\n1 2\n"))
 
     def test_directed_duplicates_collapse(self, tmp_path):
         # a directed file listing both orientations doubles the weight

@@ -1,15 +1,18 @@
 """Oracle-layer behaviour: evaluation, counting, truncation, generators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcover import (
     CoverageOracle,
     CoverInstance,
     GraphCutOracle,
     InputError,
+    TOL,
     exact_min_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
@@ -17,7 +20,7 @@ from subcover import (
     truncate,
 )
 
-from util import random_coverage, random_graph
+from util import edge_list_cut, random_coverage, random_edges, random_graph
 
 
 def two_element_coverage():
@@ -120,6 +123,11 @@ class TestTruncation:
         with pytest.raises(InputError):
             truncate(two_element_coverage(), -1.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(InputError):
+            truncate(two_element_coverage(), tau)
+
     def test_shares_query_counter(self):
         oracle = two_element_coverage()
         capped = truncate(oracle, 2.0)
@@ -190,6 +198,121 @@ class TestStateIncrementalConsistency:
             assert state.value == pytest.approx(oracle.peek(state.members))
 
 
+class TestGraphCutStorage:
+    # 0-1 twice, 1-0 once, a self-loop on 2, vertex 4 isolated
+    EDGES = [(0, 1, 0.5), (2, 2, 9.0), (1, 0), (0, 1, 0.25), (1, 2), (3, 0, 2.0)]
+
+    def oracle(self):
+        return GraphCutOracle(5, self.EDGES)
+
+    def test_merged_sorted_rows(self):
+        oracle = self.oracle()
+        assert [a.tolist() for a in oracle.adjacency] == [[1, 3], [0, 2], [1], [0], []]
+        assert [w.tolist() for w in oracle.edge_weights] == [
+            [1.75, 2.0], [1.75, 1.0], [1.0], [2.0], []]
+        assert oracle.weighted_degree == (3.75, 2.75, 1.0, 2.0, 0.0)
+        assert oracle.edge_count() == 3
+
+    def test_peek_matches_edge_list(self):
+        oracle = self.oracle()
+        for size in range(6):
+            for S in itertools.combinations(range(5), size):
+                assert oracle.peek(S) == edge_list_cut(self.EDGES, S)
+
+    def test_clone_shares_graph(self):
+        oracle = self.oracle()
+        dup = oracle.clone()
+        assert dup.adjacency is oracle.adjacency
+        assert dup.edge_weights is oracle.edge_weights
+
+    def test_empty_ground_set(self):
+        oracle = GraphCutOracle(0, [])
+        assert oracle.peek(()) == 0.0 and oracle.edge_count() == 0
+        assert oracle.state(()).value == 0.0
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(InputError):
+            GraphCutOracle(3, [(0, 1), (1, 2, weight)])
+
+    def test_out_of_range_endpoint_rejected(self):
+        with pytest.raises(InputError):
+            GraphCutOracle(3, [(0, 1), (1, 3)])
+
+
+@st.composite
+def cut_graphs(draw):
+    """(n, edges, weighted): unit-weight edge lists with duplicates and
+    self-loops, or random_edges weights with duplicates and self-loops added."""
+    n = draw(st.integers(0, 7))
+    weighted = draw(st.booleans())
+    if n == 0:
+        return 0, [], weighted
+    vertex = st.integers(0, n - 1)
+    if weighted:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = random_edges(rng, n, draw(st.sampled_from([0.2, 0.5, 1.0])), weighted=True)
+        if edges:
+            edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+        edges += [(v, v, 1.5) for v in draw(st.lists(vertex, max_size=2))]
+    else:
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return n, edges, weighted
+
+
+STATE_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "copy", "gain", "removal_gain"]),
+              st.integers(0, 1000)),
+    max_size=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=cut_graphs(), ops=STATE_OPS)
+def test_graph_cut_state_matches_peek(graph, ops):
+    """Incremental cut states against the uncounted evaluation, and that
+    against the edge list; exact on unit weights, within TOL otherwise."""
+    n, edges, weighted = graph
+    oracle = GraphCutOracle(n, edges)
+
+    def same(a, b):
+        return abs(a - b) <= TOL if weighted else a == b
+
+    def check(state):
+        members = state.members
+        value = oracle.peek(members)
+        assert same(value, edge_list_cut(edges, members))
+        assert same(state.value, value)
+        for x in range(n):
+            if x in members:
+                assert same(state.removal_gain(x), oracle.peek(members - {x}) - value)
+            else:
+                assert same(state.gain(x), oracle.peek(members | {x}) - value)
+
+    state = oracle.state(())
+    parents = []  # (copied state, its members and value at the copy)
+    for op, pick in ops:
+        inside = sorted(state.members)
+        outside = [x for x in range(n) if x not in state.members]
+        if op == "copy":
+            parents.append((state, set(state.members), state.value))
+            state = state.copy()
+        elif op in ("add", "gain") and outside:
+            x = outside[pick % len(outside)]
+            gain = state.gain(x)
+            if op == "add":
+                state.add(x, gain)
+        elif op in ("remove", "removal_gain") and inside:
+            x = inside[pick % len(inside)]
+            gain = state.removal_gain(x)
+            if op == "remove":
+                state.remove(x, gain)
+        check(state)
+    for parent, members, value in parents:
+        assert parent.members == members and parent.value == value
+        check(parent)
+
+
 def diminishing_returns_holds(oracle, a, b, x):
     small = oracle.peek(a | {x}) - oracle.peek(a)
     large = oracle.peek(b | {x}) - oracle.peek(b)
@@ -251,6 +374,11 @@ class TestCoverInstance:
     def test_negative_tau_rejected(self):
         with pytest.raises(InputError):
             CoverInstance(two_element_coverage(), -1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(InputError):
+            CoverInstance(two_element_coverage(), tau)
 
 
 class TestSyntheticSummarization:

@@ -240,3 +240,16 @@ class TestCostModularityContract:
             cut = int(rng.integers(0, 11))
             a, b = [int(x) for x in ids[:cut]], [int(x) for x in ids[cut:]]
             assert inst.cost(a) + inst.cost(b) == pytest.approx(inst.cost(list(ids)))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("tau, costs", [
+        (math.nan, [0.1, 0.2]),
+        (math.inf, [0.1, 0.2]),
+        (-math.inf, [0.1, 0.2]),
+        (1.0, [0.1, math.nan]),
+        (1.0, [math.inf, 0.2]),
+    ])
+    def test_rejected(self, tau, costs):
+        with pytest.raises(InputError):
+            RegularizedInstance(CoverageOracle([{0}, {1}]), costs, tau=tau)

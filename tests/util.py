@@ -26,15 +26,35 @@ def random_coverage(rng, n, max_tags=18, max_per_element=4, ensure_nonempty=True
     return CoverageOracle(tag_sets, total_tags=m)
 
 
-def random_graph(rng, n, p, weighted=False):
-    """Erdos-Renyi style cut oracle; optional uniform random weights."""
+def random_edges(rng, n, p, weighted=False):
+    """Erdos-Renyi style edge list; optional uniform random weights."""
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 w = float(rng.uniform(0.2, 2.0)) if weighted else 1.0
                 edges.append((u, v, w))
-    return GraphCutOracle(n, edges)
+    return edges
+
+
+def random_graph(rng, n, p, weighted=False):
+    """Cut oracle on a random_edges graph."""
+    return GraphCutOracle(n, random_edges(rng, n, p, weighted))
+
+
+def edge_list_cut(edges, members):
+    """Cut weight of members read straight off an edge list.
+
+    Independent of the oracle's graph storage: every listed edge with exactly
+    one endpoint in members counts (duplicates once each, self-loops never).
+    """
+    members = set(members)
+    total = 0.0
+    for edge in edges:
+        w = edge[2] if len(edge) == 3 else 1.0
+        if (edge[0] in members) != (edge[1] in members):
+            total += w
+    return total
 
 
 def preferential_attachment_graph(n, attach, seed):
