@@ -22,8 +22,13 @@ def _check_unit_interval(name, value):
 
 
 def _check_positive(name, value):
-    if value <= 0:
-        raise InputError(f"{name} must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(name, value):
+    if value is not None and not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value}")
 
 
 def _require_monotone(oracle):
@@ -31,16 +36,27 @@ def _require_monotone(oracle):
         raise InputError("this solver requires a monotone oracle")
 
 
+def _unselected(state, candidates):
+    """The candidates (an int64 array of valid ids) not in the solution, in order."""
+    if not state.members:
+        return candidates
+    inside = np.zeros(state.oracle.n, dtype=bool)
+    inside[list(state.members)] = True
+    return candidates[~inside[candidates]]
+
+
 def _best_gain(state, candidates):
-    """Argmax marginal gain over candidates not yet selected; ties -> lowest id."""
-    best, best_gain = None, None
-    for x in candidates:
-        if x in state.members:
-            continue
-        gain = state.gain(x)
-        if best is None or gain > best_gain:
-            best, best_gain = x, gain
-    return best, best_gain
+    """Argmax marginal gain over candidates not yet selected.
+
+    Candidates come in ascending order, so argmax's first occurrence is the
+    lowest-id tie-break.  Charges one query per unselected candidate.
+    """
+    candidates = _unselected(state, candidates)
+    if not candidates.size:
+        return None, None
+    gains = state.gains(candidates)
+    i = int(gains.argmax())
+    return int(candidates[i]), float(gains[i])
 
 
 def greedy_cover(instance, eps):
@@ -54,8 +70,9 @@ def greedy_cover(instance, eps):
         return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
     state = oracle.state(())
     status = Status.SOLVED
+    ground = np.arange(oracle.n)
     while state.value < target - TOL:
-        best, gain = _best_gain(state, range(oracle.n))
+        best, gain = _best_gain(state, ground)
         if best is None or gain <= TOL:
             # monotone + submodular: no remaining element can ever help
             status = Status.INFEASIBLE
@@ -81,22 +98,27 @@ def threshold_greedy_cover(instance, eps):
     state = oracle.state(())
     if state.value >= target - TOL:
         return finish_run(oracle, state.members, Status.SOLVED, target, q0, t0)
-    w = max((state.gain(u) for u in range(oracle.n)), default=0.0)
+    ground = np.arange(oracle.n)
+    gains = state.gains(ground)
+    w = float(gains.max()) if gains.size else 0.0
     if w <= TOL:
         return finish_run(oracle, state.members, Status.INFEASIBLE, target, q0, t0)
     floor = eps * w / oracle.n
     status = None
     while status is None:
-        for u in range(oracle.n):
-            if u in state.members:
-                continue
-            gain = state.gain(u)
-            if gain >= w - TOL:
-                state.add(u, gain)
-                if state.value >= target - TOL:
-                    status = Status.SOLVED
-                    break
-        else:
+        # one pass in id order, charged like the one-by-one scan: each hit
+        # is added and the rest of the pass is scanned against the new state
+        rest = _unselected(state, ground)
+        while rest.size:
+            k, gain = state.first_gain_at_least(rest, w - TOL)
+            if gain is None:
+                break
+            state.add(int(rest[k]), gain)
+            if state.value >= target - TOL:
+                status = Status.SOLVED
+                break
+            rest = rest[k + 1:]
+        if status is None:
             w *= 1.0 - eps / 2.0
             if w < floor:
                 status = Status.INFEASIBLE
@@ -116,6 +138,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
     _check_positive("alpha", alpha)
+    _check_finite("initial_guess", initial_guess)
     _require_monotone(instance.oracle)
     oracle = instance.oracle
     t0, q0 = time.perf_counter(), oracle.query_count
@@ -141,7 +164,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
         sample_size = min(n, math.ceil(n * lead / g))
         for st, rng in zip(states, rngs):
             sample = np.sort(rng.choice(n, size=sample_size, replace=False))
-            best, gain = _best_gain(st, (int(x) for x in sample))
+            best, gain = _best_gain(st, sample)
             if best is not None:
                 st.add(best, gain)
         r += 1
@@ -159,14 +182,14 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
 
 def _stochastic_max_run(oracle, kappa, eps, rng, ground):
     """Core sampled-greedy maximization; returns the chosen element set."""
-    pool = np.asarray(ground, dtype=np.int64)
+    pool = oracle._check_ids(ground)
     n = oracle.n
     steps = math.ceil(math.log(3.0 / (2.0 * eps)) * kappa)
     sample_size = min(len(pool), math.ceil((n / kappa) * math.log(3.0 / (2.0 * eps))))
     state = oracle.state(())
     for _ in range(steps):
         sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
-        best, gain = _best_gain(state, (int(x) for x in sample))
+        best, gain = _best_gain(state, sample)
         if best is not None:
             state.add(best, gain)
     return tuple(sorted(state.members))
@@ -201,7 +224,7 @@ def greedy_max(oracle, kappa, ground=None):
     """Budgeted greedy maximization; stops early when no positive gain remains."""
     if kappa < 0:
         raise InputError(f"budget must be non-negative, got {kappa}")
-    pool = tuple(range(oracle.n)) if ground is None else tuple(sorted(ground))
+    pool = np.arange(oracle.n) if ground is None else np.sort(oracle._check_ids(list(ground)))
     limit = math.ceil(kappa - 1e-12)
     state = oracle.state(())
     while len(state.members) < limit:
@@ -218,25 +241,29 @@ def greedy_max_subroutine(oracle, kappa, seed=None, ground=None):
 
 
 def _budget_schedule(n, alpha, initial):
-    """Geometric budget guesses (real-valued, capped at n); every guess is a
-    separate subroutine run even when consecutive guesses are close."""
-    budgets = []
+    """Yield geometric budget guesses max(1, initial) * (1 + alpha)^r, capped
+    at n and ending with the first one that reaches n.  The guesses are
+    real-valued; every one is a separate subroutine run even when
+    consecutive guesses are close."""
     g = max(1.0, float(initial))
     while True:
         budget = min(float(n), g)
-        budgets.append(budget)
+        yield budget
         if budget >= n:
-            return budgets
+            return
         g *= 1.0 + alpha
 
 
 def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     """Solve cover by sweeping budgets through a maximization routine.
 
-    Reruns smp_alg with budgets (1 + alpha)^r (deduplicated integers, capped
-    at n) until f of its output reaches gamma * tau.
+    Reruns smp_alg with the real-valued budgets initial_budget * (1 + alpha)^r
+    (initial_budget defaults to 1 + alpha; capped at n, one run per guess
+    however close consecutive guesses are) until f of its output reaches
+    gamma * tau.
     """
     _check_positive("alpha", alpha)
+    _check_finite("initial_budget", initial_budget)
     if not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must lie in (0, 1], got {gamma}")
     oracle = instance.oracle
@@ -267,6 +294,7 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     (1 - eps) * tau and returns the smallest successful solution.
     """
     _check_positive("alpha", alpha)
+    _check_finite("initial_budget", initial_budget)
     _check_unit_interval("eps", eps)
     oracle = instance.oracle
     t0, q0 = time.perf_counter(), oracle.query_count

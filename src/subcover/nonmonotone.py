@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import derive_seed
+from .monotone import _check_finite, _check_positive, derive_seed
 from .oracles import TOL, InputError
 from .results import Status, finish_run
 
@@ -281,8 +281,8 @@ def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
     """
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
+    _check_positive("alpha", alpha)
+    _check_finite("initial_guess", initial_guess)
     if not instance.oracle.nonnegative:
         raise InputError("stream cover requires a non-negative oracle")
     oracle = instance.oracle

@@ -22,8 +22,8 @@ class QueryCounter:
     def __init__(self):
         self.count = 0
 
-    def tick(self):
-        self.count += 1
+    def tick(self, queries=1):
+        self.count += queries
 
 
 class SetFunctionOracle:
@@ -55,6 +55,16 @@ class SetFunctionOracle:
         if not 0 <= x < self.n:
             raise InputError(f"element {x} outside ground set of size {self.n}")
         return x
+
+    def _check_ids(self, ids):
+        """ids as a one-dimensional int64 array, all inside the ground set."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise InputError("element ids must form a one-dimensional array")
+        outside = ids.view(np.uint64) >= self.n  # negative ids wrap to huge ones
+        if outside.any():
+            self._check_element(ids[outside.argmax()])  # raises the usual message
+        return ids
 
     def _check_members(self, S):
         if isinstance(S, (set, frozenset)):
@@ -110,9 +120,9 @@ class SetFunctionOracle:
 class SolutionState:
     """A solution set with its cached objective value.
 
-    ``gain``/``removal_gain`` cost one query each.  ``add``/``remove`` are
-    free when handed the gain just computed against this state; otherwise
-    they recompute it (one query).
+    ``gain``/``removal_gain`` cost one query each and ``gains(cands)`` one
+    per candidate.  ``add``/``remove`` are free when handed the gain just
+    computed against this state; otherwise they recompute it (one query).
     """
 
     def __init__(self, oracle, members):
@@ -127,6 +137,40 @@ class SolutionState:
             raise InputError(f"element {x} already in the solution")
         self.oracle._counter.tick()
         return self._gain(x)
+
+    def gains(self, cands):
+        """Marginal gains of the candidate ids (a float64 array).
+
+        Candidates must lie in the ground set and outside the solution;
+        duplicates are allowed.  Charges len(cands) queries in one update.
+        """
+        cands = self._check_candidates(cands)
+        self.oracle._counter.tick(len(cands))
+        return self._gains(cands)
+
+    def first_gain_at_least(self, cands, bar):
+        """Scan cands in order for the first gain >= bar.
+
+        Returns (offset, gain), or (len(cands), None) when nothing clears
+        the bar.  Charges what the one-by-one scan would: offset + 1
+        queries on a hit, len(cands) otherwise.
+        """
+        cands = self._check_candidates(cands)
+        gains = self._gains(cands)
+        hits = (gains >= bar).nonzero()[0]
+        if not hits.size:
+            self.oracle._counter.tick(len(cands))
+            return len(cands), None
+        k = int(hits[0])
+        self.oracle._counter.tick(k + 1)
+        return k, float(gains[k])
+
+    def _check_candidates(self, cands):
+        cands = self.oracle._check_ids(cands)
+        if not self.members.isdisjoint(cands.tolist()):
+            x = next(x for x in cands.tolist() if x in self.members)
+            raise InputError(f"element {x} already in the solution")
+        return cands
 
     def removal_gain(self, x):
         x = self.oracle._check_element(x)
@@ -159,6 +203,9 @@ class SolutionState:
     def _gain(self, x):
         return self.oracle._value(self.members | {x}) - self.value
 
+    def _gains(self, cands):
+        return np.array([self._gain(x) for x in cands.tolist()], dtype=float)
+
     def _removal_gain(self, x):
         return self.oracle._value(self.members - {x}) - self.value
 
@@ -175,15 +222,17 @@ class SolutionState:
 class CoverageOracle(SetFunctionOracle):
     """Tag-coverage objective: f(S) is the number of distinct tags on S.
 
-    Monotone, submodular, f(empty) = 0.  Tags are stored both as frozensets
-    and as bitmasks so that evaluations and gains stay cheap.
+    Monotone, submodular, f(empty) = 0.  Tags are stored as frozensets, as
+    int bitmasks (single evaluations and gains) and as ``_words``, an
+    (n, ceil(m/64)) uint64 matrix holding the same bits, shared by clones,
+    against which a state counts many candidates' gains at once.
     """
 
     monotone = True
     nonnegative = True
 
     def __init__(self, tag_sets, total_tags=None, name="coverage", counter=None):
-        tag_sets = [frozenset(int(t) for t in tags) for tags in tag_sets]
+        tag_sets = [frozenset(map(int, tags)) for tags in tag_sets]
         super().__init__(len(tag_sets), name=name, counter=counter)
         max_tag = -1
         for tags in tag_sets:
@@ -198,9 +247,14 @@ class CoverageOracle(SetFunctionOracle):
             raise InputError("total_tags smaller than the largest tag id + 1")
         self.tag_sets = tuple(tag_sets)
         self.total_tags = int(total_tags)
-        self._masks = tuple(
-            sum(1 << t for t in tags) for tags in tag_sets
-        )
+        self._masks = tuple(_bitmask(tags) for tags in tag_sets)
+        self._width = -(-self.total_tags // 64)
+        row = 8 * self._width
+        packed = bytearray(row * self.n)  # filled row by row: no second copy
+        for x, mask in enumerate(self._masks):
+            packed[x * row:(x + 1) * row] = mask.to_bytes(row, "little")
+        self._words = np.frombuffer(packed, dtype="<u8").reshape(self.n, self._width)
+        self._words.flags.writeable = False  # shared by clones
 
     def _value(self, members):
         covered = 0
@@ -212,18 +266,26 @@ class CoverageOracle(SetFunctionOracle):
         return _CoverageState(self, members)
 
     def clone(self):
-        dup = CoverageOracle.__new__(CoverageOracle)
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)  # shares tags, masks and words
         SetFunctionOracle.__init__(dup, self.n, name=self.name)
-        dup.tag_sets = self.tag_sets
-        dup.total_tags = self.total_tags
-        dup._masks = self._masks
-        for attr in ("original_ids", "original_tags"):
-            if hasattr(self, attr):
-                setattr(dup, attr, getattr(self, attr))
         return dup
 
 
+def _bitmask(tags):
+    mask = 0
+    for t in tags:
+        mask |= 1 << t
+    return mask
+
+
 class _CoverageState(SolutionState):
+    """Coverage state with per-tag member counts and the covered bitmask.
+
+    Batched gains AND the candidates' word rows with the complement of the
+    covered words (rebuilt from the bitmask per call) and count the bits.
+    """
+
     def __init__(self, oracle, members):
         self._covered = 0
         self._count = {}
@@ -235,6 +297,14 @@ class _CoverageState(SolutionState):
 
     def _gain(self, x):
         return float((self.oracle._masks[x] & ~self._covered).bit_count())
+
+    def _gains(self, cands):
+        oracle = self.oracle
+        covered = np.frombuffer(
+            self._covered.to_bytes(8 * oracle._width, "little"), dtype="<u8")
+        fresh = oracle._words[cands]
+        fresh &= ~covered
+        return np.bitwise_count(fresh).sum(axis=1, dtype=np.uint32).astype(float)
 
     def _removal_gain(self, x):
         lost = 0
@@ -401,67 +471,52 @@ class TruncatedOracle(SetFunctionOracle):
 
 
 class _TruncatedState(SolutionState):
+    """min(f, tau) over an inner state of the wrapped oracle.
+
+    Gains are min(inner value + inner gain, tau) - value.  ``add``/``remove``
+    handed a gain recompute the inner one uncounted, since that query was
+    already paid; without a gain they charge one query.
+    """
+
     def __init__(self, oracle, members):
         # the inner state's construction already pays the single query
         self._inner = oracle.inner._make_state(set(members))
         self.oracle = oracle
         self.members = self._inner.members
         self.value = min(self._inner.value, oracle.tau)
-        self._pending = {}
 
-    def gain(self, x):
-        x = self.oracle._check_element(x)
-        if x in self.members:
-            raise InputError(f"element {x} already in the solution")
-        inner_gain = self._inner._gain(x)
-        self.oracle._counter.tick()
-        self._pending[("add", x)] = inner_gain
-        tau = self.oracle.tau
-        return min(self._inner.value + inner_gain, tau) - self.value
+    def _gain(self, x):
+        return min(self._inner.value + self._inner._gain(x), self.oracle.tau) - self.value
 
-    def removal_gain(self, x):
-        x = self.oracle._check_element(x)
-        if x not in self.members:
-            raise InputError(f"element {x} not in the solution")
-        inner_gain = self._inner._removal_gain(x)
-        self.oracle._counter.tick()
-        self._pending[("rem", x)] = inner_gain
-        return min(self._inner.value + inner_gain, self.oracle.tau) - self.value
+    def _gains(self, cands):
+        return np.minimum(self._inner.value + self._inner._gains(cands), self.oracle.tau) - self.value
+
+    def _removal_gain(self, x):
+        return min(self._inner.value + self._inner._removal_gain(x), self.oracle.tau) - self.value
 
     def add(self, x, gain=None):
-        x = int(x)
-        inner_gain = self._pending.get(("add", x))
-        if inner_gain is None:
+        if gain is None:
             self.gain(x)
-            inner_gain = self._pending[("add", x)]
-        self._inner.add(x, inner_gain)
-        self._pending.clear()
-        new_value = min(self._inner.value, self.oracle.tau)
-        delta = new_value - self.value
-        self.value = new_value
-        return delta
+        x = int(x)
+        self._inner.add(x, self._inner._gain(x))
+        return self._sync()
 
     def remove(self, x, gain=None):
-        x = int(x)
-        inner_gain = self._pending.get(("rem", x))
-        if inner_gain is None:
+        if gain is None:
             self.removal_gain(x)
-            inner_gain = self._pending[("rem", x)]
-        self._inner.remove(x, inner_gain)
-        self._pending.clear()
+        x = int(x)
+        self._inner.remove(x, self._inner._removal_gain(x))
+        return self._sync()
+
+    def _sync(self):
         new_value = min(self._inner.value, self.oracle.tau)
         delta = new_value - self.value
         self.value = new_value
         return delta
 
-    def copy(self):
-        dup = object.__new__(_TruncatedState)
-        dup.oracle = self.oracle
+    def _copy_into(self, dup):
         dup._inner = self._inner.copy()
         dup.members = dup._inner.members
-        dup.value = self.value
-        dup._pending = {}
-        return dup
 
 
 def truncate(oracle, tau):

@@ -6,6 +6,9 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
+
+from .monotone import _budget_schedule, _check_positive, _unselected
 from .oracles import TOL, InputError
 from .results import BicriteriaResult, Status
 
@@ -50,20 +53,20 @@ def distorted_greedy_max(inst, eps, watch=None):
     kappa = inst.kappa
     t = distortion_horizon(eps, kappa)
     state = oracle.state(())
+    ground = np.arange(oracle.n)
     step = 1
     while len(state.members) < t:
         factor = (1.0 - 1.0 / kappa) ** (t - step)
-        best, best_score, best_gain = None, None, None
-        for x in range(oracle.n):
-            if x in state.members:
-                continue
-            gain = state.gain(x)
-            score = factor * gain - inst.costs[x]
-            if best is None or score > best_score:
-                best, best_score, best_gain = x, score, gain
-        if best is None or best_score <= TOL:
+        cands = _unselected(state, ground)
+        if not cands.size:
             break
-        state.add(best, best_gain)
+        gains = state.gains(cands)
+        scores = factor * gains - inst.costs[cands]
+        i = int(scores.argmax())  # first maximum: the lowest id
+        best, best_score = int(cands[i]), scores[i]
+        if best_score <= TOL:
+            break
+        state.add(best, float(gains[i]))
         if watch is not None:
             watch(step, best, best_score)
         step += 1
@@ -78,10 +81,10 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     gamma * tau.  ``f_value`` of the result reports that checked quantity.
     """
     _check_instance(inst, need_tau=True)
-    if alpha <= 0:
-        raise InputError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < gamma <= 1.0 or beta <= 0:
-        raise InputError("need gamma in (0, 1] and beta > 0")
+    _check_positive("alpha", alpha)
+    _check_positive("beta", beta)
+    if not 0.0 < gamma <= 1.0:
+        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
     oracle = inst.oracle
     scale = gamma / beta
     target = gamma * inst.tau
@@ -104,16 +107,12 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
         return assemble((), Status.SOLVED)
     scaled = inst.with_scaled_costs(scale)
     chosen = ()
-    g = 1.0 + alpha
-    while True:
-        budget = min(float(oracle.n), g)
+    for budget in _budget_schedule(oracle.n, alpha, 1.0 + alpha):
         chosen = tuple(reg_alg(scaled.with_scaled_costs(1.0, kappa=budget)))
         value = oracle.eval(chosen) - scale * inst.cost(chosen)
         if value >= target - TOL:
             return assemble(chosen, Status.SOLVED)
-        if budget >= oracle.n:
-            return assemble(chosen, Status.INFEASIBLE)
-        g *= 1.0 + alpha
+    return assemble(chosen, Status.INFEASIBLE)
 
 
 def distorted_cover(inst, eps, alpha):
@@ -139,10 +138,10 @@ def distorted_stream_cover(inst, eps, beta, opt_size):
     _check_instance(inst, need_tau=True)
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if beta < 1.0:
-        raise InputError(f"beta must be at least 1, got {beta}")
-    if opt_size < 1:
-        raise InputError(f"opt_size must be at least 1, got {opt_size}")
+    if not (math.isfinite(beta) and beta >= 1.0):
+        raise InputError(f"beta must be finite and at least 1, got {beta}")
+    if not (math.isfinite(opt_size) and opt_size >= 1):
+        raise InputError(f"opt_size must be finite and at least 1, got {opt_size}")
     oracle = inst.oracle
     limit = math.ceil(opt_size / eps)
     bar = eps * inst.tau / opt_size

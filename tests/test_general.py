@@ -10,6 +10,7 @@ from subcover import (
     CoverageOracle,
     CoverInstance,
     GraphCutOracle,
+    InputError,
     Status,
     classify_monotone_elements,
     double_greedy_max,
@@ -167,6 +168,15 @@ class TestStreamCover:
             )
             for earlier, later in zip(stored_per_pass, stored_per_pass[1:]):
                 assert earlier <= later
+
+
+class TestStreamCoverNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "initial_guess"])
+    def test_rejected(self, name, value):
+        kwargs = {"alpha": 0.5, name: value}
+        with pytest.raises(InputError, match=name):
+            stream_cover(CoverInstance(four_cycle(), 4.0), 0.5, sub=smp_subroutine("ex"), **kwargs)
 
 
 class TestRandomGreedy:

@@ -1,6 +1,8 @@
 """Monotone cover solvers: examples, size bounds, query accounting, determinism."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from subcover import (
     CoverageOracle,
     CoverInstance,
     InputError,
+    RegularizedInstance,
     SmpInstance,
     Status,
     convert_cover,
     convert_cover_randomized,
     convert_rand_repetitions,
+    distorted_cover,
     exact_max_cardinality,
     exact_min_cover,
     greedy_cover,
@@ -27,7 +31,9 @@ from subcover import (
     threshold_greedy_cover,
 )
 
-from util import random_coverage
+from subcover.monotone import _budget_schedule
+
+from util import FallbackCoverage, random_coverage
 
 
 def cover_corpus(seed, count, n_max=14):
@@ -135,6 +141,35 @@ class TestThresholdGreedyCover:
         oracle = CoverageOracle([{0}, {1}])
         res = threshold_greedy_cover(CoverInstance(oracle, 10.0), 0.2)
         assert res.status == Status.INFEASIBLE
+
+    def test_matches_one_by_one_scan(self):
+        # replay the passes one gain at a time with uncounted evaluations,
+        # counting a query per gain examined
+        for inst in cover_corpus(105, 15):
+            oracle, n = inst.oracle, inst.oracle.n
+            for eps in (0.05, 0.3):
+                res = threshold_greedy_cover(inst, eps)
+                target = (1 - eps) * inst.tau
+                chosen, queries = [], 1 + n
+                w = max(oracle.peek([x]) for x in range(n))
+                floor = eps * w / n
+                status = None
+                while status is None:
+                    for u in range(n):
+                        if u in chosen:
+                            continue
+                        queries += 1
+                        if oracle.peek(chosen + [u]) - oracle.peek(chosen) >= w - 1e-9:
+                            chosen.append(u)
+                            if oracle.peek(chosen) >= target - 1e-9:
+                                status = Status.SOLVED
+                                break
+                    else:
+                        w *= 1 - eps / 2
+                        if w < floor:
+                            status = Status.INFEASIBLE
+                assert (res.solution, res.status, res.queries) == (
+                    tuple(sorted(chosen)), status, queries)
 
     def test_size_bound_on_corpus(self):
         for inst in cover_corpus(103, 40):
@@ -334,3 +369,95 @@ class TestFeasibilityOnSuccess:
                     fresh = inst.oracle.peek(res.solution)
                     assert fresh == pytest.approx(res.f_value)
                     assert fresh >= 0.8 * inst.tau - 1e-9
+
+
+class TestBudgetSchedule:
+    def test_first_budgets_unchanged(self):
+        schedule = _budget_schedule(2000, 1e-6, 1.0)
+        step = 1.0 + 1e-6
+        assert list(itertools.islice(schedule, 3)) == [1.0, step, step * step]
+
+    def test_ends_with_first_budget_reaching_n(self):
+        assert list(_budget_schedule(5, 1.0, 0.5)) == [1.0, 2.0, 4.0, 5.0]
+        assert list(_budget_schedule(3, 1.0, 7.0)) == [3.0]
+
+    def test_tiny_alpha_returns_promptly(self):
+        # the whole schedule at n = 2000, alpha = 1e-6 has ~7.6M budgets;
+        # the first one already solves this instance
+        oracle = CoverageOracle([{0}] + [set()] * 1999)
+        started = time.perf_counter()
+        res = convert_cover(greedy_max_subroutine, CoverInstance(oracle, 1.0), alpha=1e-6, gamma=1.0)
+        assert time.perf_counter() - started < 1.0
+        assert res.status == Status.SOLVED and res.solution == (0,)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteSweepParameters:
+    @staticmethod
+    def inst():
+        return CoverInstance(CoverageOracle([{0}, {1}, {0, 1}]), 2.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["alpha", "initial_guess"])
+    def test_stochastic_greedy_cover(self, name, value):
+        kwargs = {"alpha": 0.1, name: value}
+        with pytest.raises(InputError):
+            stochastic_greedy_cover(self.inst(), 0.2, 0.1, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["alpha", "initial_budget"])
+    def test_convert_cover(self, name, value):
+        kwargs = {"alpha": 0.1, name: value}
+        with pytest.raises(InputError):
+            convert_cover(greedy_max_subroutine, self.inst(), gamma=0.9, **kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["alpha", "initial_budget"])
+    def test_convert_cover_randomized(self, name, value):
+        kwargs = {"alpha": 0.1, name: value}
+        with pytest.raises(InputError):
+            convert_cover_randomized(greedy_max_subroutine, self.inst(), delta=0.1, eps=0.2,
+                                     **kwargs)
+
+
+class TestBatchedGainsMatchFallback:
+    """The packed-word batched gains against the per-element fallback states:
+    same solutions, statuses and query counts from every monotone solver."""
+
+    @staticmethod
+    def runs(oracle_cls):
+        base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
+        oracle = oracle_cls(base.tag_sets, total_tags=base.total_tags)
+        f_all = oracle.peek(range(oracle.n))
+        tau = 0.7 * f_all
+        guess = tau / max(oracle.peek((u,)) for u in range(oracle.n))
+        costs = np.random.default_rng(4).uniform(0.0, 1.0, size=oracle.n)
+        cover = {
+            "greedy": lambda inst: greedy_cover(inst, 0.05),
+            "thresh 0.05": lambda inst: threshold_greedy_cover(inst, 0.05),
+            "thresh 0.4": lambda inst: threshold_greedy_cover(inst, 0.4),
+            "stoch": lambda inst: stochastic_greedy_cover(
+                inst, 0.2, 0.1, 0.1, seed=1, initial_guess=guess),
+            "convert": lambda inst: convert_cover(
+                stochastic_max_subroutine(0.2), inst, 0.1, 0.8, seed=0, initial_budget=guess),
+            "convert-rand": lambda inst: convert_cover_randomized(
+                stochastic_max_subroutine(0.2), inst, 0.1, 0.1, 0.2, seed=0,
+                initial_budget=guess),
+        }
+        out = {name: run(CoverInstance(oracle.clone(), tau)) for name, run in cover.items()}
+        reg = RegularizedInstance(oracle.clone(), costs, tau=0.3 * f_all)
+        out["distorted"] = distorted_cover(reg, 0.2, 0.5)
+        return {name: (res.solution, res.status, res.queries, res.f_value)
+                for name, res in out.items()}
+
+    def test_fallback_states_are_generic(self):
+        oracle = FallbackCoverage([{0}, {1}])
+        assert type(oracle.state(())).__name__ == "SolutionState"
+        assert type(oracle.clone()) is FallbackCoverage
+
+    def test_identical_outputs(self):
+        fast, fallback = self.runs(CoverageOracle), self.runs(FallbackCoverage)
+        assert fast == fallback
+        assert all(status == Status.SOLVED for _, status, _, _ in fast.values())

@@ -288,6 +288,8 @@ def test_graph_cut_state_matches_peek(graph, ops):
                 assert same(state.removal_gain(x), oracle.peek(members - {x}) - value)
             else:
                 assert same(state.gain(x), oracle.peek(members | {x}) - value)
+        outside = [x for x in range(n) if x not in members]  # the generic batched path
+        assert state.gains(outside).tolist() == [state.gain(x) for x in outside]
 
     state = oracle.state(())
     parents = []  # (copied state, its members and value at the copy)
@@ -307,6 +309,179 @@ def test_graph_cut_state_matches_peek(graph, ops):
             gain = state.removal_gain(x)
             if op == "remove":
                 state.remove(x, gain)
+        check(state)
+    for parent, members, value in parents:
+        assert parent.members == members and parent.value == value
+        check(parent)
+
+
+class TestCoverageStorage:
+    def test_words_hold_the_tag_bits(self):
+        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}]
+        oracle = CoverageOracle(tag_sets, total_tags=130)
+        assert oracle._words.shape == (4, 3) and oracle._words.dtype == np.uint64
+        for x, tags in enumerate(tag_sets):
+            bits = {64 * w + b for w in range(3) for b in range(64)
+                    if int(oracle._words[x, w]) >> b & 1}
+            assert bits == tags
+
+    def test_clone_shares_words(self):
+        oracle = two_element_coverage()
+        dup = oracle.clone()
+        assert dup._words is oracle._words and dup._masks is oracle._masks
+        assert not oracle._words.flags.writeable
+        assert type(dup) is CoverageOracle and dup.query_count == 0
+
+    def test_empty_ground_set(self):
+        oracle = CoverageOracle([])
+        state = oracle.state(())
+        gains = state.gains([])
+        assert gains.dtype == np.float64 and gains.shape == (0,)
+        assert oracle.query_count == 1
+
+    def test_no_tags_at_all(self):
+        oracle = CoverageOracle([set(), set()])
+        assert oracle._words.shape == (2, 0)
+        assert oracle.state(()).gains([0, 1]).tolist() == [0.0, 0.0]
+
+
+class TestBatchedGains:
+    def test_charges_one_query_per_candidate(self):
+        oracle = CoverageOracle([{0, 1}, {1, 2}, {3}, set()])
+        state = oracle.state([0])
+        before = oracle.query_count
+        assert state.gains([1, 2, 3, 2]).tolist() == [1.0, 1.0, 0.0, 1.0]
+        assert oracle.query_count - before == 4
+
+    @pytest.mark.parametrize("cands", [[1, 0], [1, 4], [-1], [[1]]])
+    def test_bad_candidates_charge_nothing(self, cands):
+        oracle = CoverageOracle([{0, 1}, {1, 2}, {3}, set()])
+        state = oracle.state([0])
+        before = oracle.query_count
+        with pytest.raises(InputError):
+            state.gains(cands)
+        with pytest.raises(InputError):
+            state.first_gain_at_least(cands, 0.0)
+        assert oracle.query_count == before
+
+    def test_first_gain_at_least_charges_the_scanned_prefix(self):
+        oracle = CoverageOracle([{0}, {0, 1}, {2, 3, 4}, {5, 6}])
+        state = oracle.state(())
+        before = oracle.query_count
+        assert state.first_gain_at_least([0, 1, 2, 3], 2.0) == (1, 2.0)
+        assert oracle.query_count - before == 2
+        assert state.first_gain_at_least([0, 1, 3], 3.0) == (3, None)
+        assert oracle.query_count - before == 5
+
+    def test_truncated_add_with_gain_is_free(self):
+        capped = truncate(CoverageOracle([{0, 1}, {1, 2}, {3}]), 2.5)
+        state = capped.state(())
+        gains = state.gains([0, 1, 2])
+        before = capped.query_count
+        assert state.add(0, gains[0]) == 2.0
+        assert capped.query_count == before
+        copy = state.copy()
+        assert copy.add(1, 0.5) == 0.5 and capped.query_count == before
+        assert copy.value == capped.peek([0, 1]) == 2.5
+        assert state.add(2) == 0.5 and capped.query_count == before + 1
+
+
+@st.composite
+def coverage_oracles(draw):
+    """(oracle, view): tag sets over up to three 64-bit words, empty tag sets
+    and n = 0 included; view is the oracle or a truncate() of it at a
+    half-integer or integer cap, so every value stays an exact float."""
+    n = draw(st.integers(0, 7))
+    m = draw(st.sampled_from([0, 1, 5, 64, 65, 140]))
+    tags = st.sets(st.integers(0, m - 1), max_size=6) if m else st.just(set())
+    tag_sets = draw(st.lists(tags, min_size=n, max_size=n))
+    oracle = CoverageOracle(tag_sets, total_tags=m)
+    if draw(st.booleans()):
+        return oracle, truncate(oracle, draw(st.integers(0, 2 * m)) / 2.0)
+    return oracle, oracle
+
+
+COVERAGE_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add_unpaid", "remove", "copy", "gain",
+                               "removal_gain", "gains", "first"]),
+              st.integers(0, 1000)),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=coverage_oracles(), ops=COVERAGE_OPS)
+def test_coverage_state_matches_peek(drawn, ops):
+    """Coverage and truncated states against the uncounted evaluation: every
+    value and gain is an integer or half-integer, so they must match exactly."""
+    oracle, view = drawn
+    n = oracle.n
+
+    def charged(run):
+        before = oracle.query_count
+        out = run()
+        return out, oracle.query_count - before
+
+    def check(state):
+        members = state.members
+        value = view.peek(members)
+        assert state.value == value
+        outside = [x for x in range(n) if x not in members]
+        expected = [view.peek(members | {x}) - value for x in outside]
+        gains, cost = charged(lambda: state.gains(outside))
+        assert gains.dtype == np.float64 and gains.tolist() == expected
+        assert cost == len(outside)
+        for x, gain in zip(outside, expected):
+            assert state.gain(x) == gain
+        for x in members:
+            assert state.removal_gain(x) == view.peek(members - {x}) - value
+        bad_lists = [[*outside, n], [-1, *outside]]
+        if members:
+            bad_lists.append([*outside, min(members)])
+        for bad in bad_lists:
+            before = oracle.query_count
+            with pytest.raises(InputError):
+                state.gains(bad)
+            assert oracle.query_count == before
+
+    state = view.state(())
+    parents = []  # (copied state, its members and value at the copy)
+    for op, pick in ops:
+        inside = sorted(state.members)
+        outside = [x for x in range(n) if x not in state.members]
+        if op == "copy":
+            parents.append((state, set(state.members), state.value))
+            state = state.copy()
+        elif op in ("add", "gain", "add_unpaid") and outside:
+            x = outside[pick % len(outside)]
+            if op == "add_unpaid":
+                _, cost = charged(lambda: state.add(x))
+                assert cost == 1
+            else:
+                gain, cost = charged(lambda: state.gain(x))
+                assert cost == 1
+                if op == "add":
+                    _, cost = charged(lambda: state.add(x, gain))
+                    assert cost == 0
+        elif op in ("remove", "removal_gain") and inside:
+            x = inside[pick % len(inside)]
+            gain = state.removal_gain(x)
+            if op == "remove":
+                _, cost = charged(lambda: state.remove(x, gain))
+                assert cost == 0
+        elif op == "gains" and outside:
+            picks = [outside[(pick + i) % len(outside)] for i in range(pick % 4)]
+            _, cost = charged(lambda: state.gains(picks))
+            assert cost == len(picks)
+        elif op == "first":
+            bar = (pick % 8) / 2.0
+            gains = [view.peek(state.members | {x}) - state.value for x in outside]
+            hits = [i for i, gain in enumerate(gains) if gain >= bar]
+            (k, gain), cost = charged(lambda: state.first_gain_at_least(outside, bar))
+            if hits:
+                assert (k, gain, cost) == (hits[0], gains[hits[0]], hits[0] + 1)
+            else:
+                assert (k, gain, cost) == (len(outside), None, len(outside))
         check(state)
     for parent, members, value in parents:
         assert parent.members == members and parent.value == value

@@ -253,3 +253,26 @@ class TestNonFiniteInputs:
     def test_rejected(self, tau, costs):
         with pytest.raises(InputError):
             RegularizedInstance(CoverageOracle([{0}, {1}]), costs, tau=tau)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteSweepParameters:
+    @staticmethod
+    def inst():
+        return RegularizedInstance(CoverageOracle([{0}, {1}, {0, 1}]), [0.1, 0.2, 0.3], tau=1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_convert_regularized(self, name, value):
+        kwargs = {"alpha": 0.5, "beta": 1.5, name: value}
+        with pytest.raises(InputError, match=name):
+            convert_regularized(lambda scaled: (), self.inst(), gamma=0.8, **kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["beta", "opt_size"])
+    def test_distorted_stream_cover(self, name, value):
+        kwargs = {"beta": 1.5, "opt_size": 2, name: value}
+        with pytest.raises(InputError, match=name):
+            distorted_stream_cover(self.inst(), 0.2, **kwargs)

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from subcover import CoverageOracle, GraphCutOracle
+from subcover.oracles import SolutionState
 
 
 def random_coverage(rng, n, max_tags=18, max_per_element=4, ensure_nonempty=True):
@@ -24,6 +25,18 @@ def random_coverage(rng, n, max_tags=18, max_per_element=4, ensure_nonempty=True
     if ensure_nonempty and not any(tag_sets):
         tag_sets[0] = [0]
     return CoverageOracle(tag_sets, total_tags=m)
+
+
+class FallbackCoverage(CoverageOracle):
+    """Coverage oracle whose states are the generic ``SolutionState``.
+
+    Every gain re-evaluates f(S + x) from the tag masks and ``gains`` loops
+    over single gains, so solvers run on it take the oracle layer's fallback
+    path instead of the packed-word one.
+    """
+
+    def _make_state(self, members):
+        return SolutionState(self, members)
 
 
 def random_edges(rng, n, p, weighted=False):
