@@ -35,71 +35,61 @@ class ExactResult:
     enumerated: int
 
 
+def _enumerate(pool, max_size, score, stop_at=None):
+    """Score subsets of pool of size <= max_size in size-then-lexicographic order.
+
+    With stop_at: the first subset scoring at least stop_at - 1e-9, or None.
+    Without: the first subset of maximum score.  ``enumerated`` counts the
+    subsets scored.
+    """
+    best = None
+    examined = 0
+    for size in range(min(max_size, len(pool)) + 1):
+        for combo in itertools.combinations(pool, size):
+            examined += 1
+            value = score(combo)
+            if stop_at is not None:
+                if value >= stop_at - TOL:
+                    return ExactResult(combo, value, examined)
+            elif best is None or value > best[1] + 1e-12:
+                best = (combo, value)
+    return None if stop_at is not None else ExactResult(*best, examined)
+
+
+def _check_budget(kappa):
+    if kappa < 0:
+        raise InputError(f"budget must be non-negative, got {kappa}")
+
+
 def exact_min_cover(instance, max_n=None):
     """Smallest set with f >= tau - 1e-9, ties broken lexicographically.
 
     Enumerates subsets in size-then-lexicographic order; returns None when no
     subset reaches the threshold.
     """
-    oracle = instance.oracle
-    n = oracle.n
+    n = instance.oracle.n
     _check_guard(n, max_n)
-    tau = instance.tau
-    examined = 0
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            examined += 1
-            if oracle.eval(combo) >= tau - TOL:
-                return ExactResult(combo, oracle.peek(combo), examined)
-    return None
+    return _enumerate(range(n), n, instance.oracle.eval, stop_at=instance.tau)
 
 
 def exact_max_cardinality(oracle, kappa, max_n=None, ground=None):
     """Exact maximum of f over subsets of size <= kappa."""
-    if kappa < 0:
-        raise InputError(f"budget must be non-negative, got {kappa}")
+    _check_budget(kappa)
     pool = tuple(range(oracle.n)) if ground is None else tuple(sorted(oracle._check_members(ground)))
     _check_guard(len(pool), max_n)
-    best_set, best_val = (), oracle.eval(())
-    examined = 1
-    for size in range(1, min(kappa, len(pool)) + 1):
-        for combo in itertools.combinations(pool, size):
-            examined += 1
-            value = oracle.eval(combo)
-            if value > best_val + 1e-12:
-                best_set, best_val = combo, value
-    return ExactResult(best_set, best_val, examined)
+    return _enumerate(pool, kappa, oracle.eval)
 
 
 def exact_max_regularized(inst, kappa, max_n=None):
     """Exact maximum of g - c over subsets of size <= kappa."""
-    if kappa < 0:
-        raise InputError(f"budget must be non-negative, got {kappa}")
-    oracle = inst.oracle
-    n = oracle.n
+    _check_budget(kappa)
+    n = inst.oracle.n
     _check_guard(n, max_n)
-    best_set, best_val = (), oracle.eval(())
-    examined = 1
-    for size in range(1, min(kappa, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            examined += 1
-            value = oracle.eval(combo) - inst.cost(combo)
-            if value > best_val + 1e-12:
-                best_set, best_val = combo, value
-    return ExactResult(best_set, best_val, examined)
+    return _enumerate(range(n), kappa, lambda X: inst.oracle.eval(X) - inst.cost(X))
 
 
 def exact_min_cover_regularized(inst, max_n=None):
     """Smallest set with g - c >= tau - 1e-9, or None when infeasible."""
-    oracle = inst.oracle
-    n = oracle.n
+    n = inst.oracle.n
     _check_guard(n, max_n)
-    tau = inst.tau
-    examined = 0
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            examined += 1
-            value = oracle.eval(combo) - inst.cost(combo)
-            if value >= tau - TOL:
-                return ExactResult(combo, value, examined)
-    return None
+    return _enumerate(range(n), n, lambda X: inst.oracle.eval(X) - inst.cost(X), stop_at=inst.tau)

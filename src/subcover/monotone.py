@@ -21,6 +21,11 @@ def _check_unit_interval(name, value):
         raise InputError(f"{name} must lie in (0, 1), got {value}")
 
 
+def _check_gamma(gamma):
+    if not 0.0 < gamma <= 1.0:
+        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
+
+
 def _check_positive(name, value):
     if not (math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be positive and finite, got {value}")
@@ -148,7 +153,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
         return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
     n = oracle.n
     capped = truncate(oracle, tau)  # shares the query counter
-    num_solutions = max(1, math.ceil(math.log(1.0 / delta) / math.log(2.0)))
+    num_solutions = convert_rand_repetitions(delta)
     states = [capped.state(()) for _ in range(num_solutions)]
     rngs = [np.random.default_rng(derive_seed(seed, i)) for i in range(num_solutions)]
     lead = math.log(3.0 / eps)
@@ -180,48 +185,47 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     return finish_run(oracle, chosen, status, target, q0, t0)
 
 
-def _stochastic_max_run(oracle, kappa, eps, rng, ground):
-    """Core sampled-greedy maximization; returns the chosen element set."""
-    pool = oracle._check_ids(ground)
-    n = oracle.n
-    steps = math.ceil(math.log(3.0 / (2.0 * eps)) * kappa)
-    sample_size = min(len(pool), math.ceil((n / kappa) * math.log(3.0 / (2.0 * eps))))
-    state = oracle.state(())
-    for _ in range(steps):
-        sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
-        best, gain = _best_gain(state, sample)
-        if best is not None:
-            state.add(best, gain)
-    return tuple(sorted(state.members))
-
-
 def stochastic_greedy_max(instance, eps, seed):
-    """Over-budget sampled greedy maximization (expected value near optimal).
-
-    Runs ceil(ln(3/(2 eps)) * kappa) steps, each adding the best element of a
-    uniform sample of size ceil((n / kappa) * ln(3/(2 eps))).
-    """
-    _check_unit_interval("eps", eps)
+    """Over-budget sampled greedy maximization (expected value near optimal)."""
     oracle = instance.oracle
     t0, q0 = time.perf_counter(), oracle.query_count
-    rng = np.random.default_rng(seed)
-    chosen = _stochastic_max_run(oracle, instance.kappa, eps, rng, instance.ground_ids())
+    run = stochastic_max_subroutine(eps)
+    chosen = run(oracle, instance.kappa, seed, instance.ground_ids())
     return finish_run(oracle, chosen, Status.SOLVED, 0.0, q0, t0)
 
 
 def stochastic_max_subroutine(eps):
-    """Adapter: sampled-greedy maximization as a (oracle, kappa, seed) callable."""
+    """Sampled-greedy maximization as an (oracle, kappa, seed) callable.
+
+    Runs ceil(ln(3/(2 eps)) * kappa) steps, each adding the best element of a
+    uniform sample of size ceil((n / kappa) * ln(3/(2 eps))) drawn from the
+    optional ground set.
+    """
+    _check_unit_interval("eps", eps)
+    lead = math.log(3.0 / (2.0 * eps))
 
     def run(oracle, kappa, seed, ground=None):
         rng = np.random.default_rng(seed)
-        pool = tuple(range(oracle.n)) if ground is None else tuple(ground)
-        return _stochastic_max_run(oracle, kappa, eps, rng, pool)
+        pool = np.arange(oracle.n) if ground is None else oracle._check_ids(ground)
+        steps = math.ceil(lead * kappa)
+        sample_size = min(len(pool), math.ceil((oracle.n / kappa) * lead))
+        state = oracle.state(())
+        for _ in range(steps):
+            sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
+            best, gain = _best_gain(state, sample)
+            if best is not None:
+                state.add(best, gain)
+        return tuple(sorted(state.members))
 
     return run
 
 
-def greedy_max(oracle, kappa, ground=None):
-    """Budgeted greedy maximization; stops early when no positive gain remains."""
+def greedy_max(oracle, kappa, seed=None, ground=None):
+    """Budgeted greedy maximization; stops early when no positive gain remains.
+
+    Deterministic: ``seed`` is accepted, and ignored, so the function fits the
+    (oracle, kappa, seed) shape the cover conversions call.
+    """
     if kappa < 0:
         raise InputError(f"budget must be non-negative, got {kappa}")
     pool = np.arange(oracle.n) if ground is None else np.sort(oracle._check_ids(list(ground)))
@@ -235,23 +239,32 @@ def greedy_max(oracle, kappa, ground=None):
     return tuple(sorted(state.members))
 
 
-def greedy_max_subroutine(oracle, kappa, seed=None, ground=None):
-    """Deterministic greedy maximization in the (oracle, kappa, seed) shape."""
-    return greedy_max(oracle, kappa, ground=ground)
-
-
-def _budget_schedule(n, alpha, initial):
+def _budget_schedule(n, alpha, initial=None):
     """Yield geometric budget guesses max(1, initial) * (1 + alpha)^r, capped
-    at n and ending with the first one that reaches n.  The guesses are
-    real-valued; every one is a separate subroutine run even when
-    consecutive guesses are close."""
-    g = max(1.0, float(initial))
+    at n and ending with the first one that reaches n; nothing when n is 0.
+    initial defaults to 1 + alpha.  The guesses are real-valued; every one is
+    a separate subroutine run even when consecutive guesses are close."""
+    if n == 0:
+        return
+    g = max(1.0, float(1.0 + alpha if initial is None else initial))
     while True:
         budget = min(float(n), g)
         yield budget
         if budget >= n:
             return
         g *= 1.0 + alpha
+
+
+def _budget_sweep(oracle, alpha, initial, attempt, target, q0, t0, value=None):
+    """Call attempt(index, budget) -> (hit, chosen) for each budget of the
+    schedule.  The first hit is Solved; when the schedule ends the run is
+    InfeasibleDetected with the last chosen set."""
+    chosen = ()
+    for index, budget in enumerate(_budget_schedule(oracle.n, alpha, initial)):
+        hit, chosen = attempt(index, budget)
+        if hit:
+            return finish_run(oracle, chosen, Status.SOLVED, target, q0, t0, value)
+    return finish_run(oracle, chosen, Status.INFEASIBLE, target, q0, t0, value)
 
 
 def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
@@ -264,20 +277,18 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     """
     _check_positive("alpha", alpha)
     _check_finite("initial_budget", initial_budget)
-    if not 0.0 < gamma <= 1.0:
-        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     oracle = instance.oracle
     t0, q0 = time.perf_counter(), oracle.query_count
     target = gamma * instance.tau
     if oracle.eval(()) >= target - TOL:
         return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
-    chosen = ()
-    start = initial_budget if initial_budget is not None else 1.0 + alpha
-    for index, budget in enumerate(_budget_schedule(oracle.n, alpha, start)):
+
+    def attempt(index, budget):
         chosen = tuple(smp_alg(oracle, budget, derive_seed(seed, index)))
-        if oracle.eval(chosen) >= target - TOL:
-            return finish_run(oracle, chosen, Status.SOLVED, target, q0, t0)
-    return finish_run(oracle, chosen, Status.INFEASIBLE, target, q0, t0)
+        return oracle.eval(chosen) >= target - TOL, chosen
+
+    return _budget_sweep(oracle, alpha, initial_budget, attempt, target, q0, t0)
 
 
 def convert_rand_repetitions(delta):
@@ -296,24 +307,21 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     _check_positive("alpha", alpha)
     _check_finite("initial_budget", initial_budget)
     _check_unit_interval("eps", eps)
+    reps = convert_rand_repetitions(delta)
     oracle = instance.oracle
     t0, q0 = time.perf_counter(), oracle.query_count
     tau = instance.tau
     target = (1.0 - eps) * tau
     if tau <= 0:
         return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
-    reps = convert_rand_repetitions(delta)
     capped = truncate(oracle, tau)
-    best = ()
-    start = initial_budget if initial_budget is not None else 1.0 + alpha
-    for index, budget in enumerate(_budget_schedule(oracle.n, alpha, start)):
+
+    def attempt(index, budget):
         winners = []
         for i in range(reps):
             candidate = tuple(smp_alg(capped, budget, derive_seed(seed, index, i)))
             if capped.eval(candidate) >= target - TOL:
                 winners.append(candidate)
-        if winners:
-            chosen = min(winners, key=len)
-            return finish_run(oracle, chosen, Status.SOLVED, target, q0, t0)
-        best = candidate
-    return finish_run(oracle, best, Status.INFEASIBLE, target, q0, t0)
+        return (True, min(winners, key=len)) if winners else (False, candidate)
+
+    return _budget_sweep(oracle, alpha, initial_budget, attempt, target, q0, t0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import _check_finite, _check_positive, derive_seed
+from .monotone import _budget_schedule, _check_finite, _check_positive, _check_unit_interval, derive_seed
 from .oracles import TOL, InputError
 from .results import Status, finish_run
 
@@ -42,20 +42,16 @@ class SmpSubroutine:
 
 _SUBROUTINE_KINDS = {
     "ex": ("exact", 1.0),
-    "exact": ("exact", 1.0),
     "fex": ("fast-exact", 1.0),
-    "fast-exact": ("fast-exact", 1.0),
     "dg": ("double-greedy", 0.5),
-    "double-greedy": ("double-greedy", 0.5),
     "rg": ("random-greedy", 1.0 / math.e),
-    "random-greedy": ("random-greedy", 1.0 / math.e),
 }
 
 
 def smp_subroutine(kind, timeout_ms=None):
-    """Build a subroutine descriptor from a short or long kind name."""
+    """Build a subroutine descriptor from its short name: ex, fex, dg or rg."""
     try:
-        name, fraction = _SUBROUTINE_KINDS[kind.lower()]
+        name, fraction = _SUBROUTINE_KINDS[kind]
     except KeyError:
         raise InputError(f"unknown SMP subroutine kind {kind!r}") from None
     return SmpSubroutine(kind=name, stop_fraction=fraction, timeout_ms=timeout_ms)
@@ -85,15 +81,16 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
     gain; cached gains from ancestor states stay valid upper bounds by
     submodularity and are refreshed lazily, just before an element is
     branched on.  Branches whose bound cannot beat the incumbent or reach
-    the target are pruned.  Returns (best_set, best_val, timed_out, hit).
+    the target are pruned.  Returns the first set reaching the target, else
+    the best set found.
     """
     if budget <= 0 or not candidates:
-        return best_set, best_val, False, None
+        return SmpSearch(best_set, best_val)
     seeded = sorted((-base_state.gain(c), c) for c in candidates)
     frames = [[base_state, seeded, 0, budget]]
     while frames:
         if deadline is not None and time.perf_counter() > deadline:
-            return best_set, best_val, True, None
+            return SmpSearch(best_set, best_val, True)
         frame = frames[-1]
         state, ordered, pos, remaining = frame
         if pos >= len(ordered) or remaining == 0:
@@ -125,10 +122,10 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
         if child.value > best_val + 1e-12:
             best_set, best_val = tuple(sorted(child.members)), child.value
         if target is not None and child.value >= target - TOL:
-            return best_set, best_val, False, tuple(sorted(child.members))
+            return SmpSearch(tuple(sorted(child.members)), best_val)
         if remaining > 1 and pos + 1 < len(ordered):
             frames.append([child, ordered[pos + 1:], 0, remaining - 1])
-    return best_set, best_val, False, None
+    return SmpSearch(best_set, best_val)
 
 
 def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
@@ -166,12 +163,7 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
             best_set, best_val = tuple(sorted(greedy.members)), greedy.value
         if target is not None and greedy.value >= target - TOL:
             return SmpSearch(tuple(sorted(greedy.members)), greedy.value)
-    best_set, best_val, timed_out, hit = _branch_search(
-        oracle, root, list(ground), kappa, target, deadline, best_set, best_val
-    )
-    if hit is not None:
-        return SmpSearch(hit, best_val)
-    return SmpSearch(best_set, best_val, timed_out)
+    return _branch_search(oracle, root, list(ground), kappa, target, deadline, best_set, best_val)
 
 
 def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
@@ -189,12 +181,7 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     best_set, best_val = tuple(sorted(base.members)), base.value
     if target is not None and best_val >= target - TOL:
         return SmpSearch(best_set, best_val)
-    best_set, best_val, timed_out, hit = _branch_search(
-        oracle, base, list(nonmono), len(nonmono), target, deadline, best_set, best_val
-    )
-    if hit is not None:
-        return SmpSearch(hit, best_val)
-    return SmpSearch(best_set, best_val, timed_out)
+    return _branch_search(oracle, base, list(nonmono), len(nonmono), target, deadline, best_set, best_val)
 
 
 def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
@@ -252,11 +239,9 @@ def double_greedy_max(oracle, seed, ground=None):
 
 
 def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
-    if sub.kind == "exact":
-        found = exact_max_search(oracle, ground, budget, target=accept_level, timeout_ms=sub.timeout_ms)
-        return found.solution, found.timed_out
-    if sub.kind == "fast-exact":
-        found = fast_exact_max_search(oracle, ground, budget, target=accept_level, timeout_ms=sub.timeout_ms)
+    if sub.kind in ("exact", "fast-exact"):
+        search = exact_max_search if sub.kind == "exact" else fast_exact_max_search
+        found = search(oracle, ground, budget, target=accept_level, timeout_ms=sub.timeout_ms)
         return found.solution, found.timed_out
     if not ground:
         return (), False
@@ -267,8 +252,7 @@ def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
     raise InputError(f"unknown SMP subroutine kind {sub.kind!r}")
 
 
-def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
-                 shuffle=False, initial_guess=None, watch=None, trace=None):
+def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=None):
     """Bucketed threshold passes for general submodular cover.
 
     Per pass with guess g, elements are scanned in order and stored in the
@@ -276,11 +260,9 @@ def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
     eps * tau / (2 g) and the bucket is below its cap ceil(2 g / eps).  After
     the pass a maximization subroutine runs over the stored elements with
     budget equal to the cap; its output is accepted once it reaches
-    sub.stop_fraction * (1 - eps) * tau.  Buckets are reset between guesses
-    unless ``retain_buckets`` asks for the carry-over behaviour.
+    sub.stop_fraction * (1 - eps) * tau.  Buckets are reset between guesses.
     """
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_unit_interval("eps", eps)
     _check_positive("alpha", alpha)
     _check_finite("initial_guess", initial_guess)
     if not instance.oracle.nonnegative:
@@ -291,32 +273,19 @@ def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
     accept_level = sub.stop_fraction * (1.0 - eps) * tau
     if oracle.eval(()) >= accept_level - TOL:
         return finish_run(oracle, (), Status.SOLVED, accept_level, q0, t0)
-    n = oracle.n
     num_buckets = math.ceil(2.0 / eps)
-    order = list(range(n))
-    if shuffle:
-        order = [int(x) for x in np.random.default_rng(derive_seed(seed, 0)).permutation(n)]
-    g = min(float(n), max(1.0, float(initial_guess if initial_guess is not None else 1.0 + alpha)))
-    buckets = None
-    stored = set()
     best_members, best_value = (), 0.0
-    pass_index = 0
-    while True:
+    for pass_index, g in enumerate(_budget_schedule(oracle.n, alpha, initial_guess)):
         cap = math.ceil(2.0 * g / eps)
         threshold = eps * tau / (2.0 * g)
-        if buckets is None or not retain_buckets:
-            buckets = [oracle.state(()) for _ in range(num_buckets)]
-            stored = set()
-        for u in order:
-            if u in stored:
-                continue
+        buckets = [oracle.state(()) for _ in range(num_buckets)]
+        for u in range(oracle.n):
             for bucket in buckets:
                 if len(bucket.members) >= cap:
                     continue
                 gain = bucket.gain(u)
                 if gain >= threshold - TOL:
                     bucket.add(u, gain)
-                    stored.add(u)
                     break
             if watch is not None:
                 watch("element", {
@@ -325,14 +294,12 @@ def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
                     "element": u,
                     "buckets": [frozenset(b.members) for b in buckets],
                 })
-        ground = sorted(stored)
+        ground = sorted(u for b in buckets for u in b.members)
         sub_seed = derive_seed(seed, 1, pass_index)
         solution, timed_out = _run_subroutine(oracle, ground, cap, sub, accept_level, sub_seed)
         value = oracle.eval(solution)
         if value > best_value + 1e-12:
             best_members, best_value = solution, value
-        if trace is not None:
-            trace.write(f"g={g:.6g} stored={len(ground)} smp_value={value:.6g}\n")
         if watch is not None:
             watch("pass", {
                 "g": g,
@@ -345,7 +312,4 @@ def stream_cover(instance, eps, alpha, sub, seed=0, retain_buckets=False,
             return finish_run(oracle, best_members, Status.BUDGET_EXHAUSTED, accept_level, q0, t0)
         if value >= accept_level - TOL:
             return finish_run(oracle, solution, Status.SOLVED, accept_level, q0, t0)
-        if g >= n:
-            return finish_run(oracle, best_members, Status.INFEASIBLE, accept_level, q0, t0)
-        g = min(float(n), (1.0 + alpha) * g)
-        pass_index += 1
+    return finish_run(oracle, best_members, Status.INFEASIBLE, accept_level, q0, t0)

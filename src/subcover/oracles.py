@@ -44,7 +44,6 @@ class SetFunctionOracle:
         self.n = int(n)
         self.name = name
         self._counter = counter if counter is not None else QueryCounter()
-        self._gain_base = None  # (frozenset, value) cache for marginal_gain
 
     # subclasses implement the raw set function
     def _value(self, members):
@@ -88,22 +87,6 @@ class SetFunctionOracle:
     def peek(self, S):
         """Evaluate f(S) without counting; for post-hoc verification only."""
         return self._value(self._check_members(S))
-
-    def marginal_gain(self, S, x):
-        """f(S + x) - f(S); costs two queries, or one when f(S) was cached."""
-        members = self._check_members(S)
-        x = self._check_element(x)
-        if x in members:
-            raise InputError(f"element {x} already in the base set")
-        key = frozenset(members)
-        if self._gain_base is not None and self._gain_base[0] == key:
-            base = self._gain_base[1]
-        else:
-            self._counter.tick()
-            base = self._value(members)
-            self._gain_base = (key, base)
-        self._counter.tick()
-        return self._value(members | {x}) - base
 
     def state(self, S=()):
         """Incremental solution evaluator rooted at S; costs one query."""

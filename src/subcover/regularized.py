@@ -8,9 +8,9 @@ import time
 
 import numpy as np
 
-from .monotone import _budget_schedule, _check_positive, _unselected
+from .monotone import _budget_sweep, _check_gamma, _check_positive, _check_unit_interval, _unselected
 from .oracles import TOL, InputError
-from .results import BicriteriaResult, Status
+from .results import Status, finish_run
 
 
 def _check_instance(inst, need_kappa=False, need_tau=False):
@@ -24,8 +24,7 @@ def _check_instance(inst, need_kappa=False, need_tau=False):
 
 def distortion_horizon(eps, kappa):
     """Number of distorted steps: ceil(ln(1/eps) * kappa)."""
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_unit_interval("eps", eps)
     return math.ceil(math.log(1.0 / eps) * kappa)
 
 
@@ -83,42 +82,29 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     _check_instance(inst, need_tau=True)
     _check_positive("alpha", alpha)
     _check_positive("beta", beta)
-    if not 0.0 < gamma <= 1.0:
-        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     oracle = inst.oracle
     scale = gamma / beta
     target = gamma * inst.tau
     t0, q0 = time.perf_counter(), oracle.query_count
 
-    def assemble(members, status):
-        solution = tuple(sorted(members))
-        value = oracle.peek(solution) - scale * inst.cost(solution)
-        return BicriteriaResult(
-            solution=solution,
-            f_value=value,
-            size=len(solution),
-            queries=oracle.query_count - q0,
-            status=status,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-            target=target,
-        )
+    def value(S):
+        return oracle.peek(S) - scale * inst.cost(S)
 
     if oracle.eval(()) >= target - TOL:
-        return assemble((), Status.SOLVED)
+        return finish_run(oracle, (), Status.SOLVED, target, q0, t0, value)
     scaled = inst.with_scaled_costs(scale)
-    chosen = ()
-    for budget in _budget_schedule(oracle.n, alpha, 1.0 + alpha):
+
+    def attempt(index, budget):
         chosen = tuple(reg_alg(scaled.with_scaled_costs(1.0, kappa=budget)))
-        value = oracle.eval(chosen) - scale * inst.cost(chosen)
-        if value >= target - TOL:
-            return assemble(chosen, Status.SOLVED)
-    return assemble(chosen, Status.INFEASIBLE)
+        return oracle.eval(chosen) - scale * inst.cost(chosen) >= target - TOL, chosen
+
+    return _budget_sweep(oracle, alpha, None, attempt, target, q0, t0, value)
 
 
 def distorted_cover(inst, eps, alpha):
     """Cover through the distorted maximizer with its natural constants."""
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_unit_interval("eps", eps)
     gamma = 1.0 - eps
     beta = math.log(1.0 / eps)
 
@@ -136,8 +122,7 @@ def distorted_stream_cover(inst, eps, beta, opt_size):
     experimental, wrap in a geometric guessing loop for end-to-end use.
     """
     _check_instance(inst, need_tau=True)
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_unit_interval("eps", eps)
     if not (math.isfinite(beta) and beta >= 1.0):
         raise InputError(f"beta must be finite and at least 1, got {beta}")
     if not (math.isfinite(opt_size) and opt_size >= 1):

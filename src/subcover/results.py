@@ -34,12 +34,16 @@ class BicriteriaResult:
     target: float = 0.0
 
 
-def finish_run(oracle, members, status, target, queries_before, started_at):
-    """Assemble a result, re-evaluating the solution without counting."""
+def finish_run(oracle, members, status, target, queries_before, started_at, value=None):
+    """Assemble a result, re-evaluating the solution without counting.
+
+    ``value`` re-checks the solution in place of ``oracle.peek`` when the run
+    aims at another objective than f.
+    """
     solution = tuple(sorted(int(x) for x in members))
     return BicriteriaResult(
         solution=solution,
-        f_value=oracle.peek(solution),
+        f_value=(oracle.peek if value is None else value)(solution),
         size=len(solution),
         queries=oracle.query_count - queries_before,
         status=status,

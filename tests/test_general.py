@@ -23,6 +23,8 @@ from subcover import (
     stream_cover,
 )
 
+from subcover.monotone import _budget_schedule
+
 from util import brute_max_all, brute_max_subsets, random_coverage, random_graph
 
 
@@ -89,19 +91,6 @@ class TestStreamCover:
                 for j in range(i + 1, len(buckets)):
                     assert not (buckets[i] & buckets[j])
 
-    def test_trace_lines(self, tmp_path):
-        rng = np.random.default_rng(34)
-        oracle = random_graph(rng, 8, 0.5)
-        best, _ = brute_max_all(oracle)
-        out = tmp_path / "trace.txt"
-        with open(out, "w") as handle:
-            stream_cover(
-                CoverInstance(oracle, 0.6 * best), 0.5, 0.5, smp_subroutine("ex"),
-                trace=handle,
-            )
-        lines = out.read_text().splitlines()
-        assert lines and all(line.startswith("g=") and "smp_value=" in line for line in lines)
-
     def test_infeasible_when_threshold_unreachable(self):
         oracle = GraphCutOracle(3, [(0, 1)])
         res = stream_cover(CoverInstance(oracle, 50.0), 0.5, 0.5, smp_subroutine("ex"))
@@ -138,36 +127,33 @@ class TestStreamCover:
             expected = sorted(x for bucket in buckets for x in bucket)
             assert list(passes[0]["stored"]) == expected
 
-    def test_retain_mode_keeps_solving(self):
-        rng = np.random.default_rng(35)
-        for _ in range(10):
-            oracle = random_graph(rng, 9, 0.4)
-            best, _ = brute_max_all(oracle)
-            if best == 0:
-                continue
-            tau = 0.8 * best
-            res = stream_cover(
-                CoverInstance(oracle, tau), 0.5, 0.2, smp_subroutine("ex"),
-                retain_buckets=True,
-            )
-            assert res.status == Status.SOLVED
 
-    def test_retain_mode_carries_stored_elements_across_passes(self):
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            oracle = random_graph(rng, 10, 0.4)
-            best, _ = brute_max_all(oracle)
-            if best == 0:
-                continue
-            stored_per_pass = []
-            stream_cover(
-                CoverInstance(oracle, 0.9 * best), 0.5, 0.2, smp_subroutine("ex"),
-                retain_buckets=True,
-                watch=lambda kind, p: stored_per_pass.append(set(p["stored"]))
-                if kind == "pass" else None,
-            )
-            for earlier, later in zip(stored_per_pass, stored_per_pass[1:]):
-                assert earlier <= later
+    @pytest.mark.parametrize("tau", [3.0, 50.0])
+    def test_pass_guesses_follow_the_budget_schedule(self, tau):
+        oracle = GraphCutOracle(6, [(0, 1), (2, 3), (4, 5)])
+        guesses = []
+        res = stream_cover(
+            CoverInstance(oracle, tau), 0.5, 0.5, smp_subroutine("dg"), initial_guess=1.3,
+            watch=lambda kind, p: guesses.append(p["g"]) if kind == "pass" else None,
+        )
+        schedule = list(_budget_schedule(6, 0.5, 1.3))
+        assert guesses and guesses == schedule[:len(guesses)]
+        assert (res.status == Status.INFEASIBLE) == (guesses == schedule)
+
+
+class TestSmpSubroutineNames:
+    @pytest.mark.parametrize("kind, name", [
+        ("ex", "exact"), ("fex", "fast-exact"), ("dg", "double-greedy"), ("rg", "random-greedy"),
+    ])
+    def test_short_names(self, kind, name):
+        assert smp_subroutine(kind).kind == name
+
+    @pytest.mark.parametrize("kind", [
+        "exact", "fast-exact", "double-greedy", "random-greedy", "EX", "Fex", "greedy",
+    ])
+    def test_other_names_rejected(self, kind):
+        with pytest.raises(InputError):
+            smp_subroutine(kind)
 
 
 class TestStreamCoverNonFiniteParameters:

@@ -10,6 +10,7 @@ import pytest
 from subcover import (
     CoverageOracle,
     CoverInstance,
+    GraphCutOracle,
     InputError,
     RegularizedInstance,
     SmpInstance,
@@ -22,12 +23,13 @@ from subcover import (
     exact_min_cover,
     greedy_cover,
     greedy_max,
-    greedy_max_subroutine,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
+    smp_subroutine,
     stochastic_greedy_cover,
     stochastic_greedy_max,
     stochastic_max_subroutine,
+    stream_cover,
     threshold_greedy_cover,
 )
 
@@ -278,18 +280,18 @@ class TestConvertCover:
         rng = np.random.default_rng(205)
         oracle = random_coverage(rng, 10)
         tau = 0.9 * oracle.peek(range(10))
-        res = convert_cover(greedy_max_subroutine, CoverInstance(oracle, tau), alpha=1.0, gamma=0.8)
+        res = convert_cover(greedy_max, CoverInstance(oracle, tau), alpha=1.0, gamma=0.8)
         assert res.status == Status.SOLVED
         assert res.f_value >= 0.8 * tau - 1e-9
 
     def test_zero_threshold_short_circuits(self):
         oracle = CoverageOracle([{0}])
-        res = convert_cover(greedy_max_subroutine, CoverInstance(oracle, 0.0), 1.0, 0.9)
+        res = convert_cover(greedy_max, CoverInstance(oracle, 0.0), 1.0, 0.9)
         assert res.solution == () and res.queries <= 1
 
     def test_infeasible(self):
         oracle = CoverageOracle([{0}])
-        res = convert_cover(greedy_max_subroutine, CoverInstance(oracle, 5.0), 1.0, 0.9)
+        res = convert_cover(greedy_max, CoverInstance(oracle, 5.0), 1.0, 0.9)
         assert res.status == Status.INFEASIBLE
 
     def test_costlier_than_direct_stochastic_on_tightness(self):
@@ -317,11 +319,11 @@ class TestConvertCoverRandomized:
         tau = 0.8 * oracle.peek(range(9))
         eps = 0.2
         res_r = convert_cover_randomized(
-            greedy_max_subroutine, CoverInstance(oracle.clone(), tau),
+            greedy_max, CoverInstance(oracle.clone(), tau),
             alpha=0.5, delta=0.5, eps=eps, seed=0,
         )
         res_d = convert_cover(
-            greedy_max_subroutine, CoverInstance(oracle.clone(), tau),
+            greedy_max, CoverInstance(oracle.clone(), tau),
             alpha=0.5, gamma=1 - eps,
         )
         assert res_r.solution == res_d.solution
@@ -381,14 +383,72 @@ class TestBudgetSchedule:
         assert list(_budget_schedule(5, 1.0, 0.5)) == [1.0, 2.0, 4.0, 5.0]
         assert list(_budget_schedule(3, 1.0, 7.0)) == [3.0]
 
+    def test_empty_ground_set_has_no_budgets(self):
+        assert list(_budget_schedule(0, 1.0)) == []
+
+    def test_convert_cover_hands_the_maximizer_every_budget(self):
+        budgets = []
+
+        def recording(oracle, kappa, seed):
+            budgets.append(kappa)
+            return greedy_max(oracle, kappa, seed)
+
+        oracle = CoverageOracle([{0}, {1}, {2}, {3}, {4}])
+        res = convert_cover(recording, CoverInstance(oracle, 10.0), alpha=0.5, gamma=1.0,
+                            initial_budget=1.2)
+        assert res.status == Status.INFEASIBLE
+        assert budgets == list(_budget_schedule(5, 0.5, 1.2))
+
     def test_tiny_alpha_returns_promptly(self):
         # the whole schedule at n = 2000, alpha = 1e-6 has ~7.6M budgets;
         # the first one already solves this instance
         oracle = CoverageOracle([{0}] + [set()] * 1999)
         started = time.perf_counter()
-        res = convert_cover(greedy_max_subroutine, CoverInstance(oracle, 1.0), alpha=1e-6, gamma=1.0)
+        res = convert_cover(greedy_max, CoverInstance(oracle, 1.0), alpha=1e-6, gamma=1.0)
         assert time.perf_counter() - started < 1.0
         assert res.status == Status.SOLVED and res.solution == (0,)
+
+
+EMPTY_ORACLES = {"coverage": lambda: CoverageOracle([]), "cut": lambda: GraphCutOracle(0, [])}
+EMPTY_COVER_SOLVERS = {
+    "greedy": lambda inst: greedy_cover(inst, 0.2),
+    "thresh": lambda inst: threshold_greedy_cover(inst, 0.2),
+    "stoch": lambda inst: stochastic_greedy_cover(inst, 0.2, 0.1, 0.1, seed=0),
+    "convert greedy": lambda inst: convert_cover(greedy_max, inst, 0.5, 0.8),
+    "convert stoch": lambda inst: convert_cover(stochastic_max_subroutine(0.2), inst, 0.5, 0.8),
+    "convert-rand": lambda inst: convert_cover_randomized(
+        stochastic_max_subroutine(0.2), inst, 0.5, 0.1, 0.2),
+    "distorted": lambda inst: distorted_cover(
+        RegularizedInstance(inst.oracle, np.zeros(0), tau=inst.tau), 0.2, 0.5),
+    **{f"stream {kind}": lambda inst, kind=kind: stream_cover(inst, 0.5, 0.5, smp_subroutine(kind))
+       for kind in ("ex", "fex", "dg", "rg")},
+}
+
+
+@pytest.mark.parametrize("tau, status", [(1.0, Status.INFEASIBLE), (0.0, Status.SOLVED)])
+@pytest.mark.parametrize("oracle_name, solver_name", [
+    (oracle_name, solver_name) for oracle_name in EMPTY_ORACLES for solver_name in EMPTY_COVER_SOLVERS
+    if oracle_name == "coverage" or solver_name.startswith("stream")
+])
+def test_empty_ground_set(oracle_name, solver_name, tau, status):
+    inst = CoverInstance(EMPTY_ORACLES[oracle_name](), tau)
+    res = EMPTY_COVER_SOLVERS[solver_name](inst)
+    assert res.status == status and res.solution == ()
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst: stochastic_greedy_cover(inst, 0.2, 5.0, 0.1, seed=0),
+    lambda inst: convert_cover_randomized(greedy_max, inst, 0.5, 5.0, 0.2),
+], ids=["stoch", "convert-rand"])
+def test_bad_delta_raises_even_at_zero_threshold(run):
+    with pytest.raises(InputError, match="delta"):
+        run(CoverInstance(CoverageOracle([{0}]), 0.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 2.0, math.nan])
+def test_stochastic_max_subroutine_rejects_eps_outside_unit_interval(eps):
+    with pytest.raises(InputError, match="eps"):
+        stochastic_max_subroutine(eps)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -411,14 +471,14 @@ class TestNonFiniteSweepParameters:
     def test_convert_cover(self, name, value):
         kwargs = {"alpha": 0.1, name: value}
         with pytest.raises(InputError):
-            convert_cover(greedy_max_subroutine, self.inst(), gamma=0.9, **kwargs)
+            convert_cover(greedy_max, self.inst(), gamma=0.9, **kwargs)
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("name", ["alpha", "initial_budget"])
     def test_convert_cover_randomized(self, name, value):
         kwargs = {"alpha": 0.1, name: value}
         with pytest.raises(InputError):
-            convert_cover_randomized(greedy_max_subroutine, self.inst(), delta=0.1, eps=0.2,
+            convert_cover_randomized(greedy_max, self.inst(), delta=0.1, eps=0.2,
                                      **kwargs)
 
 

@@ -54,32 +54,6 @@ class TestEval:
             two_element_coverage().eval([0, 0])
 
 
-class TestMarginalGain:
-    def test_new_tags_only(self):
-        assert two_element_coverage().marginal_gain([0], 1) == 1.0
-
-    def test_empty_tag_set_gains_nothing(self):
-        oracle = CoverageOracle([{0, 1}, set()])
-        assert oracle.marginal_gain([0], 1) == 0.0
-
-    def test_triangle_cut_gain_can_be_zero(self):
-        # cut({0,1}) = 2 and cut({0}) = 2
-        assert triangle_cut().marginal_gain([0], 1) == 0.0
-
-    def test_member_rejected(self):
-        with pytest.raises(InputError):
-            two_element_coverage().marginal_gain([0], 0)
-
-    def test_costs_at_most_two_queries(self):
-        oracle = two_element_coverage()
-        before = oracle.query_count
-        oracle.marginal_gain([0], 1)
-        assert oracle.query_count - before <= 2
-        before = oracle.query_count
-        oracle.marginal_gain([0], 1)  # warm base cache
-        assert oracle.query_count - before == 1
-
-
 class TestQueryCount:
     def test_fresh_oracle_is_zero(self):
         assert query_count(two_element_coverage()) == 0

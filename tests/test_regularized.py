@@ -174,6 +174,16 @@ class TestConvertRegularized:
         assert res.status == Status.INFEASIBLE
 
 
+    @pytest.mark.parametrize("tau, status", [(1.0, Status.SOLVED), (10.0, Status.INFEASIBLE)])
+    def test_f_value_is_the_cost_scaled_objective(self, tau, status):
+        eps = 0.2
+        inst = RegularizedInstance(CoverageOracle([{0}, {1, 2}, {3}]), [0.1, 0.05, 0.2], tau=tau)
+        res = distorted_cover(inst, eps, alpha=0.5)
+        assert res.status == status and res.solution
+        scale = (1 - eps) / math.log(1 / eps)
+        assert res.f_value == inst.oracle.peek(res.solution) - scale * inst.cost(res.solution)
+
+
 class TestDistortedStreamCover:
     def test_everything_below_bar_gives_empty(self):
         oracle = CoverageOracle([{0}, {1}])
