@@ -31,13 +31,19 @@ class SmpSearch:
 class SmpSubroutine:
     """Maximization routine run over the stored elements after each pass.
 
-    ``stop_fraction`` scales the acceptance level: a pass succeeds when the
-    subroutine's output reaches stop_fraction * (1 - eps) * tau.
+    ``kind`` is exact, fast-exact, double-greedy or random-greedy (checked
+    here, before any query).  ``stop_fraction`` scales the acceptance level:
+    a pass succeeds when the subroutine's output reaches
+    stop_fraction * (1 - eps) * tau.
     """
 
     kind: str
     stop_fraction: float
     timeout_ms: float = None
+
+    def __post_init__(self):
+        if self.kind not in [name for name, _ in _SUBROUTINE_KINDS.values()]:
+            raise InputError(f"unknown SMP subroutine kind {self.kind!r}")
 
 
 _SUBROUTINE_KINDS = {
@@ -52,7 +58,7 @@ def smp_subroutine(kind, timeout_ms=None):
     """Build a subroutine descriptor from its short name: ex, fex, dg or rg."""
     try:
         name, fraction = _SUBROUTINE_KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise InputError(f"unknown SMP subroutine kind {kind!r}") from None
     return SmpSubroutine(kind=name, stop_fraction=fraction, timeout_ms=timeout_ms)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,9 +207,12 @@ class CoverageOracle(SetFunctionOracle):
     """Tag-coverage objective: f(S) is the number of distinct tags on S.
 
     Monotone, submodular, f(empty) = 0.  Tags are stored as frozensets, as
-    int bitmasks (single evaluations and gains) and as ``_words``, an
-    (n, ceil(m/64)) uint64 matrix holding the same bits, shared by clones,
-    against which a state counts many candidates' gains at once.
+    int bitmasks (single evaluations and gains), as ``_words``, an
+    (n, ceil(span/64)) uint64 matrix holding the same bits, against which a
+    state counts many candidates' gains at once, and as holder lists:
+    ``_holders[_holder_ptr[t]:_holder_ptr[t + 1]]`` are the elements carrying
+    tag t, in increasing order.  span is the largest tag id + 1, so storage
+    does not grow with ``total_tags``.  Clones share all of it.
     """
 
     monotone = True
@@ -217,27 +221,23 @@ class CoverageOracle(SetFunctionOracle):
     def __init__(self, tag_sets, total_tags=None, name="coverage", counter=None):
         tag_sets = [frozenset(map(int, tags)) for tags in tag_sets]
         super().__init__(len(tag_sets), name=name, counter=counter)
-        max_tag = -1
-        for tags in tag_sets:
-            for t in tags:
-                if t < 0:
-                    raise InputError(f"negative tag id {t}")
-                if t > max_tag:
-                    max_tag = t
+        sizes = np.fromiter(map(len, tag_sets), dtype=np.int64, count=self.n)
+        packed, span = _pack_tags(tag_sets, sizes)
         if total_tags is None:
-            total_tags = max_tag + 1
-        elif total_tags <= max_tag:
+            total_tags = span
+        elif total_tags < span:
             raise InputError("total_tags smaller than the largest tag id + 1")
         self.tag_sets = tuple(tag_sets)
         self.total_tags = int(total_tags)
-        self._masks = tuple(_bitmask(tags) for tags in tag_sets)
-        self._width = -(-self.total_tags // 64)
-        row = 8 * self._width
-        packed = bytearray(row * self.n)  # filled row by row: no second copy
-        for x, mask in enumerate(self._masks):
-            packed[x * row:(x + 1) * row] = mask.to_bytes(row, "little")
-        self._words = np.frombuffer(packed, dtype="<u8").reshape(self.n, self._width)
-        self._words.flags.writeable = False  # shared by clones
+        self._width = packed.shape[1] // 8
+        step = 8 * self._width
+        raw = memoryview(packed.reshape(-1))
+        self._masks = tuple(int.from_bytes(raw[x * step:(x + 1) * step], "little")
+                            for x in range(self.n))
+        self._holder_ptr, self._holders = _holder_lists(packed, span, int(sizes.sum()))
+        self._words = packed.view("<u8")
+        for array in (self._words, self._holder_ptr, self._holders):
+            array.flags.writeable = False  # shared by clones
 
     def _value(self, members):
         covered = 0
@@ -248,40 +248,130 @@ class CoverageOracle(SetFunctionOracle):
     def _make_state(self, members):
         return _CoverageState(self, members)
 
+    def _holder_counts(self, mask):
+        """Per element, how many of the tags set in the int mask it carries."""
+        raw = np.frombuffer(mask.to_bytes(8 * self._width, "little"), dtype=np.uint8)
+        tags = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        starts = self._holder_ptr[tags]
+        lens = self._holder_ptr[tags + 1] - starts
+        at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        at += np.arange(at.size)  # positions of the tags' holders in _holders
+        return np.bincount(self._holders[at], minlength=self.n)
+
     def clone(self):
         dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)  # shares tags, masks and words
+        dup.__dict__.update(self.__dict__)  # shares tags, masks, words and holders
         SetFunctionOracle.__init__(dup, self.n, name=self.name)
         return dup
 
 
-def _bitmask(tags):
-    mask = 0
-    for t in tags:
-        mask |= 1 << t
-    return mask
+def _pack_tags(tag_sets, sizes):
+    """(packed, span): span is the largest tag id + 1 (0 with no tags), and
+    packed a (len(tag_sets), 8 * ceil(span / 64)) uint8 matrix whose row x
+    has bit t set, in little-endian bit order, for each tag t of element x.
+
+    Besides the flattened tag ids, the only temporary is a boolean matrix of
+    at most 256 kB (one row when a row is longer) that fills a block of rows
+    at a time.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(tag_sets), dtype=np.int64,
+                       count=int(sizes.sum()))
+    if flat.size and flat.min() < 0:
+        raise InputError(f"negative tag id {flat.min()}")
+    span = int(flat.max()) + 1 if flat.size else 0
+    bits = 64 * -(-span // 64)
+    n = len(sizes)
+    packed = np.zeros((n, bits // 8), dtype=np.uint8)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    block = max(1, (1 << 18) // max(bits, 1))
+    for a in range(0, n, block):
+        b = min(n, a + block)
+        dense = np.zeros((b - a, bits), dtype=bool)
+        dense[np.arange(b - a).repeat(sizes[a:b]), flat[offsets[a]:offsets[b]]] = True
+        packed[a:b] = np.packbits(dense, axis=1, bitorder="little")
+    return packed, span
+
+
+def _holder_lists(packed, span, nnz):
+    """Tag-to-element CSR of a _pack_tags matrix with nnz bits set: int64
+    pointers of length span + 1 and int32 element ids.
+
+    Built one 64-tag column block at a time from the rows with a bit in it,
+    so no temporary grows with nnz.
+    """
+    ptr = np.zeros(span + 1, dtype=np.int64)
+    holders = np.empty(nnz, dtype=np.int32)
+    ids = np.arange(packed.shape[0], dtype=np.int32)
+    for w in range(0, span, 64):
+        cols = packed[:, w // 8:w // 8 + 8]
+        rows = ids[cols.view("<u8")[:, 0] != 0]
+        bits = np.unpackbits(cols[rows].T, axis=0, bitorder="little").view(bool)
+        got = np.broadcast_to(rows, bits.shape)[bits]  # tag-major, elements ascending
+        holders[ptr[w]:ptr[w] + got.size] = got
+        ptr[w + 1:w + 65] = ptr[w] + np.cumsum(np.count_nonzero(bits, axis=1)[:span - w])
+    return ptr, holders
 
 
 class _CoverageState(SolutionState):
-    """Coverage state with per-tag member counts and the covered bitmask.
+    """Coverage state: the covered tags as an int bitmask, plus two pieces of
+    bookkeeping that only some queries need and so are built on demand.
 
-    Batched gains AND the candidates' word rows with the complement of the
-    covered words (rebuilt from the bitmask per call) and count the bits.
+    ``_count`` (per-tag member counts, a list indexed by tag) exists from the
+    first removal gain or removal on; adds only OR the bitmask until then.
+    ``_vec`` (every element's gain, float64) exists once a batch of gains
+    spans every element outside the solution: it is exact for the covered
+    mask ``_vec_covered`` and is brought up to date at the next batch, the
+    holders of newly covered tags losing one and those of uncovered tags
+    gaining one.  States without it (sampled scans) count the candidates'
+    bits against the covered words instead.
     """
 
     def __init__(self, oracle, members):
         self._covered = 0
-        self._count = {}
         for x in members:
-            for t in oracle.tag_sets[x]:
-                self._count[t] = self._count.get(t, 0) + 1
             self._covered |= oracle._masks[x]
+        self._count = None
+        self._vec = None
         super().__init__(oracle, members)
+
+    def _counts(self):
+        if self._count is None:
+            count = [0] * (64 * self.oracle._width)  # a slot per bit of a word row
+            for x in self.members:
+                for t in self.oracle.tag_sets[x]:
+                    count[t] += 1
+            self._count = count
+        return self._count
 
     def _gain(self, x):
         return float((self.oracle._masks[x] & ~self._covered).bit_count())
 
     def _gains(self, cands):
+        if self._vec is None:
+            if not self._spans_outside(cands):
+                return self._scan(cands)
+            self._vec, self._vec_covered = self._scan(np.arange(self.oracle.n)), self._covered
+        elif self._vec_covered != self._covered:
+            gained = self._covered & ~self._vec_covered
+            lost = self._vec_covered & ~self._covered
+            if gained:
+                self._vec -= self.oracle._holder_counts(gained)
+            if lost:
+                self._vec += self.oracle._holder_counts(lost)
+            self._vec_covered = self._covered
+        return self._vec[cands]
+
+    def _spans_outside(self, cands):
+        """Whether the (checked, non-member) candidate ids include every
+        element outside the solution; duplicates do not count twice."""
+        outside = self.oracle.n - len(self.members)
+        if not outside or len(cands) < outside:
+            return False
+        seen = np.zeros(self.oracle.n, dtype=bool)
+        seen[cands] = True
+        return int(np.count_nonzero(seen)) == outside
+
+    def _scan(self, cands):
         oracle = self.oracle
         covered = np.frombuffer(
             self._covered.to_bytes(8 * oracle._width, "little"), dtype="<u8")
@@ -290,31 +380,30 @@ class _CoverageState(SolutionState):
         return np.bitwise_count(fresh).sum(axis=1, dtype=np.uint32).astype(float)
 
     def _removal_gain(self, x):
-        lost = 0
-        for t in self.oracle.tag_sets[x]:
-            if self._count[t] == 1:
-                lost += 1
-        return -float(lost)
+        count = self._counts()
+        return -float(sum(1 for t in self.oracle.tag_sets[x] if count[t] == 1))
 
     def _apply_add(self, x):
         self.members.add(x)
-        for t in self.oracle.tag_sets[x]:
-            self._count[t] = self._count.get(t, 0) + 1
+        if self._count is not None:
+            for t in self.oracle.tag_sets[x]:
+                self._count[t] += 1
         self._covered |= self.oracle._masks[x]
 
     def _apply_remove(self, x):
+        count = self._counts()
         self.members.discard(x)
         for t in self.oracle.tag_sets[x]:
-            left = self._count[t] - 1
-            if left:
-                self._count[t] = left
-            else:
-                del self._count[t]
+            count[t] -= 1
+            if not count[t]:
                 self._covered &= ~(1 << t)
 
     def _copy_into(self, dup):
         dup.members = set(self.members)
-        dup._count = dict(self._count)
+        if self._count is not None:
+            dup._count = list(self._count)
+        if self._vec is not None:
+            dup._vec = self._vec.copy()
 
 
 class GraphCutOracle(SetFunctionOracle):

@@ -11,6 +11,7 @@ from subcover import (
     CoverInstance,
     GraphCutOracle,
     InputError,
+    SmpSubroutine,
     Status,
     classify_monotone_elements,
     double_greedy_max,
@@ -149,11 +150,22 @@ class TestSmpSubroutineNames:
         assert smp_subroutine(kind).kind == name
 
     @pytest.mark.parametrize("kind", [
-        "exact", "fast-exact", "double-greedy", "random-greedy", "EX", "Fex", "greedy",
+        "exact", "fast-exact", "double-greedy", "random-greedy", "EX", "Fex", "greedy", ["ex"],
     ])
     def test_other_names_rejected(self, kind):
         with pytest.raises(InputError):
             smp_subroutine(kind)
+
+    @pytest.mark.parametrize("kind", ["exact-ish", "ex", "dg", ["exact"], None])
+    def test_descriptor_rejects_unknown_kind_before_any_query(self, kind):
+        oracle = star(3)
+        with pytest.raises(InputError, match="unknown SMP subroutine kind"):
+            stream_cover(CoverInstance(oracle, 3.0), 0.5, 0.5, SmpSubroutine(kind, 1.0))
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("kind", ["exact", "fast-exact", "double-greedy", "random-greedy"])
+    def test_descriptor_accepts_the_long_names(self, kind):
+        assert SmpSubroutine(kind, 0.5).kind == kind
 
 
 class TestStreamCoverNonFiniteParameters:

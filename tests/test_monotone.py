@@ -19,6 +19,7 @@ from subcover import (
     convert_cover_randomized,
     convert_rand_repetitions,
     distorted_cover,
+    double_greedy_max,
     exact_max_cardinality,
     exact_min_cover,
     greedy_cover,
@@ -484,7 +485,9 @@ class TestNonFiniteSweepParameters:
 
 class TestBatchedGainsMatchFallback:
     """The packed-word batched gains against the per-element fallback states:
-    same solutions, statuses and query counts from every monotone solver."""
+    same solutions, statuses and query counts from every monotone solver,
+    and from double greedy, which removes elements and so builds the
+    coverage state's per-tag counts."""
 
     @staticmethod
     def runs(oracle_cls):
@@ -521,3 +524,29 @@ class TestBatchedGainsMatchFallback:
         fast, fallback = self.runs(CoverageOracle), self.runs(FallbackCoverage)
         assert fast == fallback
         assert all(status == Status.SOLVED for _, status, _, _ in fast.values())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_double_greedy_identical(self, seed):
+        base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
+        runs = []
+        for oracle_cls in (CoverageOracle, FallbackCoverage):
+            oracle = oracle_cls(base.tag_sets, total_tags=base.total_tags)
+            chosen = double_greedy_max(oracle, seed, ground=range(0, oracle.n, 2))
+            runs.append((chosen, oracle.query_count, oracle.peek(chosen)))
+        assert runs[0] == runs[1] and runs[0][0]
+
+    def test_removal_gains_along_a_shrink_sweep(self):
+        """Double greedy's output on a monotone oracle does not depend on the
+        removal gains' values, so compare them directly along its shrinking
+        sweep, with adds mixed in."""
+        base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
+        states = [cls(base.tag_sets, total_tags=base.total_tags).state(range(80))
+                  for cls in (CoverageOracle, FallbackCoverage)]
+        for u in range(80):
+            gains = [st.removal_gain(u) for st in states]
+            assert gains[0] == gains[1]
+            for st in states:
+                st.remove(u, gains[0])
+                if u % 3 == 2:
+                    st.add(u - 1)
+            assert states[0].value == states[1].value == base.peek(states[0].members)

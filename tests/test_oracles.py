@@ -13,7 +13,9 @@ from subcover import (
     GraphCutOracle,
     InputError,
     TOL,
+    Status,
     exact_min_cover,
+    greedy_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
     query_count,
@@ -318,6 +320,93 @@ class TestCoverageStorage:
         assert oracle._words.shape == (2, 0)
         assert oracle.state(()).gains([0, 1]).tolist() == [0.0, 0.0]
 
+    def test_holder_lists(self):
+        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}]
+        oracle = CoverageOracle(tag_sets, total_tags=200)
+        assert oracle._holder_ptr.shape == (131,) and oracle._holders.dtype == np.int32
+        for t in range(130):
+            held = oracle._holders[oracle._holder_ptr[t]:oracle._holder_ptr[t + 1]]
+            assert held.tolist() == [x for x, tags in enumerate(tag_sets) if t in tags]
+        dup = oracle.clone()
+        assert dup._holders is oracle._holders and dup._holder_ptr is oracle._holder_ptr
+        assert not oracle._holders.flags.writeable and not oracle._holder_ptr.flags.writeable
+
+    def test_storage_ignores_total_tags(self):
+        """Arrays are sized by the largest tag present; total_tags only
+        validates and is reported back."""
+        sizes = []
+        for total in (130, 10**12):
+            oracle = CoverageOracle([[0], [1], [2]], total_tags=total)
+            assert oracle.total_tags == total
+            state = oracle.state([0, 1])
+            state.remove(0)
+            assert state.gains([0, 2]).tolist() == [1.0, 1.0] and state._vec is not None
+            sizes.append((oracle._words.nbytes, oracle._holder_ptr.nbytes,
+                          oracle._holders.nbytes, len(state._count), state._vec.nbytes))
+            res = greedy_cover(CoverInstance(oracle, 3.0), 0.1)
+            assert res.solution == (0, 1, 2) and res.status == Status.SOLVED
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("tag_sets, total_tags", [
+        ([{0, 1}, {-3}], None), ([{0}, {2, -1}], 10), ([{0, 5}], 5), ([{64}], 64),
+    ])
+    def test_bad_tags_rejected(self, tag_sets, total_tags):
+        with pytest.raises(InputError):
+            CoverageOracle(tag_sets, total_tags=total_tags)
+
+
+class TestCoverageStateBookkeeping:
+    def test_counts_built_on_first_removal(self):
+        oracle = CoverageOracle([{0, 1}, {1, 2}, {2}, {3}])
+        state = oracle.state([0, 1])
+        state.add(2, state.gain(2))
+        assert state._count is None
+        assert state.removal_gain(1) == 0.0 and state._count is not None
+        assert state.removal_gain(0) == -1.0 and state.removal_gain(2) == 0.0
+        state.remove(2, 0.0)
+        assert state.removal_gain(1) == -1.0
+        state.add(3)
+        assert state.removal_gain(3) == -1.0 and state.value == oracle.peek([0, 1, 3])
+
+    def test_remove_with_a_supplied_gain_builds_the_counts(self):
+        oracle = CoverageOracle([{0, 1}, {1, 2}, {2}])
+        gain = oracle.state([0, 1]).removal_gain(0)
+        state = oracle.state([0, 1])
+        state.remove(0, gain)
+        assert state._count is not None
+        assert state.value == 2.0 and state.gain(0) == 1.0
+        assert state.removal_gain(1) == -2.0
+
+    def test_copies_do_not_share_bookkeeping(self):
+        oracle = CoverageOracle([{0, 1}, {1, 2}, {2, 3}, {4}])
+        state = oracle.state([0])
+        state.removal_gain(0)
+        state.gains([1, 2, 3])
+        dup = state.copy()
+        assert dup._count is not state._count and dup._vec is not state._vec
+        dup.add(2)
+        dup.remove(0)
+        assert dup.gains([0, 1, 3]).tolist() == [2.0, 1.0, 1.0]
+        assert state.gains([1, 2, 3]).tolist() == [1.0, 2.0, 1.0]
+        assert state.removal_gain(0) == -2.0
+
+    def test_duplicate_batch_does_not_build_the_gain_vector(self):
+        """A batch as long as the non-members but missing one of them (ids
+        repeat) keeps the word scan; only a batch naming every non-member
+        switches the state to the gain vector."""
+        oracle = CoverageOracle([{0}, {1, 3}, {0}, {0, 3}])
+        state = oracle.state([0])
+        before = oracle.query_count
+        assert state.gains([1, 1, 3]).tolist() == [2.0, 2.0, 1.0]
+        assert state._vec is None
+        assert state.first_gain_at_least([3, 3, 1], 3.0) == (3, None)
+        assert state._vec is None
+        assert state.gains([3, 2, 1, 2]).tolist() == [1.0, 0.0, 2.0, 0.0]
+        assert state._vec is not None
+        state.add(3, 1.0)
+        assert state.gains([2, 1]).tolist() == [0.0, 1.0]
+        assert oracle.query_count - before == 3 + 3 + 4 + 2
+
 
 class TestBatchedGains:
     def test_charges_one_query_per_candidate(self):
@@ -377,17 +466,25 @@ def coverage_oracles(draw):
 
 COVERAGE_OPS = st.lists(
     st.tuples(st.sampled_from(["add", "add_unpaid", "remove", "copy", "gain",
-                               "removal_gain", "gains", "first"]),
+                               "removal_gain", "gains", "scan_all", "first"]),
               st.integers(0, 1000)),
     max_size=25,
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(drawn=coverage_oracles(), ops=COVERAGE_OPS)
-def test_coverage_state_matches_peek(drawn, ops):
+@given(drawn=coverage_oracles(), root=st.sets(st.integers(0, 6), max_size=4), ops=COVERAGE_OPS)
+def test_coverage_state_matches_peek(drawn, root, ops):
     """Coverage and truncated states against the uncounted evaluation: every
-    value and gain is an integer or half-integer, so they must match exactly."""
+    value and gain is an integer or half-integer, so they must match exactly.
+
+    States start at a random root set.  "scan_all" batches every non-member
+    (rotated, sometimes with a repeat), which switches a coverage state to
+    its gain vector, as does a "first" scan that starts at the first
+    non-member; other "gains" and "first" batches then read that vector, or
+    scan the words on states that never had a full batch.  ``check`` runs its own full
+    batch on a copy, so the checked state keeps the path it was on.
+    """
     oracle, view = drawn
     n = oracle.n
 
@@ -396,13 +493,17 @@ def test_coverage_state_matches_peek(drawn, ops):
         out = run()
         return out, oracle.query_count - before
 
+    def expected_gains(state, cands):
+        return [view.peek(state.members | {x}) - state.value for x in cands]
+
     def check(state):
         members = state.members
         value = view.peek(members)
         assert state.value == value
         outside = [x for x in range(n) if x not in members]
-        expected = [view.peek(members | {x}) - value for x in outside]
-        gains, cost = charged(lambda: state.gains(outside))
+        expected = expected_gains(state, outside)
+        probe = state.copy()
+        gains, cost = charged(lambda: probe.gains(outside))
         assert gains.dtype == np.float64 and gains.tolist() == expected
         assert cost == len(outside)
         for x, gain in zip(outside, expected):
@@ -418,7 +519,7 @@ def test_coverage_state_matches_peek(drawn, ops):
                 state.gains(bad)
             assert oracle.query_count == before
 
-    state = view.state(())
+    state = view.state({x for x in root if x < n})
     parents = []  # (copied state, its members and value at the copy)
     for op, pick in ops:
         inside = sorted(state.members)
@@ -443,19 +544,25 @@ def test_coverage_state_matches_peek(drawn, ops):
             if op == "remove":
                 _, cost = charged(lambda: state.remove(x, gain))
                 assert cost == 0
-        elif op == "gains" and outside:
-            picks = [outside[(pick + i) % len(outside)] for i in range(pick % 4)]
-            _, cost = charged(lambda: state.gains(picks))
-            assert cost == len(picks)
+        elif op in ("gains", "scan_all") and outside:
+            if op == "gains":  # up to three ids, repeats when few are outside
+                picks = [outside[(pick + i) % len(outside)] for i in range(pick % 4)]
+            else:
+                k = pick % len(outside)
+                picks = outside[k:] + outside[:k] + outside[:pick % 2]
+            gains, cost = charged(lambda: state.gains(picks))
+            assert gains.tolist() == expected_gains(state, picks) and cost == len(picks)
         elif op == "first":
             bar = (pick % 8) / 2.0
-            gains = [view.peek(state.members | {x}) - state.value for x in outside]
+            # every non-member when pick is a multiple of their number
+            rest = outside[pick % len(outside):] if outside else []
+            gains = expected_gains(state, rest)
             hits = [i for i, gain in enumerate(gains) if gain >= bar]
-            (k, gain), cost = charged(lambda: state.first_gain_at_least(outside, bar))
+            (k, gain), cost = charged(lambda: state.first_gain_at_least(rest, bar))
             if hits:
                 assert (k, gain, cost) == (hits[0], gains[hits[0]], hits[0] + 1)
             else:
-                assert (k, gain, cost) == (len(outside), None, len(outside))
+                assert (k, gain, cost) == (len(rest), None, len(rest))
         check(state)
     for parent, members, value in parents:
         assert parent.members == members and parent.value == value
