@@ -57,6 +57,10 @@ class ExperimentGrid:
     guess_mode: str = "tau-ratio"  # initial optimum-size guess, or "geometric"
     sub_timeout_ms: float = 300000.0
 
+    def __post_init__(self):
+        # a bad subroutine or timeout fails here, not in every stream cell
+        smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
+
     def cells(self):
         run_id = 0
         for alg in self.algorithms:

@@ -8,6 +8,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +45,12 @@ class SmpSubroutine:
     def __post_init__(self):
         if self.kind not in [name for name, _ in _SUBROUTINE_KINDS.values()]:
             raise InputError(f"unknown SMP subroutine kind {self.kind!r}")
+        _check_timeout(self.timeout_ms)
+
+
+def _check_timeout(timeout_ms):
+    if timeout_ms is not None and not timeout_ms >= 0:  # NaN fails the comparison
+        raise InputError(f"timeout_ms must be None or non-negative, got {timeout_ms}")
 
 
 _SUBROUTINE_KINDS = {
@@ -86,9 +93,20 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
     Candidate lists hold (-cached_gain, id) entries in decreasing cached
     gain; cached gains from ancestor states stay valid upper bounds by
     submodularity and are refreshed lazily, just before an element is
-    branched on.  Branches whose bound cannot beat the incumbent or reach
-    the target are pruned.  Returns the first set reaching the target, else
-    the best set found.
+    branched on (Minoux's lazy evaluation).  A frame's bound is its value
+    plus the positive cached gains among its next ``remaining`` entries: a
+    bisect finds where the positive gains end and ``math.fsum`` adds them,
+    exactly rounded and so independent of the Python version and of the
+    summation order (on integer gains it equals a left-to-right fold).
+    Branches whose bound cannot beat the incumbent or reach the target are
+    pruned.
+
+    Every child gets its own state copy and its own list ``ordered[pos+1:]``:
+    the gains a child refreshes are bounds for the child only, not for its
+    parent's later siblings, so the lists cannot be shared, and undoing an
+    add in place of the copy saves nothing on a compact graph view while it
+    makes a coverage state build its per-tag counts.  Returns the first set
+    reaching the target, else the best set found.
     """
     if budget <= 0 or not candidates:
         return SmpSearch(best_set, best_val)
@@ -102,16 +120,8 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
         if pos >= len(ordered) or remaining == 0:
             frames.pop()
             continue
-        upper = state.value
-        slots = remaining
-        idx = pos
-        while idx < len(ordered) and slots:
-            neg = ordered[idx][0]
-            if neg >= 0:
-                break
-            upper -= neg
-            slots -= 1
-            idx += 1
+        stop = bisect.bisect_left(ordered, (0.0,), pos, min(pos + remaining, len(ordered)))
+        upper = state.value - math.fsum(map(itemgetter(0), ordered[pos:stop]))
         if upper <= best_val + 1e-12 and (target is None or upper < target - TOL):
             frames.pop()
             continue
@@ -134,14 +144,37 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
     return SmpSearch(best_set, best_val)
 
 
+def _on_ground(oracle, ground, run):
+    """run(view, ids) on oracle.restrict(ground), ids being the ground's ids
+    on the view, with the returned solution mapped back to oracle ids.
+
+    View ids keep the order of the ids they stand for, so sorted solutions,
+    tie-breaks and random draws are those of a run on the oracle itself.
+    """
+    ground = tuple(sorted(oracle._check_members(ground)))
+    view = oracle.restrict(ground)
+    if view is oracle:
+        return run(oracle, ground)
+    found = run(view, tuple(range(len(ground))))
+    if isinstance(found, SmpSearch):
+        return SmpSearch(tuple(ground[i] for i in found.solution), found.value, found.timed_out)
+    return tuple(ground[i] for i in found)
+
+
 def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     """Greedy first, then exhaustive branch-and-bound over subsets <= kappa.
 
     With a target: returns the first set reaching it (greedy prefix when
     possible), else the best set found.  Without a target the search runs to
-    completion and the result is the exact maximum.
+    completion and the result is the exact maximum.  Runs on
+    ``oracle.restrict(ground)``.
     """
-    ground = tuple(sorted(oracle._check_members(ground)))
+    _check_timeout(timeout_ms)
+    return _on_ground(oracle, ground, lambda view, ids: _exact_search(
+        view, ids, kappa, target, timeout_ms))
+
+
+def _exact_search(oracle, ground, kappa, target, timeout_ms):
     kappa = max(0, min(int(kappa), len(ground)))
     deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
     root = oracle.state(())
@@ -176,11 +209,17 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     """Exact search that first pins every monotone element of ground.
 
     Only applicable in the unconstrained case (kappa >= |ground|); falls back
-    to the plain exact search otherwise.
+    to the plain exact search otherwise.  Runs on ``oracle.restrict(ground)``.
     """
+    _check_timeout(timeout_ms)
     ground = tuple(sorted(oracle._check_members(ground)))
     if kappa < len(ground):
         return exact_max_search(oracle, ground, kappa, target=target, timeout_ms=timeout_ms)
+    return _on_ground(oracle, ground, lambda view, ids: _fast_exact_search(
+        view, ids, target, timeout_ms))
+
+
+def _fast_exact_search(oracle, ground, target, timeout_ms):
     deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
     mono, nonmono = classify_monotone_elements(oracle, ground)
     base = oracle.state(mono)
@@ -196,11 +235,18 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     Each of the kappa rounds ranks the remaining elements by marginal gain,
     pads the top-kappa pool with zero-gain dummies, and adds a uniformly
     random pool entry (a dummy pick adds nothing).  An optional target value
-    stops the run early once reached.
+    stops the run early once reached.  Given a ground, runs on
+    ``oracle.restrict(ground)``.
     """
     if kappa < 1:
         raise InputError(f"budget must be at least 1, got {kappa}")
-    pool = tuple(sorted(oracle._check_members(ground))) if ground is not None else tuple(range(oracle.n))
+    if ground is not None:
+        return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
+            view, kappa, seed, ids, target))
+    return _random_greedy(oracle, kappa, seed, range(oracle.n), target)
+
+
+def _random_greedy(oracle, kappa, seed, pool, target):
     rng = np.random.default_rng(seed)
     state = oracle.state(())
     for _ in range(kappa):
@@ -225,8 +271,14 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
 
 
 def double_greedy_max(oracle, seed, ground=None):
-    """Randomized double greedy for unconstrained maximization (1/2 in expectation)."""
-    pool = tuple(sorted(oracle._check_members(ground))) if ground is not None else tuple(range(oracle.n))
+    """Randomized double greedy for unconstrained maximization (1/2 in
+    expectation).  Given a ground, runs on ``oracle.restrict(ground)``."""
+    if ground is not None:
+        return _on_ground(oracle, ground, lambda view, ids: _double_greedy(view, seed, ids))
+    return _double_greedy(oracle, seed, range(oracle.n))
+
+
+def _double_greedy(oracle, seed, pool):
     rng = np.random.default_rng(seed)
     grow = oracle.state(())
     shrink = oracle.state(pool)

@@ -93,6 +93,17 @@ class SetFunctionOracle:
         """Incremental solution evaluator rooted at S; costs one query."""
         return self._make_state(self._check_members(S))
 
+    def restrict(self, ground):
+        """An oracle for f on subsets of ground, sharing this query counter.
+
+        A compact view numbers the sorted ground 0, 1, ..: view id i stands
+        for the i-th smallest id of ground, so the ids keep their order.
+        This default has no compact form and returns the oracle itself, ids
+        unchanged.
+        """
+        self._check_members(ground)
+        return self
+
     def _make_state(self, members):
         return SolutionState(self, members)
 
@@ -415,6 +426,7 @@ class GraphCutOracle(SetFunctionOracle):
     The graph is stored once in compressed sparse row (CSR) form and shared
     by clones: ``adjacency[v]`` is a read-only view of v's neighbour ids in
     increasing order and ``edge_weights[v]`` the matching edge weights.
+    ``restrict`` builds a compact oracle over a subset of the vertices.
     """
 
     monotone = False
@@ -456,14 +468,46 @@ class GraphCutOracle(SetFunctionOracle):
         if starts.size:
             weights = np.add.reduceat(weights, starts)
         rows, cols = np.divmod(keys[starts], self.n)
-        cols.setflags(write=False)
-        weights.setflags(write=False)
-        indptr = [0, *np.cumsum(np.bincount(rows, minlength=self.n)).tolist()]
-        bounds = list(zip(indptr, indptr[1:]))
-        self.adjacency = tuple(cols[a:b] for a, b in bounds)
-        self.edge_weights = tuple(weights[a:b] for a, b in bounds)
-        self.weighted_degree = tuple(
-            np.bincount(rows, weights=weights, minlength=self.n).tolist())
+        self._set_csr(rows, cols, weights,
+                      tuple(np.bincount(rows, weights=weights, minlength=self.n).tolist()))
+
+    def _set_csr(self, rows, cols, weights, weighted_degree):
+        """Store the (row, neighbour)-sorted entries as CSR arrays."""
+        for array in (cols, weights):
+            array.setflags(write=False)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        indptr.setflags(write=False)
+        self._indptr, self._cols, self._weights = indptr, cols, weights
+        bounds = indptr.tolist()
+        self.adjacency = tuple(cols[a:b] for a, b in zip(bounds, bounds[1:]))
+        self.edge_weights = tuple(weights[a:b] for a, b in zip(bounds, bounds[1:]))
+        self.weighted_degree = weighted_degree
+
+    def restrict(self, ground):
+        """Cut oracle over the sorted ground, re-indexed from 0.
+
+        It keeps the edges with both ends in ground and every vertex's
+        *global* weighted degree, so f of a subset of ground, and every gain
+        and removal gain of a state inside ground, is the parent's.  A state
+        on it costs O(|ground|) to copy and O(degree inside ground) to add
+        to.  Shares the parent's query counter.
+        """
+        ids = np.array(sorted(self._check_members(ground)), dtype=np.int64)
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[ids] = np.arange(ids.size)
+        starts = self._indptr[ids]
+        lens = self._indptr[ids + 1] - starts
+        at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        at += np.arange(at.size)  # positions of the ground's rows in the CSR
+        cols = local[self._cols[at]]
+        inside = cols >= 0
+        view = object.__new__(GraphCutOracle)
+        SetFunctionOracle.__init__(view, ids.size, name=self.name, counter=self._counter)
+        view._set_csr(np.repeat(np.arange(ids.size), lens)[inside], cols[inside],
+                      self._weights[at][inside],
+                      tuple(self.weighted_degree[v] for v in ids.tolist()))
+        return view
 
     def _value(self, members):
         # a scan of the members' rows: cost O(volume of members), so peeks of

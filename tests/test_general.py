@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcover import (
     CoverageOracle,
@@ -22,11 +23,20 @@ from subcover import (
     random_greedy_max,
     smp_subroutine,
     stream_cover,
+    truncate,
 )
 
 from subcover.monotone import _budget_schedule
+from subcover.oracles import TOL, SetFunctionOracle
 
-from util import brute_max_all, brute_max_subsets, random_coverage, random_graph
+from util import (
+    brute_max_all,
+    brute_max_subsets,
+    random_coverage,
+    random_edges,
+    random_graph,
+    reference_exact_max_search,
+)
 
 
 def four_cycle():
@@ -267,6 +277,133 @@ class TestExactMaxSearch:
             found = exact_max_search(oracle.clone(), range(8), 3, target=ref * 10 + 5)
             assert not found.timed_out
             assert found.value == pytest.approx(ref)
+
+
+@st.composite
+def search_oracles(draw):
+    """(oracle, integral): a small cut, coverage or truncated oracle, and
+    whether all its values are integers (unit or integer cut weights,
+    coverage, integer truncation levels)."""
+    kind = draw(st.sampled_from(
+        ["unit", "integer", "float", "coverage", "truncated-coverage", "truncated-cut"]))
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.3, 0.6]))
+    if kind in ("coverage", "truncated-coverage"):
+        oracle = random_coverage(rng, n)
+    elif kind == "float":
+        oracle = GraphCutOracle(n, random_edges(rng, n, p, weighted=True))
+    else:
+        edges = random_edges(rng, n, p)
+        if kind == "integer":
+            edges = [(u, v, float(rng.integers(1, 6))) for u, v, _ in edges]
+        oracle = GraphCutOracle(n, edges)
+    if kind.startswith("truncated"):
+        oracle = truncate(oracle, draw(st.integers(1, 10)))
+    return oracle, kind != "float"
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=search_oracles(), data=st.data())
+def test_exact_searches_match_the_reference(inst, data):
+    """The searches against the pre-bisect, unrestricted reference: the same
+    solution, value, timeout flag and query count on integer values; the
+    same best value within TOL on real-valued cut weights."""
+    oracle, integral = inst
+    ground = sorted(data.draw(st.sets(st.integers(0, oracle.n - 1), min_size=1)))
+    kappa = data.draw(st.integers(1, len(ground)))
+    levels = st.integers(0, 16).map(float) if integral else st.floats(0.0, 16.0)
+    target = data.draw(st.none() | levels)
+    fast = data.draw(st.booleans())
+    ours, theirs = oracle.clone(), oracle.clone()
+    search = fast_exact_max_search if fast else exact_max_search
+    found = search(ours, ground, kappa, target=target)
+    ref = reference_exact_max_search(theirs, ground, kappa, target,
+                                     fast=fast and kappa >= len(ground))
+    if integral:
+        assert found == ref
+        assert ours.query_count == theirs.query_count
+        return
+    assert not found.timed_out
+    assert found.value == pytest.approx(oracle.peek(found.solution), abs=TOL)
+    if target is not None and ref.value >= target - TOL:
+        assert found.value >= target - TOL
+    else:
+        assert abs(found.value - ref.value) <= TOL
+
+
+class UnrestrictedCut(GraphCutOracle):
+    """Cut oracle whose restrict is the default one: a subroutine given a
+    ground runs on the oracle itself, over the oracle's own ids."""
+
+    restrict = SetFunctionOracle.restrict
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_subroutines_on_the_view_match_the_oracle(n, data):
+    """Every subroutine given a ground returns the same output and charges
+    the same queries on the restricted view as on the oracle itself
+    (integer weights, so both runs see the same floats)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v, float(rng.integers(1, 4))) for u, v, _ in random_edges(rng, n, 0.5)]
+    ground = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    kappa = data.draw(st.integers(1, len(ground) + 1))
+    target = data.draw(st.none() | st.integers(0, 12).map(float))
+    seed = data.draw(st.integers(0, 1000))
+    runs = [
+        lambda o: exact_max_search(o, ground, kappa, target=target),
+        lambda o: fast_exact_max_search(o, ground, kappa, target=target),
+        lambda o: double_greedy_max(o, seed, ground=ground),
+        lambda o: random_greedy_max(o, kappa, seed, ground=ground, target=target),
+    ]
+    for run in runs:
+        viewed, direct = GraphCutOracle(n, edges), UnrestrictedCut(n, edges)
+        assert run(viewed) == run(direct)
+        assert viewed.query_count == direct.query_count
+
+
+class TestTimeouts:
+    # vertices 0 and 1 are hubs with six leaves each; 2 hangs off both by
+    # weight-4 edges.  A stream pass at guess 4 stores exactly {0, 1, 2}, on
+    # which fex pins the monotone {0, 1} (value 20) before any branching
+    EDGES = ([(0, 2, 4.0), (1, 2, 4.0)] + [(0, v) for v in range(3, 9)]
+             + [(1, v) for v in range(9, 15)])
+
+    @pytest.mark.parametrize("timeout_ms", [math.nan, -1.0, -math.inf])
+    def test_bad_timeout_rejected_before_any_query(self, timeout_ms):
+        with pytest.raises(InputError, match="timeout_ms"):
+            smp_subroutine("ex", timeout_ms=timeout_ms)
+        with pytest.raises(InputError, match="timeout_ms"):
+            SmpSubroutine("fast-exact", 1.0, timeout_ms)
+        for search in (exact_max_search, fast_exact_max_search):
+            oracle = four_cycle()
+            with pytest.raises(InputError, match="timeout_ms"):
+                search(oracle, range(4), 4, timeout_ms=timeout_ms)
+            assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("timeout_ms", [None, 0.0, 5.5, math.inf])
+    def test_good_timeout_accepted(self, timeout_ms):
+        assert smp_subroutine("fex", timeout_ms=timeout_ms).timeout_ms == timeout_ms
+
+    @pytest.mark.parametrize("kind, best", [("ex", ()), ("fex", (0, 1))])
+    def test_stream_cover_returns_best_so_far_on_timeout(self, kind, best):
+        oracle = GraphCutOracle(15, self.EDGES)
+        passes = []
+        res = stream_cover(
+            CoverInstance(oracle, 48.0), 0.5, 0.5, smp_subroutine(kind, timeout_ms=0),
+            initial_guess=4, watch=lambda event, payload: passes.append(payload)
+            if event == "pass" else None,
+        )
+        assert res.status == Status.BUDGET_EXHAUSTED
+        assert [p["stored"] for p in passes] == [(0, 1, 2)]
+        assert res.solution == best
+        assert res.f_value == oracle.peek(res.solution) == passes[0]["smp_value"]
+        assert res.f_value < res.target
+        # without the deadline every pass runs and none reaches the target
+        rerun = stream_cover(CoverInstance(oracle.clone(), 48.0), 0.5, 0.5,
+                             smp_subroutine(kind), initial_guess=4)
+        assert rerun.status == Status.INFEASIBLE
 
 
 class TestClassifyMonotone:

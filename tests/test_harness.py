@@ -210,6 +210,19 @@ class TestCli:
                 "--eps", "0.1", "--tau-frac", "0.5", "--out", str(tmp_path / "o.csv"),
             ])
 
+    @pytest.mark.parametrize("timeout", ["nan", "-1"])
+    def test_bad_sub_timeout_rejected_before_any_cell(self, tmp_path, capsys, timeout):
+        dataset = write_edge_file(tmp_path, np.random.default_rng(75))
+        out_csv = tmp_path / "o.csv"
+        code = main([
+            "run", "--dataset", dataset, "--kind", "edges", "--alg", "stream",
+            "--eps", "0.5", "--tau-frac", "0.7", "--sub-timeout-ms", timeout,
+            "--out", str(out_csv),
+        ])
+        assert code == 2
+        assert "timeout_ms" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_unreadable_dataset_exits_cleanly(self, tmp_path, capsys):
         code = main([
             "run", "--dataset", str(tmp_path / "missing.txt"), "--kind", "tags",

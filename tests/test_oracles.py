@@ -291,6 +291,77 @@ def test_graph_cut_state_matches_peek(graph, ops):
         check(parent)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graph=cut_graphs(), data=st.data())
+def test_graph_cut_restrict_matches_parent(graph, data):
+    """A restricted view against its parent: values of every subset of the
+    ground (exact on unit weights, within TOL otherwise), state values and
+    gains along one add/remove sequence (exact), the shared query counter,
+    and ids outside the ground."""
+    n, edges, weighted = graph
+    oracle = GraphCutOracle(n, edges)
+    ground = sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+    view = oracle.restrict(reversed(ground))
+    assert view.n == len(ground)
+
+    def on_parent(members):
+        return {ground[i] for i in members}
+
+    for size in range(len(ground) + 1):
+        for S in itertools.combinations(range(len(ground)), size):
+            a, b = view.peek(S), oracle.peek(on_parent(S))
+            assert abs(a - b) <= TOL if weighted else a == b
+    before = oracle.query_count
+    local, parent = view.state(()), oracle.state(())
+    ops = data.draw(st.lists(st.integers(0, max(len(ground) - 1, 0)), max_size=12))
+    for pick in ops if ground else ():
+        for x in range(len(ground)):
+            if x in local.members:
+                assert local.removal_gain(x) == parent.removal_gain(ground[x])
+            else:
+                assert local.gain(x) == parent.gain(ground[x])
+        if pick in local.members:
+            local.remove(pick, local.removal_gain(pick))
+            parent.remove(ground[pick], parent.removal_gain(ground[pick]))
+        else:
+            local.add(pick, local.gain(pick))
+            parent.add(ground[pick], parent.gain(ground[pick]))
+        assert local.value == parent.value
+        assert on_parent(local.members) == parent.members
+    spent = oracle.query_count - before
+    assert spent % 2 == 0 and view.query_count == oracle.query_count
+    view.eval(range(len(ground)))
+    assert oracle.query_count - before == spent + 1
+    with pytest.raises(InputError):
+        view.peek([len(ground)])
+    with pytest.raises(InputError):
+        view.state(()).gain(len(ground))
+    with pytest.raises(InputError):
+        oracle.restrict([n])
+
+
+class TestRestrict:
+    def test_cut_view_keeps_inner_edges_and_global_degrees(self):
+        oracle = GraphCutOracle(5, [(0, 1, 1.5), (1, 2), (2, 3, 2.0), (3, 4), (0, 4)])
+        view = oracle.restrict([4, 1, 2])  # view ids 0, 1, 2 stand for 1, 2, 4
+        assert [a.tolist() for a in view.adjacency] == [[1], [0], []]
+        assert [w.tolist() for w in view.edge_weights] == [[1.0], [1.0], []]
+        assert view.weighted_degree == (2.5, 3.0, 2.0)
+        assert view.edge_count() == 1 and view.name == oracle.name
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(InputError):
+            triangle_cut().restrict([0, 0])
+
+    def test_default_is_the_oracle_itself(self):
+        oracle = two_element_coverage()
+        assert oracle.restrict([1]) is oracle
+        capped = truncate(triangle_cut(), 1.0)
+        assert capped.restrict([0, 2]) is capped
+        with pytest.raises(InputError):
+            oracle.restrict([2])
+
+
 class TestCoverageStorage:
     def test_words_hold_the_tag_bits(self):
         tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}]

@@ -6,12 +6,14 @@ module so that tests cross-check two separate implementations.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 
 import numpy as np
 
-from subcover import CoverageOracle, GraphCutOracle
-from subcover.oracles import SolutionState
+from subcover import CoverageOracle, GraphCutOracle, SmpSearch, classify_monotone_elements
+from subcover.oracles import TOL, SolutionState
 
 
 def random_coverage(rng, n, max_tags=18, max_per_element=4, ensure_nonempty=True):
@@ -139,3 +141,85 @@ def brute_min_cover_regularized(inst, tol=1e-9):
             if oracle.peek(combo) - inst.cost(combo) >= inst.tau - tol:
                 return combo
     return None
+
+
+def reference_exact_max_search(oracle, ground, kappa, target=None, fast=False):
+    """The exact searches as they were before the bisect/fsum bound and the
+    restricted view: run on the oracle itself, with the bound folded entry by
+    entry.  ``fast`` pins the monotone elements first, as fast_exact_max_search
+    does when kappa >= |ground|."""
+    ground = tuple(sorted(oracle._check_members(ground)))
+    if fast:
+        mono, nonmono = classify_monotone_elements(oracle, ground)
+        base = oracle.state(mono)
+        best_set, best_val = tuple(sorted(base.members)), base.value
+        if target is not None and best_val >= target - TOL:
+            return SmpSearch(best_set, best_val)
+        return _reference_branch_search(base, list(nonmono), len(nonmono), target,
+                                        best_set, best_val)
+    kappa = max(0, min(int(kappa), len(ground)))
+    root = oracle.state(())
+    best_set, best_val = (), root.value
+    if target is not None and best_val >= target - TOL:
+        return SmpSearch(best_set, best_val)
+    if kappa == 0:
+        return SmpSearch(best_set, best_val)
+    greedy = root.copy()
+    heap = [(-greedy.gain(c), c) for c in ground]
+    heapq.heapify(heap)
+    while len(greedy.members) < kappa and heap:
+        _, x = heapq.heappop(heap)
+        fresh = greedy.gain(x)
+        if heap and (-fresh, x) > heap[0]:
+            heapq.heappush(heap, (-fresh, x))
+            continue
+        if fresh <= TOL:
+            break
+        greedy.add(x, fresh)
+        if greedy.value > best_val + 1e-12:
+            best_set, best_val = tuple(sorted(greedy.members)), greedy.value
+        if target is not None and greedy.value >= target - TOL:
+            return SmpSearch(tuple(sorted(greedy.members)), greedy.value)
+    return _reference_branch_search(root, list(ground), kappa, target, best_set, best_val)
+
+
+def _reference_branch_search(base_state, candidates, budget, target, best_set, best_val):
+    if budget <= 0 or not candidates:
+        return SmpSearch(best_set, best_val)
+    seeded = sorted((-base_state.gain(c), c) for c in candidates)
+    frames = [[base_state, seeded, 0, budget]]
+    while frames:
+        frame = frames[-1]
+        state, ordered, pos, remaining = frame
+        if pos >= len(ordered) or remaining == 0:
+            frames.pop()
+            continue
+        upper = state.value
+        slots = remaining
+        idx = pos
+        while idx < len(ordered) and slots:
+            neg = ordered[idx][0]
+            if neg >= 0:
+                break
+            upper -= neg
+            slots -= 1
+            idx += 1
+        if upper <= best_val + 1e-12 and (target is None or upper < target - TOL):
+            frames.pop()
+            continue
+        neg, chosen = ordered[pos]
+        fresh = state.gain(chosen)
+        if fresh < -neg - 1e-12:
+            del ordered[pos]
+            bisect.insort(ordered, (-fresh, chosen), lo=pos)
+            continue
+        frame[2] = pos + 1
+        child = state.copy()
+        child.add(chosen, fresh)
+        if child.value > best_val + 1e-12:
+            best_set, best_val = tuple(sorted(child.members)), child.value
+        if target is not None and child.value >= target - TOL:
+            return SmpSearch(tuple(sorted(child.members)), best_val)
+        if remaining > 1 and pos + 1 < len(ordered):
+            frames.append([child, ordered[pos + 1:], 0, remaining - 1])
+    return SmpSearch(best_set, best_val)
