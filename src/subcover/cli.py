@@ -57,7 +57,8 @@ def build_parser():
                        help="seed of the double-greedy threshold reference on graphs")
     run_p.add_argument("--guess", choices=("tau-ratio", "geometric"), default="tau-ratio",
                        help="initial optimum-size guess for stoch/convert")
-    run_p.add_argument("--sub-timeout-ms", type=float, default=300000.0)
+    run_p.add_argument("--sub-timeout-ms", type=float, default=300000.0,
+                       help="time limit of each ex/fex subroutine call; dg and rg ignore it")
     run_p.add_argument("--stable-output", action="store_true",
                        help="zero the wall_ms column so reruns are byte-identical")
 

@@ -13,14 +13,8 @@ class GuardError(InputError):
     """The instance exceeds the brute-force size guard."""
 
 
-def _guard_limit(max_n):
-    if max_n is not None:
-        return int(max_n)
-    return int(os.environ.get("SUBCOVER_EXACT_GUARD", 20))
-
-
 def _check_guard(count, max_n):
-    limit = _guard_limit(max_n)
+    limit = int(max_n if max_n is not None else os.environ.get("SUBCOVER_EXACT_GUARD", 20))
     if count > limit:
         raise GuardError(
             f"brute force over {count} elements exceeds the guard {limit} "

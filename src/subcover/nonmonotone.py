@@ -35,7 +35,9 @@ class SmpSubroutine:
     ``kind`` is exact, fast-exact, double-greedy or random-greedy (checked
     here, before any query).  ``stop_fraction`` scales the acceptance level:
     a pass succeeds when the subroutine's output reaches
-    stop_fraction * (1 - eps) * tau.
+    stop_fraction * (1 - eps) * tau.  ``timeout_ms`` bounds each exact or
+    fast-exact search; double greedy and random greedy accept it and
+    ignore it.
     """
 
     kind: str
@@ -62,7 +64,8 @@ _SUBROUTINE_KINDS = {
 
 
 def smp_subroutine(kind, timeout_ms=None):
-    """Build a subroutine descriptor from its short name: ex, fex, dg or rg."""
+    """Build a subroutine descriptor from its short name: ex, fex, dg or rg.
+    timeout_ms bounds each ex or fex search; dg and rg ignore it."""
     try:
         name, fraction = _SUBROUTINE_KINDS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -179,9 +182,7 @@ def _exact_search(oracle, ground, kappa, target, timeout_ms):
     deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
     root = oracle.state(())
     best_set, best_val = (), root.value
-    if target is not None and best_val >= target - TOL:
-        return SmpSearch(best_set, best_val)
-    if kappa == 0:
+    if kappa == 0 or (target is not None and best_val >= target - TOL):
         return SmpSearch(best_set, best_val)
     # greedy phase with lazily re-evaluated gains (stale gains are upper bounds)
     greedy = root.copy()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,38 +218,64 @@ class SolutionState:
 class CoverageOracle(SetFunctionOracle):
     """Tag-coverage objective: f(S) is the number of distinct tags on S.
 
-    Monotone, submodular, f(empty) = 0.  Tags are stored as frozensets, as
-    int bitmasks (single evaluations and gains), as ``_words``, an
-    (n, ceil(span/64)) uint64 matrix holding the same bits, against which a
-    state counts many candidates' gains at once, and as holder lists:
-    ``_holders[_holder_ptr[t]:_holder_ptr[t + 1]]`` are the elements carrying
-    tag t, in increasing order.  span is the largest tag id + 1, so storage
-    does not grow with ``total_tags``.  Clones share all of it.
+    Monotone, submodular, f(empty) = 0.  Each row of tag_sets is a
+    collection of tag ids (repeats are dropped).  Every (element, tag) pair
+    is sorted once as the key element * span + tag, span being the largest
+    tag id + 1, and three structures are built from that one list:
+
+    - ``_tags[_tag_ptr[x]:_tag_ptr[x + 1]]``, the tags of x in increasing
+      order (an int32 CSR);
+    - ``_words``, an (n, ceil(span/64)) uint64 matrix with bit t of row x set
+      for each tag t of x, against which a state counts batches of gains;
+    - ``_holders[_holder_ptr[t]:_holder_ptr[t + 1]]``, the elements carrying
+      tag t in increasing order (the same keys sorted tag-major).
+
+    ``_masks`` keeps the rows of ``_words`` as Python ints: a single gain or
+    one-element ``_value`` takes ~1 µs on one and 6-9 µs on a word row, and
+    a solver round takes thousands.  ``tag_sets`` is rebuilt from the CSR per
+    access.  Storage is sized by span, not by ``total_tags``, which only
+    validates.  Clones share it all.
     """
 
     monotone = True
     nonnegative = True
 
     def __init__(self, tag_sets, total_tags=None, name="coverage", counter=None):
-        tag_sets = [frozenset(map(int, tags)) for tags in tag_sets]
-        super().__init__(len(tag_sets), name=name, counter=counter)
-        sizes = np.fromiter(map(len, tag_sets), dtype=np.int64, count=self.n)
-        packed, span = _pack_tags(tag_sets, sizes)
+        rows = list(tag_sets)
+        super().__init__(len(rows), name=name, counter=counter)
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=self.n)
+        keys = _int_ids(list(itertools.chain.from_iterable(rows)), "tag id")  # tag ids, for now
+        if keys.size and keys.min() < 0:
+            raise InputError(f"negative tag id {keys.min()}")
+        span = int(keys.max()) + 1 if keys.size else 0
         if total_tags is None:
             total_tags = span
         elif total_tags < span:
             raise InputError("total_tags smaller than the largest tag id + 1")
-        self.tag_sets = tuple(tag_sets)
         self.total_tags = int(total_tags)
-        self._width = packed.shape[1] // 8
+        keys += np.repeat(np.arange(self.n, dtype=np.int64) * span, sizes)  # element * span + tag
+        keys.sort()
+        elems, tags = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(span, 1))  # drops repeats
+        del keys
+        self._tag_ptr = _row_pointers(elems, self.n)
+        self._tags = tags.astype(np.int32 if span <= 1 << 31 else np.int64)
+        self._width = -(-span // 64)
+        self._words = words = np.zeros((self.n, self._width), dtype="<u8")
+        np.bitwise_or.at(words, (elems, tags >> 6), np.uint64(1) << (tags & 63).astype("<u8"))
         step = 8 * self._width
-        raw = memoryview(packed.reshape(-1))
+        raw = memoryview(words.view(np.uint8).reshape(-1))
         self._masks = tuple(int.from_bytes(raw[x * step:(x + 1) * step], "little")
                             for x in range(self.n))
-        self._holder_ptr, self._holders = _holder_lists(packed, span, int(sizes.sum()))
-        self._words = packed.view("<u8")
-        for array in (self._words, self._holder_ptr, self._holders):
+        self._holder_ptr = _row_pointers(tags, span)
+        self._holders = (np.sort(tags * self.n + elems) % max(self.n, 1)).astype(np.int32)
+        for array in (self._tag_ptr, self._tags, self._words, self._holder_ptr, self._holders):
             array.flags.writeable = False  # shared by clones
+
+    @property
+    def tag_sets(self):
+        """Each element's tags as a frozenset, rebuilt from the CSR per access."""
+        bounds, tags = self._tag_ptr.tolist(), self._tags.tolist()
+        return tuple(frozenset(tags[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def _value(self, members):
         covered = 0
@@ -259,76 +286,63 @@ class CoverageOracle(SetFunctionOracle):
     def _make_state(self, members):
         return _CoverageState(self, members)
 
+    def _row(self, x):
+        """The tags of element x in increasing order (a read-only view)."""
+        return self._tags[self._tag_ptr[x]:self._tag_ptr[x + 1]]
+
     def _holder_counts(self, mask):
         """Per element, how many of the tags set in the int mask it carries."""
         raw = np.frombuffer(mask.to_bytes(8 * self._width, "little"), dtype=np.uint8)
         tags = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-        starts = self._holder_ptr[tags]
-        lens = self._holder_ptr[tags + 1] - starts
-        at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        at += np.arange(at.size)  # positions of the tags' holders in _holders
-        return np.bincount(self._holders[at], minlength=self.n)
+        return np.bincount(self._holders[_row_positions(self._holder_ptr, tags)],
+                           minlength=self.n)
 
     def clone(self):
         dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)  # shares tags, masks, words and holders
+        dup.__dict__.update(self.__dict__)  # shares the CSRs, masks and words
         SetFunctionOracle.__init__(dup, self.n, name=self.name)
         return dup
 
 
-def _pack_tags(tag_sets, sizes):
-    """(packed, span): span is the largest tag id + 1 (0 with no tags), and
-    packed a (len(tag_sets), 8 * ceil(span / 64)) uint8 matrix whose row x
-    has bit t set, in little-endian bit order, for each tag t of element x.
-
-    Besides the flattened tag ids, the only temporary is a boolean matrix of
-    at most 256 kB (one row when a row is longer) that fills a block of rows
-    at a time.
-    """
-    flat = np.fromiter(itertools.chain.from_iterable(tag_sets), dtype=np.int64,
-                       count=int(sizes.sum()))
-    if flat.size and flat.min() < 0:
-        raise InputError(f"negative tag id {flat.min()}")
-    span = int(flat.max()) + 1 if flat.size else 0
-    bits = 64 * -(-span // 64)
-    n = len(sizes)
-    packed = np.zeros((n, bits // 8), dtype=np.uint8)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    block = max(1, (1 << 18) // max(bits, 1))
-    for a in range(0, n, block):
-        b = min(n, a + block)
-        dense = np.zeros((b - a, bits), dtype=bool)
-        dense[np.arange(b - a).repeat(sizes[a:b]), flat[offsets[a]:offsets[b]]] = True
-        packed[a:b] = np.packbits(dense, axis=1, bitorder="little")
-    return packed, span
+def _int_ids(values, what):
+    """The ids in the list values as int64.  Each must be an integer, or an
+    integral float, in the int64 range: 1.5, nan, inf, 2**70 or "3" raise."""
+    for to_int in (operator.index, _integral):  # the first pass refuses all floats
+        try:
+            return np.fromiter(map(to_int, values), dtype=np.int64, count=len(values))
+        except (TypeError, OverflowError):
+            pass
+    raise InputError(f"every {what} must be an integer in the int64 range")
 
 
-def _holder_lists(packed, span, nnz):
-    """Tag-to-element CSR of a _pack_tags matrix with nnz bits set: int64
-    pointers of length span + 1 and int32 element ids.
+def _integral(v):
+    return int(v) if isinstance(v, (float, np.floating)) and float(v).is_integer() else operator.index(v)
 
-    Built one 64-tag column block at a time from the rows with a bit in it,
-    so no temporary grows with nnz.
-    """
-    ptr = np.zeros(span + 1, dtype=np.int64)
-    holders = np.empty(nnz, dtype=np.int32)
-    ids = np.arange(packed.shape[0], dtype=np.int32)
-    for w in range(0, span, 64):
-        cols = packed[:, w // 8:w // 8 + 8]
-        rows = ids[cols.view("<u8")[:, 0] != 0]
-        bits = np.unpackbits(cols[rows].T, axis=0, bitorder="little").view(bool)
-        got = np.broadcast_to(rows, bits.shape)[bits]  # tag-major, elements ascending
-        holders[ptr[w]:ptr[w] + got.size] = got
-        ptr[w + 1:w + 65] = ptr[w] + np.cumsum(np.count_nonzero(bits, axis=1)[:span - w])
-    return ptr, holders
+
+def _row_pointers(rows, size):
+    """CSR pointers (int64, length size + 1) of entries sorted by row id."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=ptr[1:])
+    return ptr
+
+
+def _row_positions(ptr, ids):
+    """Positions, in a CSR's entry arrays, of the rows ids, concatenated."""
+    starts = ptr[ids]
+    lens = ptr[ids + 1] - starts
+    at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    at += np.arange(at.size)
+    return at
 
 
 class _CoverageState(SolutionState):
     """Coverage state: the covered tags as an int bitmask, plus two pieces of
     bookkeeping that only some queries need and so are built on demand.
 
-    ``_count`` (per-tag member counts, a list indexed by tag) exists from the
-    first removal gain or removal on; adds only OR the bitmask until then.
+    ``_count`` (per-tag member counts, an int32 array) is one bincount over
+    the members' CSR rows, made at the first removal gain or removal; adds
+    only OR the bitmask until then, and later queries read or update the
+    counts of x's tags with one array operation each.
     ``_vec`` (every element's gain, float64) exists once a batch of gains
     spans every element outside the solution: it is exact for the covered
     mask ``_vec_covered`` and is brought up to date at the next batch, the
@@ -347,11 +361,9 @@ class _CoverageState(SolutionState):
 
     def _counts(self):
         if self._count is None:
-            count = [0] * (64 * self.oracle._width)  # a slot per bit of a word row
-            for x in self.members:
-                for t in self.oracle.tag_sets[x]:
-                    count[t] += 1
-            self._count = count
+            oracle = self.oracle
+            at = _row_positions(oracle._tag_ptr, np.array(list(self.members), dtype=np.int64))
+            self._count = np.bincount(oracle._tags[at], minlength=64 * oracle._width).astype(np.int32)
         return self._count
 
     def _gain(self, x):
@@ -391,28 +403,27 @@ class _CoverageState(SolutionState):
         return np.bitwise_count(fresh).sum(axis=1, dtype=np.uint32).astype(float)
 
     def _removal_gain(self, x):
-        count = self._counts()
-        return -float(sum(1 for t in self.oracle.tag_sets[x] if count[t] == 1))
+        return -float(np.count_nonzero(self._counts()[self.oracle._row(x)] == 1))
 
     def _apply_add(self, x):
         self.members.add(x)
         if self._count is not None:
-            for t in self.oracle.tag_sets[x]:
-                self._count[t] += 1
+            self._count[self.oracle._row(x)] += 1  # a row holds no repeats
         self._covered |= self.oracle._masks[x]
 
     def _apply_remove(self, x):
         count = self._counts()
         self.members.discard(x)
-        for t in self.oracle.tag_sets[x]:
-            count[t] -= 1
-            if not count[t]:
-                self._covered &= ~(1 << t)
+        tags = self.oracle._row(x)
+        count[tags] -= 1
+        gone = np.zeros(64 * self.oracle._width, dtype=bool)
+        gone[tags[count[tags] == 0]] = True  # tags x alone carried
+        self._covered &= ~int.from_bytes(np.packbits(gone, bitorder="little").tobytes(), "little")
 
     def _copy_into(self, dup):
         dup.members = set(self.members)
         if self._count is not None:
-            dup._count = list(self._count)
+            dup._count = self._count.copy()
         if self._vec is not None:
             dup._vec = self._vec.copy()
 
@@ -444,7 +455,7 @@ class GraphCutOracle(SetFunctionOracle):
             ends.append(u)
             ends.append(v)
             weights.append(w)
-        ends = np.array(ends, dtype=np.int64)
+        ends = _int_ids(ends, "edge endpoint")
         weights = np.array(weights, dtype=float)
         bad = np.flatnonzero((ends < 0) | (ends >= self.n))
         if bad.size:
@@ -473,11 +484,9 @@ class GraphCutOracle(SetFunctionOracle):
 
     def _set_csr(self, rows, cols, weights, weighted_degree):
         """Store the (row, neighbour)-sorted entries as CSR arrays."""
-        for array in (cols, weights):
+        indptr = _row_pointers(rows, self.n)
+        for array in (indptr, cols, weights):
             array.setflags(write=False)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        indptr.setflags(write=False)
         self._indptr, self._cols, self._weights = indptr, cols, weights
         bounds = indptr.tolist()
         self.adjacency = tuple(cols[a:b] for a, b in zip(bounds, bounds[1:]))
@@ -496,10 +505,8 @@ class GraphCutOracle(SetFunctionOracle):
         ids = np.array(sorted(self._check_members(ground)), dtype=np.int64)
         local = np.full(self.n, -1, dtype=np.int64)
         local[ids] = np.arange(ids.size)
-        starts = self._indptr[ids]
-        lens = self._indptr[ids + 1] - starts
-        at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        at += np.arange(at.size)  # positions of the ground's rows in the CSR
+        at = _row_positions(self._indptr, ids)
+        lens = self._indptr[ids + 1] - self._indptr[ids]
         cols = local[self._cols[at]]
         inside = cols >= 0
         view = object.__new__(GraphCutOracle)
@@ -701,10 +708,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     rng = np.random.default_rng(seed)
     probs = np.full(m, p_tail)
     probs[:head_size] = p_head
-    tag_sets = []
-    for _ in range(n):
-        row = rng.random(m) < probs
-        tag_sets.append(np.flatnonzero(row).tolist())
+    tag_sets = [np.flatnonzero(rng.random(m) < probs).tolist() for _ in range(n)]
     return CoverageOracle(tag_sets, total_tags=m, name="synthetic")
 
 

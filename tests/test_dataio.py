@@ -82,6 +82,13 @@ class TestParseTagAssignments:
         with pytest.raises(ParseError, match=":2"):
             parse_tag_assignments(path)
 
+    def test_repeated_tag_counts_once(self, tmp_path):
+        twice = parse_tag_assignments(write(tmp_path, "r.txt", "0 5 7 5\n1 7 9 7 7\n"))
+        once = parse_tag_assignments(write(tmp_path, "o.txt", "0 5 7\n1 7 9\n"))
+        assert twice.tag_sets == once.tag_sets == (frozenset({0, 1}), frozenset({1, 2}))
+        for subset in ([], [0], [1], [0, 1]):
+            assert twice.peek(subset) == once.peek(subset)
+
     def test_tag_remapping(self, tmp_path):
         oracle = parse_tag_assignments(write(tmp_path, "m.txt", "7 100\n3 900 100\n"))
         assert oracle.n == 2

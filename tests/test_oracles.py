@@ -211,9 +211,17 @@ class TestGraphCutStorage:
         with pytest.raises(InputError):
             GraphCutOracle(3, [(0, 1), (1, 2, weight)])
 
-    def test_out_of_range_endpoint_rejected(self):
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 3)], [(0, 1.5)], [(0, math.nan)], [(math.inf, 1)], [(0, 2**70)],
+        [(-2**63 - 1, 1)], [(0, "1")],
+    ], ids=["outside", "non-integral", "nan", "inf", "beyond-int64", "below-int64", "string"])
+    def test_out_of_range_endpoint_rejected(self, edges):
         with pytest.raises(InputError):
-            GraphCutOracle(3, [(0, 1), (1, 3)])
+            GraphCutOracle(3, edges)
+
+    def test_integral_float_endpoints_accepted(self):
+        oracle = GraphCutOracle(3, [(0.0, np.float64(1)), (np.int64(1), 2)])
+        assert oracle.adjacency[1].tolist() == [0, 2]
 
 
 @st.composite
@@ -364,13 +372,15 @@ class TestRestrict:
 
 class TestCoverageStorage:
     def test_words_hold_the_tag_bits(self):
-        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}]
+        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, [64, 5, 64, 0, 5]]
         oracle = CoverageOracle(tag_sets, total_tags=130)
-        assert oracle._words.shape == (4, 3) and oracle._words.dtype == np.uint64
+        assert oracle._words.shape == (5, 3) and oracle._words.dtype == np.uint64
         for x, tags in enumerate(tag_sets):
             bits = {64 * w + b for w in range(3) for b in range(64)
                     if int(oracle._words[x, w]) >> b & 1}
-            assert bits == tags
+            assert bits == set(tags) and oracle._masks[x].bit_count() == len(bits)
+            assert oracle.tag_sets[x] == frozenset(tags)
+            assert oracle._row(x).tolist() == sorted(set(tags))
 
     def test_clone_shares_words(self):
         oracle = two_element_coverage()
@@ -392,12 +402,13 @@ class TestCoverageStorage:
         assert oracle.state(()).gains([0, 1]).tolist() == [0.0, 0.0]
 
     def test_holder_lists(self):
-        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}]
+        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}, [2, 129, 2, 2]]
         oracle = CoverageOracle(tag_sets, total_tags=200)
         assert oracle._holder_ptr.shape == (131,) and oracle._holders.dtype == np.int32
         for t in range(130):
             held = oracle._holders[oracle._holder_ptr[t]:oracle._holder_ptr[t + 1]]
             assert held.tolist() == [x for x, tags in enumerate(tag_sets) if t in tags]
+        assert oracle.tag_sets[5] == frozenset(tag_sets[5])
         dup = oracle.clone()
         assert dup._holders is oracle._holders and dup._holder_ptr is oracle._holder_ptr
         assert not oracle._holders.flags.writeable and not oracle._holder_ptr.flags.writeable
@@ -420,10 +431,16 @@ class TestCoverageStorage:
 
     @pytest.mark.parametrize("tag_sets, total_tags", [
         ([{0, 1}, {-3}], None), ([{0}, {2, -1}], 10), ([{0, 5}], 5), ([{64}], 64),
+        ([[1.5]], None), ([[0], [math.nan]], None), ([[math.inf]], None),
+        ([[-math.inf]], None), ([[2**70]], None), ([[np.float64(0.5)]], 4), ([["3"]], None),
     ])
     def test_bad_tags_rejected(self, tag_sets, total_tags):
         with pytest.raises(InputError):
             CoverageOracle(tag_sets, total_tags=total_tags)
+
+    def test_integral_float_tags_accepted(self):
+        oracle = CoverageOracle([[2.0, np.int64(3), 2], (np.float64(0),)])
+        assert oracle.tag_sets == (frozenset({2, 3}), frozenset({0}))
 
 
 class TestCoverageStateBookkeeping:
@@ -522,12 +539,13 @@ class TestBatchedGains:
 
 @st.composite
 def coverage_oracles(draw):
-    """(oracle, view): tag sets over up to three 64-bit words, empty tag sets
-    and n = 0 included; view is the oracle or a truncate() of it at a
-    half-integer or integer cap, so every value stays an exact float."""
+    """(oracle, view): tag rows over up to three 64-bit words, with repeated
+    tags, empty rows and n = 0 included; view is the oracle or a truncate()
+    of it at a half-integer or integer cap, so every value stays an exact
+    float."""
     n = draw(st.integers(0, 7))
     m = draw(st.sampled_from([0, 1, 5, 64, 65, 140]))
-    tags = st.sets(st.integers(0, m - 1), max_size=6) if m else st.just(set())
+    tags = st.lists(st.integers(0, m - 1), max_size=8) if m else st.just([])
     tag_sets = draw(st.lists(tags, min_size=n, max_size=n))
     oracle = CoverageOracle(tag_sets, total_tags=m)
     if draw(st.booleans()):
