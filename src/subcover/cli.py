@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALGORITHMS, ExperimentGrid, emit_plot_data, run_experiment
+from .harness import ALGORITHMS, GUESS_MODES, ExperimentGrid, emit_plot_data, run_experiment
+from .nonmonotone import _APPROX_RATIOS
 
 _METRICS = {"f": "f_value", "size": "size", "queries": "queries"}
 
@@ -48,14 +49,14 @@ def build_parser():
     run_p.add_argument("--alpha", type=float, default=0.1)
     run_p.add_argument("--delta", type=float, default=0.1)
     run_p.add_argument("--seeds", type=_ints, default=(0,), help="comma list of seeds")
-    run_p.add_argument("--sub", choices=("rg", "dg", "ex", "fex"), default="ex",
+    run_p.add_argument("--sub", choices=tuple(_APPROX_RATIOS), default="ex",
                        help="maximization subroutine for the stream algorithm")
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--reps", type=int, default=1)
     run_p.add_argument("--ref-seed", type=int, default=0,
                        help="seed of the double-greedy threshold reference on graphs")
-    run_p.add_argument("--guess", choices=("tau-ratio", "geometric"), default="tau-ratio",
+    run_p.add_argument("--guess", choices=GUESS_MODES, default="tau-ratio",
                        help="initial optimum-size guess for stoch/convert")
     run_p.add_argument("--sub-timeout-ms", type=float, default=300000.0,
                        help="time limit of each ex/fex subroutine call; dg and rg ignore it")

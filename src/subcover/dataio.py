@@ -82,7 +82,7 @@ def parse_tag_assignments(path):
     original_tags = sorted(tags_seen)
     tag_index = {t: i for i, t in enumerate(original_tags)}
     tag_sets = [[tag_index[t] for t in per_element[e]] for e in original_elems]
-    oracle = CoverageOracle(tag_sets, total_tags=len(original_tags), name="tag-file")
+    oracle = CoverageOracle(tag_sets, name="tag-file")
     oracle.original_ids = tuple(original_elems)
     oracle.original_tags = tuple(original_tags)
     return oracle

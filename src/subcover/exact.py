@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .oracles import TOL, InputError
@@ -14,12 +13,9 @@ class GuardError(InputError):
 
 
 def _check_guard(count, max_n):
-    limit = int(max_n if max_n is not None else os.environ.get("SUBCOVER_EXACT_GUARD", 20))
+    limit = 20 if max_n is None else int(max_n)
     if count > limit:
-        raise GuardError(
-            f"brute force over {count} elements exceeds the guard {limit} "
-            "(pass max_n or set SUBCOVER_EXACT_GUARD)"
-        )
+        raise GuardError(f"brute force over {count} elements exceeds the guard {limit} (pass max_n)")
 
 
 @dataclass(frozen=True)

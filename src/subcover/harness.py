@@ -31,6 +31,9 @@ from .oracles import (
 )
 
 ALGORITHMS = ("greedy", "thresh", "stoch", "convert", "convert-rand", "stream")
+# initial optimum-size guess of stoch and convert: tau over the largest
+# singleton value, or the geometric budget schedule's default 1 + alpha
+GUESS_MODES = ("tau-ratio", "geometric")
 
 _SYNTHETIC_DEFAULTS = {
     "m": 4000, "n": 2000, "head": 250, "p_head": 0.4, "p_tail": 0.002, "seed": 0,
@@ -54,12 +57,15 @@ class ExperimentGrid:
     repetitions: int = 1
     jobs: int = 1
     ref_seed: int = 0
-    guess_mode: str = "tau-ratio"  # initial optimum-size guess, or "geometric"
+    guess_mode: str = "tau-ratio"
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # a bad subroutine or timeout fails here, not in every stream cell
+        # a bad subroutine, timeout or guess mode fails here, not in every cell
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
+        if self.guess_mode not in GUESS_MODES:
+            raise InputError(f"unknown guess mode {self.guess_mode!r}; "
+                             f"choose from {', '.join(GUESS_MODES)}")
 
     def cells(self):
         run_id = 0

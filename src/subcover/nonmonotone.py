@@ -16,8 +16,6 @@ from .monotone import _budget_schedule, _check_finite, _check_positive, _check_u
 from .oracles import TOL, InputError
 from .results import Status, finish_run
 
-MONOTONE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SmpSearch:
@@ -28,49 +26,40 @@ class SmpSearch:
     timed_out: bool = False
 
 
+# each subroutine kind's approximation ratio, which sets stream_cover's acceptance level
+_APPROX_RATIOS = {"ex": 1.0, "fex": 1.0, "dg": 0.5, "rg": 1.0 / math.e}
+
+
+def _approx_ratio(kind):
+    try:
+        return _APPROX_RATIOS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise InputError(f"unknown SMP subroutine kind {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class SmpSubroutine:
     """Maximization routine run over the stored elements after each pass.
 
-    ``kind`` is exact, fast-exact, double-greedy or random-greedy (checked
-    here, before any query).  ``stop_fraction`` scales the acceptance level:
-    a pass succeeds when the subroutine's output reaches
-    stop_fraction * (1 - eps) * tau.  ``timeout_ms`` bounds each exact or
-    fast-exact search; double greedy and random greedy accept it and
-    ignore it.
+    ``kind`` is ex, fex, dg or rg (exact search, fast exact search, double
+    greedy, random greedy), checked here, before any query.
+    ``timeout_ms`` bounds each ex or fex search; dg and rg ignore it.
     """
 
     kind: str
-    stop_fraction: float
     timeout_ms: float = None
 
     def __post_init__(self):
-        if self.kind not in [name for name, _ in _SUBROUTINE_KINDS.values()]:
-            raise InputError(f"unknown SMP subroutine kind {self.kind!r}")
+        _approx_ratio(self.kind)
         _check_timeout(self.timeout_ms)
+
+
+smp_subroutine = SmpSubroutine
 
 
 def _check_timeout(timeout_ms):
     if timeout_ms is not None and not timeout_ms >= 0:  # NaN fails the comparison
         raise InputError(f"timeout_ms must be None or non-negative, got {timeout_ms}")
-
-
-_SUBROUTINE_KINDS = {
-    "ex": ("exact", 1.0),
-    "fex": ("fast-exact", 1.0),
-    "dg": ("double-greedy", 0.5),
-    "rg": ("random-greedy", 1.0 / math.e),
-}
-
-
-def smp_subroutine(kind, timeout_ms=None):
-    """Build a subroutine descriptor from its short name: ex, fex, dg or rg.
-    timeout_ms bounds each ex or fex search; dg and rg ignore it."""
-    try:
-        name, fraction = _SUBROUTINE_KINDS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise InputError(f"unknown SMP subroutine kind {kind!r}") from None
-    return SmpSubroutine(kind=name, stop_fraction=fraction, timeout_ms=timeout_ms)
 
 
 def classify_monotone_elements(oracle, T):
@@ -82,7 +71,7 @@ def classify_monotone_elements(oracle, T):
     mono, nonmono = [], []
     for x in members:
         # gain of x on top of T - {x} equals minus the removal gain
-        if state.removal_gain(x) <= MONOTONE_TOL:
+        if state.removal_gain(x) <= TOL:
             mono.append(x)
         else:
             nonmono.append(x)
@@ -298,17 +287,15 @@ def _double_greedy(oracle, seed, pool):
 
 
 def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
-    if sub.kind in ("exact", "fast-exact"):
-        search = exact_max_search if sub.kind == "exact" else fast_exact_max_search
+    if sub.kind in ("ex", "fex"):
+        search = exact_max_search if sub.kind == "ex" else fast_exact_max_search
         found = search(oracle, ground, budget, target=accept_level, timeout_ms=sub.timeout_ms)
         return found.solution, found.timed_out
     if not ground:
         return (), False
-    if sub.kind == "double-greedy":
+    if sub.kind == "dg":
         return double_greedy_max(oracle, seed, ground=ground), False
-    if sub.kind == "random-greedy":
-        return random_greedy_max(oracle, budget, seed, ground=ground, target=accept_level), False
-    raise InputError(f"unknown SMP subroutine kind {sub.kind!r}")
+    return random_greedy_max(oracle, budget, seed, ground=ground, target=accept_level), False
 
 
 def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=None):
@@ -318,18 +305,20 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=No
     first of ceil(2/eps) buckets where the marginal gain is at least
     eps * tau / (2 g) and the bucket is below its cap ceil(2 g / eps).  After
     the pass a maximization subroutine runs over the stored elements with
-    budget equal to the cap; its output is accepted once it reaches
-    sub.stop_fraction * (1 - eps) * tau.  Buckets are reset between guesses.
+    budget equal to the cap; its output is accepted once it reaches the
+    subroutine's approximation ratio (1 for ex and fex, 1/2 for dg, 1/e for
+    rg) times (1 - eps) * tau.  Buckets are reset between guesses.
     """
     _check_unit_interval("eps", eps)
     _check_positive("alpha", alpha)
     _check_finite("initial_guess", initial_guess)
+    ratio = _approx_ratio(sub.kind)
     if not instance.oracle.nonnegative:
         raise InputError("stream cover requires a non-negative oracle")
     oracle = instance.oracle
     tau = instance.tau
     t0, q0 = time.perf_counter(), oracle.query_count
-    accept_level = sub.stop_fraction * (1.0 - eps) * tau
+    accept_level = ratio * (1.0 - eps) * tau
     if oracle.eval(()) >= accept_level - TOL:
         return finish_run(oracle, (), Status.SOLVED, accept_level, q0, t0)
     num_buckets = math.ceil(2.0 / eps)

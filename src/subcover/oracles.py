@@ -52,16 +52,23 @@ class SetFunctionOracle:
         raise NotImplementedError
 
     def _check_element(self, x):
-        x = int(x)
+        try:
+            x = operator.index(x)
+        except TypeError:
+            x = int(_int_ids([x], "element id")[0])  # an integral float, or InputError
         if not 0 <= x < self.n:
             raise InputError(f"element {x} outside ground set of size {self.n}")
         return x
 
     def _check_ids(self, ids):
         """ids as a one-dimensional int64 array, all inside the ground set."""
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if ids.ndim != 1:
             raise InputError("element ids must form a one-dimensional array")
+        if ids.dtype.kind in "iu":
+            ids = ids.astype(np.int64, copy=False)
+        else:  # floats (an empty list too), strings, objects: integral values only
+            ids = _int_ids(ids.tolist(), "element id")
         outside = ids.view(np.uint64) >= self.n  # negative ids wrap to huge ones
         if outside.any():
             self._check_element(ids[outside.argmax()])  # raises the usual message
@@ -76,9 +83,7 @@ class SetFunctionOracle:
             raise InputError("element set contains duplicate ids")
         return out
 
-    @property
-    def query_count(self):
-        return self._counter.count
+    query_count = property(operator.attrgetter("_counter.count"), doc="Queries charged so far.")
 
     def eval(self, S):
         """Evaluate f(S); counts one query."""
@@ -233,14 +238,13 @@ class CoverageOracle(SetFunctionOracle):
     ``_masks`` keeps the rows of ``_words`` as Python ints: a single gain or
     one-element ``_value`` takes ~1 µs on one and 6-9 µs on a word row, and
     a solver round takes thousands.  ``tag_sets`` is rebuilt from the CSR per
-    access.  Storage is sized by span, not by ``total_tags``, which only
-    validates.  Clones share it all.
+    access.  Clones share it all.
     """
 
     monotone = True
     nonnegative = True
 
-    def __init__(self, tag_sets, total_tags=None, name="coverage", counter=None):
+    def __init__(self, tag_sets, name="coverage", counter=None):
         rows = list(tag_sets)
         super().__init__(len(rows), name=name, counter=counter)
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=self.n)
@@ -248,11 +252,6 @@ class CoverageOracle(SetFunctionOracle):
         if keys.size and keys.min() < 0:
             raise InputError(f"negative tag id {keys.min()}")
         span = int(keys.max()) + 1 if keys.size else 0
-        if total_tags is None:
-            total_tags = span
-        elif total_tags < span:
-            raise InputError("total_tags smaller than the largest tag id + 1")
-        self.total_tags = int(total_tags)
         keys += np.repeat(np.arange(self.n, dtype=np.int64) * span, sizes)  # element * span + tag
         keys.sort()
         elems, tags = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(span, 1))  # drops repeats
@@ -647,11 +646,6 @@ def truncate(oracle, tau):
     return TruncatedOracle(oracle, tau)
 
 
-def query_count(oracle):
-    """Current value of the oracle's query counter."""
-    return oracle.query_count
-
-
 @dataclass(frozen=True)
 class CoverInstance:
     """A cover instance: reach f >= tau with as few elements as possible."""
@@ -709,7 +703,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     probs = np.full(m, p_tail)
     probs[:head_size] = p_head
     tag_sets = [np.flatnonzero(rng.random(m) < probs).tolist() for _ in range(n)]
-    return CoverageOracle(tag_sets, total_tags=m, name="synthetic")
+    return CoverageOracle(tag_sets, name="synthetic")
 
 
 @dataclass(frozen=True)
@@ -758,7 +752,7 @@ def make_greedy_tightness_instance(k, l):
         slices.append(tags)
         total_left -= take
     groups = [list(range(i * l, (i + 1) * l)) for i in range(k)]
-    oracle = CoverageOracle(slices + groups, total_tags=k * l, name="tightness")
+    oracle = CoverageOracle(slices + groups, name="tightness")
     m = len(slices)
     return TightnessInstance(
         oracle=oracle,

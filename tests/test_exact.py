@@ -53,10 +53,9 @@ class TestExactMinCover:
         with pytest.raises(GuardError):
             exact_min_cover(CoverInstance(oracle, 1.0))
 
-    def test_guard_override(self, monkeypatch):
-        monkeypatch.setenv("SUBCOVER_EXACT_GUARD", "25")
+    def test_guard_override(self):
         oracle = CoverageOracle([{0}] * 25)
-        res = exact_min_cover(CoverInstance(oracle, 1.0))
+        res = exact_min_cover(CoverInstance(oracle, 1.0), max_n=25)
         assert res.optimum_set == (0,)
 
     def test_matches_independent_enumeration(self):

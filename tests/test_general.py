@@ -2,6 +2,7 @@
 behind them."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,11 +154,13 @@ class TestStreamCover:
 
 
 class TestSmpSubroutineNames:
-    @pytest.mark.parametrize("kind, name", [
+    @pytest.mark.parametrize("kind, long_name", [
         ("ex", "exact"), ("fex", "fast-exact"), ("dg", "double-greedy"), ("rg", "random-greedy"),
     ])
-    def test_short_names(self, kind, name):
-        assert smp_subroutine(kind).kind == name
+    def test_short_names(self, kind, long_name):
+        assert smp_subroutine(kind).kind == kind
+        with pytest.raises(InputError):
+            smp_subroutine(long_name)
 
     @pytest.mark.parametrize("kind", [
         "exact", "fast-exact", "double-greedy", "random-greedy", "EX", "Fex", "greedy", ["ex"],
@@ -166,16 +169,19 @@ class TestSmpSubroutineNames:
         with pytest.raises(InputError):
             smp_subroutine(kind)
 
-    @pytest.mark.parametrize("kind", ["exact-ish", "ex", "dg", ["exact"], None])
+    @pytest.mark.parametrize("kind", ["exact-ish", "fast-exact", "double-greedy", ["exact"], None])
     def test_descriptor_rejects_unknown_kind_before_any_query(self, kind):
         oracle = star(3)
         with pytest.raises(InputError, match="unknown SMP subroutine kind"):
-            stream_cover(CoverInstance(oracle, 3.0), 0.5, 0.5, SmpSubroutine(kind, 1.0))
+            stream_cover(CoverInstance(oracle, 3.0), 0.5, 0.5, SmpSubroutine(kind))
         assert oracle.query_count == 0
 
-    @pytest.mark.parametrize("kind", ["exact", "fast-exact", "double-greedy", "random-greedy"])
-    def test_descriptor_accepts_the_long_names(self, kind):
-        assert SmpSubroutine(kind, 0.5).kind == kind
+    def test_stream_cover_checks_a_hand_made_descriptor(self):
+        oracle = star(3)
+        sub = SimpleNamespace(kind="exact", timeout_ms=None)  # skips SmpSubroutine's check
+        with pytest.raises(InputError, match="unknown SMP subroutine kind"):
+            stream_cover(CoverInstance(oracle, 3.0), 0.5, 0.5, sub)
+        assert oracle.query_count == 0
 
 
 class TestStreamCoverNonFiniteParameters:
@@ -375,7 +381,7 @@ class TestTimeouts:
         with pytest.raises(InputError, match="timeout_ms"):
             smp_subroutine("ex", timeout_ms=timeout_ms)
         with pytest.raises(InputError, match="timeout_ms"):
-            SmpSubroutine("fast-exact", 1.0, timeout_ms)
+            SmpSubroutine("fex", timeout_ms=timeout_ms)
         for search in (exact_max_search, fast_exact_max_search):
             oracle = four_cycle()
             with pytest.raises(InputError, match="timeout_ms"):

@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from subcover import ExperimentGrid, emit_plot_data, read_results_csv, run_experiment
+from subcover import (
+    CoverInstance,
+    ExperimentGrid,
+    InputError,
+    convert_cover,
+    double_greedy_max,
+    emit_plot_data,
+    parse_edge_list,
+    parse_tag_assignments,
+    read_results_csv,
+    run_experiment,
+    stochastic_greedy_cover,
+    stochastic_max_subroutine,
+)
 from subcover.cli import main
 
 
@@ -95,6 +108,37 @@ class TestRunExperiment:
         rows = run_experiment(grid, str(tmp_path / "out.csv"))
         assert rows[0].status == "Solved"
         assert "@dgref0" in rows[0].dataset
+
+    def test_ref_seed_sets_the_edge_threshold(self, tmp_path):
+        dataset = write_edge_file(tmp_path, np.random.default_rng(75))
+        grid = ExperimentGrid(
+            dataset=dataset, kind="edges", algorithms=("stream",),
+            eps_values=(0.5,), tau_fractions=(0.7,), ref_seed=1,
+        )
+        (row,) = run_experiment(grid, str(tmp_path / "out.csv"))
+        base = parse_edge_list(dataset)
+        assert row.dataset == f"{dataset}@dgref1"
+        assert row.tau == 0.7 * base.peek(double_greedy_max(base.clone(), seed=1))
+
+    def test_geometric_guess_rows_match_direct_calls(self, tmp_path):
+        dataset = write_tag_file(tmp_path, np.random.default_rng(78), n=60, m=40)
+        grid = small_grid(dataset, algorithms=("stoch", "convert"), seeds=(0, 1),
+                          guess_mode="geometric")
+        rows = run_experiment(grid, str(tmp_path / "out.csv"))
+        base = parse_tag_assignments(dataset)
+        for row in rows:
+            instance = CoverInstance(base.clone(), row.tau)
+            if row.algorithm == "stoch":
+                res = stochastic_greedy_cover(instance, 0.2, grid.delta, grid.alpha, row.seed)
+            else:
+                res = convert_cover(stochastic_max_subroutine(0.2), instance, grid.alpha, 0.8,
+                                    seed=row.seed)
+            assert (row.queries, row.size, row.f_value) == (res.queries, res.size, res.f_value)
+
+    @pytest.mark.parametrize("mode", ["tau_ratio", "Geometric", None])
+    def test_unknown_guess_mode_rejected(self, mode):
+        with pytest.raises(InputError, match="guess mode"):
+            small_grid("tags.txt", guess_mode=mode)
 
     def test_synthetic_and_tightness_kinds(self, tmp_path):
         grid = ExperimentGrid(

@@ -492,7 +492,7 @@ class TestBatchedGainsMatchFallback:
     @staticmethod
     def runs(oracle_cls):
         base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
-        oracle = oracle_cls(base.tag_sets, total_tags=base.total_tags)
+        oracle = oracle_cls(base.tag_sets)
         f_all = oracle.peek(range(oracle.n))
         tau = 0.7 * f_all
         guess = tau / max(oracle.peek((u,)) for u in range(oracle.n))
@@ -530,7 +530,7 @@ class TestBatchedGainsMatchFallback:
         base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
         runs = []
         for oracle_cls in (CoverageOracle, FallbackCoverage):
-            oracle = oracle_cls(base.tag_sets, total_tags=base.total_tags)
+            oracle = oracle_cls(base.tag_sets)
             chosen = double_greedy_max(oracle, seed, ground=range(0, oracle.n, 2))
             runs.append((chosen, oracle.query_count, oracle.peek(chosen)))
         assert runs[0] == runs[1] and runs[0][0]
@@ -540,7 +540,7 @@ class TestBatchedGainsMatchFallback:
         removal gains' values, so compare them directly along its shrinking
         sweep, with adds mixed in."""
         base = make_synthetic_summarization(150, 80, 0.4, 0.02, 20, seed=3)
-        states = [cls(base.tag_sets, total_tags=base.total_tags).state(range(80))
+        states = [cls(base.tag_sets).state(range(80))
                   for cls in (CoverageOracle, FallbackCoverage)]
         for u in range(80):
             gains = [st.removal_gain(u) for st in states]

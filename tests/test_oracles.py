@@ -18,7 +18,6 @@ from subcover import (
     greedy_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
-    query_count,
     truncate,
 )
 
@@ -56,9 +55,33 @@ class TestEval:
             two_element_coverage().eval([0, 0])
 
 
+ELEMENT_QUERIES = {
+    "peek": lambda oracle, x: oracle.peek([x]),
+    "eval": lambda oracle, x: oracle.eval([x]),
+    "state": lambda oracle, x: oracle.state([x]).value,
+    "gain": lambda oracle, x: oracle.state(()).gain(x),
+    "removal_gain": lambda oracle, x: oracle.state([1]).removal_gain(x),
+    "gains": lambda oracle, x: oracle.state(()).gains([x]).tolist(),
+    "first_gain_at_least": lambda oracle, x: oracle.state(()).first_gain_at_least([x], 0.0),
+    "restrict": lambda oracle, x: oracle.restrict([x]).n,
+}
+
+
+@pytest.mark.parametrize("query", sorted(ELEMENT_QUERIES))
+@pytest.mark.parametrize("make", [two_element_coverage, triangle_cut])
+def test_element_ids_checked_at_query_time(make, query):
+    """An element id must be an integer or an integral float: 0.7, 1.5,
+    nan, inf and "1" raise instead of being truncated to an element."""
+    ask = ELEMENT_QUERIES[query]
+    for bad in (0.7, 1.5, np.float64(1.5), math.nan, math.inf, "1"):
+        with pytest.raises(InputError):
+            ask(make(), bad)
+    assert ask(make(), 1.0) == ask(make(), np.float64(1.0)) == ask(make(), 1)
+
+
 class TestQueryCount:
     def test_fresh_oracle_is_zero(self):
-        assert query_count(two_element_coverage()) == 0
+        assert two_element_coverage().query_count == 0
 
     def test_counts_eval_calls(self):
         oracle = two_element_coverage()
@@ -373,7 +396,7 @@ class TestRestrict:
 class TestCoverageStorage:
     def test_words_hold_the_tag_bits(self):
         tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, [64, 5, 64, 0, 5]]
-        oracle = CoverageOracle(tag_sets, total_tags=130)
+        oracle = CoverageOracle(tag_sets)
         assert oracle._words.shape == (5, 3) and oracle._words.dtype == np.uint64
         for x, tags in enumerate(tag_sets):
             bits = {64 * w + b for w in range(3) for b in range(64)
@@ -403,7 +426,7 @@ class TestCoverageStorage:
 
     def test_holder_lists(self):
         tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}, [2, 129, 2, 2]]
-        oracle = CoverageOracle(tag_sets, total_tags=200)
+        oracle = CoverageOracle(tag_sets)
         assert oracle._holder_ptr.shape == (131,) and oracle._holders.dtype == np.int32
         for t in range(130):
             held = oracle._holders[oracle._holder_ptr[t]:oracle._holder_ptr[t + 1]]
@@ -414,29 +437,26 @@ class TestCoverageStorage:
         assert not oracle._holders.flags.writeable and not oracle._holder_ptr.flags.writeable
 
     def test_storage_ignores_total_tags(self):
-        """Arrays are sized by the largest tag present; total_tags only
-        validates and is reported back."""
-        sizes = []
-        for total in (130, 10**12):
-            oracle = CoverageOracle([[0], [1], [2]], total_tags=total)
-            assert oracle.total_tags == total
-            state = oracle.state([0, 1])
-            state.remove(0)
-            assert state.gains([0, 2]).tolist() == [1.0, 1.0] and state._vec is not None
-            sizes.append((oracle._words.nbytes, oracle._holder_ptr.nbytes,
-                          oracle._holders.nbytes, len(state._count), state._vec.nbytes))
-            res = greedy_cover(CoverInstance(oracle, 3.0), 0.1)
-            assert res.solution == (0, 1, 2) and res.status == Status.SOLVED
-        assert sizes[0] == sizes[1]
+        """Arrays are sized by the largest tag present; no tag total is kept."""
+        oracle = CoverageOracle([[0], [1], [2]])
+        assert not hasattr(oracle, "total_tags")
+        state = oracle.state([0, 1])
+        state.remove(0)
+        assert state.gains([0, 2]).tolist() == [1.0, 1.0] and state._vec is not None
+        assert (oracle._words.shape, oracle._holder_ptr.shape, oracle._holders.shape,
+                state._count.shape, state._vec.shape) == ((3, 1), (4,), (3,), (64,), (3,))
+        res = greedy_cover(CoverInstance(oracle, 3.0), 0.1)
+        assert res.solution == (0, 1, 2) and res.status == Status.SOLVED
 
-    @pytest.mark.parametrize("tag_sets, total_tags", [
-        ([{0, 1}, {-3}], None), ([{0}, {2, -1}], 10), ([{0, 5}], 5), ([{64}], 64),
-        ([[1.5]], None), ([[0], [math.nan]], None), ([[math.inf]], None),
-        ([[-math.inf]], None), ([[2**70]], None), ([[np.float64(0.5)]], 4), ([["3"]], None),
-    ])
-    def test_bad_tags_rejected(self, tag_sets, total_tags):
+    # the ids are those of an earlier (tag_sets, total_tags) parametrization
+    @pytest.mark.parametrize("tag_sets", [
+        [{0, 1}, {-3}], [{0}, {2, -1}], [[1.5]], [[0], [math.nan]], [[math.inf]],
+        [[-math.inf]], [[2**70]], [[np.float64(0.5)]], [["3"]],
+    ], ids=["tag_sets0-None", "tag_sets1-10", "tag_sets4-None", "tag_sets5-None", "tag_sets6-None",
+            "tag_sets7-None", "tag_sets8-None", "tag_sets9-4", "tag_sets10-None"])
+    def test_bad_tags_rejected(self, tag_sets):
         with pytest.raises(InputError):
-            CoverageOracle(tag_sets, total_tags=total_tags)
+            CoverageOracle(tag_sets)
 
     def test_integral_float_tags_accepted(self):
         oracle = CoverageOracle([[2.0, np.int64(3), 2], (np.float64(0),)])
@@ -547,7 +567,7 @@ def coverage_oracles(draw):
     m = draw(st.sampled_from([0, 1, 5, 64, 65, 140]))
     tags = st.lists(st.integers(0, m - 1), max_size=8) if m else st.just([])
     tag_sets = draw(st.lists(tags, min_size=n, max_size=n))
-    oracle = CoverageOracle(tag_sets, total_tags=m)
+    oracle = CoverageOracle(tag_sets)
     if draw(st.booleans()):
         return oracle, truncate(oracle, draw(st.integers(0, 2 * m)) / 2.0)
     return oracle, oracle

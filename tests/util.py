@@ -26,7 +26,7 @@ def random_coverage(rng, n, max_tags=18, max_per_element=4, ensure_nonempty=True
         tag_sets.append(tags)
     if ensure_nonempty and not any(tag_sets):
         tag_sets[0] = [0]
-    return CoverageOracle(tag_sets, total_tags=m)
+    return CoverageOracle(tag_sets)
 
 
 class FallbackCoverage(CoverageOracle):
