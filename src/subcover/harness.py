@@ -26,6 +26,7 @@ from .nonmonotone import double_greedy_max, smp_subroutine, stream_cover
 from .oracles import (
     CoverInstance,
     InputError,
+    _int_ids,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
 )
@@ -95,7 +96,14 @@ def _parse_params(text, defaults):
             key = key.strip()
             if key not in params:
                 raise InputError(f"unknown dataset parameter {key!r}")
-            params[key] = type(defaults[key])(float(value)) if isinstance(defaults[key], int) else float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise InputError(f"dataset parameter {key} must be a number, "
+                                 f"got {value.strip()!r}") from None
+            if isinstance(defaults[key], int):  # 60.0 is 60; 60.7, nan and inf raise
+                number = int(_int_ids([number], f"{key} value")[0])
+            params[key] = number
     return params
 
 

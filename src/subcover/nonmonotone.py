@@ -30,6 +30,12 @@ class SmpSearch:
 _APPROX_RATIOS = {"ex": 1.0, "fex": 1.0, "dg": 0.5, "rg": 1.0 / math.e}
 
 
+# elements in a stream pass's first window after a store (see _fill_buckets);
+# cut-stream's solve_rel read 5.3-5.6 for first windows of 8 to 512 (one 6 s
+# run each, 2-vCPU VM), so the size hardly matters
+_FIRST_WINDOW = 32
+
+
 def _approx_ratio(kind):
     try:
         return _APPROX_RATIOS[kind]
@@ -298,6 +304,62 @@ def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
     return random_greedy_max(oracle, budget, seed, ground=ground, target=accept_level), False
 
 
+def _fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
+    """One stream pass with guess g: scan the elements in order and store
+    each in the first bucket below cap where its gain is at least threshold.
+
+    The open buckets and their states change only at an add, so the pass
+    runs from one add to the next: each open bucket takes the uncounted gains
+    of a window of the next elements in one batch, and the earliest element
+    clearing a bucket is stored in the lowest such bucket.  The window
+    doubles after a window with no store and restarts small after a store.
+    The counter is charged what the one-by-one scan pays, one query per open
+    bucket tried: every open bucket for each element passed over, and the
+    buckets up to the chosen one for the stored element.  A watcher gets the
+    scan's "element" event, with its bucket snapshot, for every element.
+    """
+    buckets = [oracle.state(()) for _ in range(num_buckets)]
+    bar = threshold - TOL
+    start, width = 0, _FIRST_WINDOW
+    while start < oracle.n:
+        open_buckets = [b for b in buckets if len(b.members) < cap]
+        stop = oracle.n if not open_buckets else min(start + width, oracle.n)
+        window = np.arange(start, stop)
+        hit = chosen = gain = None
+        for k, bucket in enumerate(open_buckets):
+            gains = bucket._gains(window)
+            clears = gains >= bar
+            if clears.any():
+                at = int(clears.argmax())  # earlier than any hit so far: the window shrank to it
+                hit, chosen, gain = start + at, k, gains.item(at)
+                window = window[:at]
+                if not at:
+                    break
+        passed = stop if hit is None else hit
+        oracle._counter.tick((passed - start) * len(open_buckets)
+                             + (0 if hit is None else chosen + 1))
+        if watch is not None:
+            for u in range(start, passed):
+                _watch_element(watch, g, cap, u, buckets)
+        if hit is None:
+            start, width = stop, 2 * width
+            continue
+        open_buckets[chosen].add(hit, gain)
+        if watch is not None:
+            _watch_element(watch, g, cap, hit, buckets)
+        start, width = hit + 1, _FIRST_WINDOW
+    return buckets
+
+
+def _watch_element(watch, g, cap, u, buckets):
+    watch("element", {
+        "g": g,
+        "cap": cap,
+        "element": u,
+        "buckets": [frozenset(b.members) for b in buckets],
+    })
+
+
 def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=None):
     """Bucketed threshold passes for general submodular cover.
 
@@ -326,22 +388,7 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=No
     for pass_index, g in enumerate(_budget_schedule(oracle.n, alpha, initial_guess)):
         cap = math.ceil(2.0 * g / eps)
         threshold = eps * tau / (2.0 * g)
-        buckets = [oracle.state(()) for _ in range(num_buckets)]
-        for u in range(oracle.n):
-            for bucket in buckets:
-                if len(bucket.members) >= cap:
-                    continue
-                gain = bucket.gain(u)
-                if gain >= threshold - TOL:
-                    bucket.add(u, gain)
-                    break
-            if watch is not None:
-                watch("element", {
-                    "g": g,
-                    "cap": cap,
-                    "element": u,
-                    "buckets": [frozenset(b.members) for b in buckets],
-                })
+        buckets = _fill_buckets(oracle, num_buckets, g, cap, threshold, watch)
         ground = sorted(u for b in buckets for u in b.members)
         sub_seed = derive_seed(seed, 1, pass_index)
         solution, timed_out = _run_subroutine(oracle, ground, cap, sub, accept_level, sub_seed)

@@ -124,6 +124,8 @@ class SolutionState:
     ``gain``/``removal_gain`` cost one query each and ``gains(cands)`` one
     per candidate.  ``add``/``remove`` are free when handed the gain just
     computed against this state; otherwise they recompute it (one query).
+    Either way the id is checked, and must lie outside the solution for
+    ``add`` and inside it for ``remove``.
     """
 
     def __init__(self, oracle, members):
@@ -133,6 +135,7 @@ class SolutionState:
         self.value = oracle._value(self.members)
 
     def gain(self, x):
+        # _check_new written out: gain is the hottest call of the searches
         x = self.oracle._check_element(x)
         if x in self.members:
             raise InputError(f"element {x} already in the solution")
@@ -173,24 +176,38 @@ class SolutionState:
             raise InputError(f"element {x} already in the solution")
         return cands
 
-    def removal_gain(self, x):
+    def _check_new(self, x):
+        x = self.oracle._check_element(x)
+        if x in self.members:
+            raise InputError(f"element {x} already in the solution")
+        return x
+
+    def _check_held(self, x):
         x = self.oracle._check_element(x)
         if x not in self.members:
             raise InputError(f"element {x} not in the solution")
+        return x
+
+    def removal_gain(self, x):
+        x = self._check_held(x)
         self.oracle._counter.tick()
         return self._removal_gain(x)
 
     def add(self, x, gain=None):
+        x = self._check_new(x)
         if gain is None:
-            gain = self.gain(x)
-        self._apply_add(int(x))
+            self.oracle._counter.tick()
+            gain = self._gain(x)
+        self._apply_add(x)
         self.value += gain
         return gain
 
     def remove(self, x, gain=None):
+        x = self._check_held(x)
         if gain is None:
-            gain = self.removal_gain(x)
-        self._apply_remove(int(x))
+            self.oracle._counter.tick()
+            gain = self._removal_gain(x)
+        self._apply_remove(x)
         self.value += gain
         return gain
 
@@ -435,8 +452,10 @@ class GraphCutOracle(SetFunctionOracle):
 
     The graph is stored once in compressed sparse row (CSR) form and shared
     by clones: ``adjacency[v]`` is a read-only view of v's neighbour ids in
-    increasing order and ``edge_weights[v]`` the matching edge weights.
-    ``restrict`` builds a compact oracle over a subset of the vertices.
+    increasing order and ``edge_weights[v]`` the matching edge weights;
+    ``weighted_degree`` is a read-only float64 array of each vertex's total
+    edge weight.  ``restrict`` builds a compact oracle over a subset of the
+    vertices.
     """
 
     monotone = False
@@ -478,13 +497,13 @@ class GraphCutOracle(SetFunctionOracle):
         if starts.size:
             weights = np.add.reduceat(weights, starts)
         rows, cols = np.divmod(keys[starts], self.n)
-        self._set_csr(rows, cols, weights,
-                      tuple(np.bincount(rows, weights=weights, minlength=self.n).tolist()))
+        self._set_csr(rows, cols, weights, np.bincount(rows, weights=weights, minlength=self.n))
 
     def _set_csr(self, rows, cols, weights, weighted_degree):
-        """Store the (row, neighbour)-sorted entries as CSR arrays."""
+        """Store the (row, neighbour)-sorted entries as CSR arrays, and each
+        vertex's weighted degree (float64) beside them."""
         indptr = _row_pointers(rows, self.n)
-        for array in (indptr, cols, weights):
+        for array in (indptr, cols, weights, weighted_degree):
             array.setflags(write=False)
         self._indptr, self._cols, self._weights = indptr, cols, weights
         bounds = indptr.tolist()
@@ -511,8 +530,7 @@ class GraphCutOracle(SetFunctionOracle):
         view = object.__new__(GraphCutOracle)
         SetFunctionOracle.__init__(view, ids.size, name=self.name, counter=self._counter)
         view._set_csr(np.repeat(np.arange(ids.size), lens)[inside], cols[inside],
-                      self._weights[at][inside],
-                      tuple(self.weighted_degree[v] for v in ids.tolist()))
+                      self._weights[at][inside], self.weighted_degree[ids])
         return view
 
     def _value(self, members):
@@ -520,7 +538,7 @@ class GraphCutOracle(SetFunctionOracle):
         # small sets stay cheap on large graphs
         total = internal = 0.0
         for v in members:
-            total += self.weighted_degree[v]
+            total += self.weighted_degree.item(v)
             for nbr, w in zip(self.adjacency[v].tolist(), self.edge_weights[v].tolist()):
                 if nbr > v and nbr in members:
                     internal += w
@@ -542,7 +560,8 @@ class GraphCutOracle(SetFunctionOracle):
 class _GraphCutState(SolutionState):
     """Cut state with ``_inside[v]``, the edge weight from v into the solution.
 
-    Gains are O(1); add and remove update the neighbours of x in O(deg x).
+    Gains are O(1), a batch of them one array expression; add and remove
+    update the neighbours of x in O(deg x).
     """
 
     def __init__(self, oracle, members):
@@ -552,10 +571,13 @@ class _GraphCutState(SolutionState):
             self._inside[oracle.adjacency[x]] += oracle.edge_weights[x]
 
     def _gain(self, x):
-        return self.oracle.weighted_degree[x] - 2.0 * self._inside.item(x)
+        return self.oracle.weighted_degree.item(x) - 2.0 * self._inside.item(x)
+
+    def _gains(self, cands):
+        return self.oracle.weighted_degree[cands] - 2.0 * self._inside[cands]
 
     def _removal_gain(self, x):
-        return 2.0 * self._inside.item(x) - self.oracle.weighted_degree[x]
+        return 2.0 * self._inside.item(x) - self.oracle.weighted_degree.item(x)
 
     def _apply_add(self, x):
         self.members.add(x)
@@ -617,16 +639,16 @@ class _TruncatedState(SolutionState):
         return min(self._inner.value + self._inner._removal_gain(x), self.oracle.tau) - self.value
 
     def add(self, x, gain=None):
+        x = self._check_new(x)
         if gain is None:
-            self.gain(x)
-        x = int(x)
+            self.oracle._counter.tick()
         self._inner.add(x, self._inner._gain(x))
         return self._sync()
 
     def remove(self, x, gain=None):
+        x = self._check_held(x)
         if gain is None:
-            self.removal_gain(x)
-        x = int(x)
+            self.oracle._counter.tick()
         self._inner.remove(x, self._inner._removal_gain(x))
         return self._sync()
 

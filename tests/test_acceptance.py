@@ -437,6 +437,13 @@ def test_ac10_invariant_suites():
         CoverInstance(oracle, 0.8 * best), 0.5, 0.3, smp_subroutine("ex"),
         watch=lambda kind, p: events.append((kind, p)),
     )
+    # exactly one "element" event per element per pass, in scan order
+    kinds = [kind for kind, _ in events]
+    passes = kinds.count("pass")
+    if not passes or kinds != (["element"] * oracle.n + ["pass"]) * passes:
+        bucket_ok = False
+    if [p["element"] for k, p in events if k == "element"] != list(range(oracle.n)) * passes:
+        bucket_ok = False
     for kind, payload in events:
         if kind != "element":
             continue

@@ -1,8 +1,10 @@
 """Stream cover, its maximization subroutines, and the structural claims
 behind them."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,16 +29,19 @@ from subcover import (
     truncate,
 )
 
+from subcover import nonmonotone
 from subcover.monotone import _budget_schedule
 from subcover.oracles import TOL, SetFunctionOracle
 
 from util import (
+    FallbackCoverage,
     brute_max_all,
     brute_max_subsets,
     random_coverage,
     random_edges,
     random_graph,
     reference_exact_max_search,
+    reference_fill_buckets,
 )
 
 
@@ -93,8 +98,13 @@ class TestStreamCover:
             CoverInstance(oracle, 0.7 * best), 0.5, 0.3, smp_subroutine("ex"),
             watch=watch,
         )
+        # one event per element per pass, in scan order, before the pass event
+        passes = [p for k, p in events if k == "pass"]
+        assert passes
+        assert [k for k, _ in events] == (["element"] * oracle.n + ["pass"]) * len(passes)
         element_events = [p for k, p in events if k == "element"]
-        assert element_events
+        assert [p["element"] for p in element_events] == list(range(oracle.n)) * len(passes)
+        assert [p["g"] for p in element_events] == [p["g"] for p in passes for _ in range(oracle.n)]
         for payload in element_events:
             buckets = payload["buckets"]
             cap = payload["cap"]
@@ -367,6 +377,70 @@ def test_subroutines_on_the_view_match_the_oracle(n, data):
         viewed, direct = GraphCutOracle(n, edges), UnrestrictedCut(n, edges)
         assert run(viewed) == run(direct)
         assert viewed.query_count == direct.query_count
+
+
+@st.composite
+def pass_oracles(draw, max_n=90):
+    """A stream-pass oracle: a unit-weight or weighted cut, a coverage
+    oracle, a truncated one, or a coverage oracle on the generic state, on
+    up to max_n elements; 90 make a pass span several doubled windows."""
+    kind = draw(st.sampled_from(["unit", "weighted", "coverage", "truncated", "generic"]))
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("unit", "weighted"):
+        p = draw(st.sampled_from([0.05, 0.2, 0.5]))
+        return GraphCutOracle(n, random_edges(rng, n, p, weighted=kind == "weighted"))
+    oracle = random_coverage(rng, n, max_tags=40, ensure_nonempty=False)
+    if kind == "truncated":
+        return truncate(oracle, draw(st.integers(0, 20)) / 2.0)
+    if kind == "generic":
+        return FallbackCoverage(oracle.tag_sets)
+    return oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle=pass_oracles(), data=st.data())
+def test_bucket_pass_matches_the_sequential_scan(oracle, data):
+    """The batched pass against the one-by-one scan, with one to eight
+    buckets and caps that fill mid-pass: the same buckets, bucket values,
+    query count and "element" events, with and without a watcher."""
+    num_buckets = data.draw(st.integers(1, 8))
+    cap = data.draw(st.integers(1, oracle.n + 1))
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-1.0, 6.0))
+    runs = []
+    for fill, watched in ((nonmonotone._fill_buckets, True), (reference_fill_buckets, True),
+                          (nonmonotone._fill_buckets, False)):
+        copy, events = oracle.clone(), []
+        buckets = fill(copy, num_buckets, 1.5, cap, threshold,
+                       (lambda kind, payload: events.append((kind, payload))) if watched else None)
+        runs.append(([sorted(b.members) for b in buckets], [b.value for b in buckets],
+                     copy.query_count, events if watched else None))
+    ours, ref, unwatched = runs
+    assert ours == ref
+    assert unwatched[:3] == ref[:3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle=pass_oracles(max_n=40), data=st.data())
+def test_stream_cover_matches_the_sequential_scan(oracle, data):
+    """Whole stream_cover runs on the batched pass and on the one-by-one
+    scan: the same result (solution, value, status, queries) and the same
+    "element" and "pass" payloads."""
+    kinds = ["dg", "rg"] + (["ex", "fex"] if oracle.n <= 12 else [])
+    sub = smp_subroutine(data.draw(st.sampled_from(kinds)))
+    eps = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
+    tau = data.draw(st.sampled_from([1.0, 2.5, 4.0, 8.0]))
+    guess = data.draw(st.none() | st.sampled_from([1.0, 1.5, 3.0]))
+    seed = data.draw(st.integers(0, 1000))
+    runs = []
+    for fill in (nonmonotone._fill_buckets, reference_fill_buckets):
+        copy, events = oracle.clone(), []
+        with mock.patch.object(nonmonotone, "_fill_buckets", fill):
+            res = stream_cover(CoverInstance(copy, tau), eps, 0.5, sub, seed=seed,
+                               initial_guess=guess,
+                               watch=lambda kind, payload: events.append((kind, payload)))
+        runs.append((dataclasses.replace(res, wall_ms=0.0), copy.query_count, events))
+    assert runs[0] == runs[1]
 
 
 class TestTimeouts:

@@ -10,6 +10,7 @@ from subcover import (
     convert_cover,
     double_greedy_max,
     emit_plot_data,
+    load_dataset,
     parse_edge_list,
     parse_tag_assignments,
     read_results_csv,
@@ -154,6 +155,29 @@ class TestRunExperiment:
         )
         rows = run_experiment(grid, str(tmp_path / "b.csv"))
         assert rows[0].status == "Solved"
+
+    @pytest.mark.parametrize("kind, dataset", [
+        ("synthetic", "m=60.7,n=30,head=8"),
+        ("synthetic", "m=60,n=30.9,head=8"),
+        ("synthetic", "m=60,n=30,head=8,seed=1.5"),
+        ("synthetic", "m=nan,n=30,head=8"),
+        ("synthetic", "m=60,n=inf,head=8"),
+        ("synthetic", "m=sixty,n=30,head=8"),
+        ("tightness", "k=3,l=9.5"),
+        ("tightness", "k=-inf,l=9"),
+    ])
+    def test_integer_dataset_parameters_not_truncated(self, kind, dataset):
+        with pytest.raises(InputError):
+            load_dataset(kind, dataset)
+
+    def test_integral_float_dataset_parameters_accepted(self):
+        params = "head=8,p_head=0.4,p_tail=0.01"
+        as_floats = load_dataset("synthetic", f"m=60.0,n=30.0,seed=1.0,{params}")
+        as_ints = load_dataset("synthetic", f"m=60,n=30,seed=1,{params}")
+        assert as_floats.n == 30
+        assert as_floats.tag_sets == as_ints.tag_sets
+        assert load_dataset("tightness", "k=3.0,l=9").tag_sets == load_dataset(
+            "tightness", "k=3,l=9").tag_sets
 
     def test_crash_isolation(self, tmp_path):
         rng = np.random.default_rng(76)

@@ -21,7 +21,7 @@ from subcover import (
     truncate,
 )
 
-from util import edge_list_cut, random_coverage, random_edges, random_graph
+from util import FallbackCoverage, edge_list_cut, random_coverage, random_edges, random_graph
 
 
 def two_element_coverage():
@@ -77,6 +77,35 @@ def test_element_ids_checked_at_query_time(make, query):
         with pytest.raises(InputError):
             ask(make(), bad)
     assert ask(make(), 1.0) == ask(make(), np.float64(1.0)) == ask(make(), 1)
+
+
+THREE_ELEMENT_ORACLES = {
+    "coverage": lambda: CoverageOracle([[0], [1, 2], [3]]),
+    "truncated": lambda: truncate(CoverageOracle([[0], [1, 2], [3]]), 2.5),
+    "generic": lambda: FallbackCoverage([[0], [1, 2], [3]]),
+    "cut": lambda: GraphCutOracle(3, [(0, 1), (1, 2, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("members, change", [
+    ((), lambda state: state.add(1.5, 2.0)),
+    ((0,), lambda state: state.add(0, 1.0)),
+    ((), lambda state: state.add(99, 0.0)),
+    ((0,), lambda state: state.remove(0.5, -1.0)),
+    ((0,), lambda state: state.remove(1, -2.0)),
+    ((0,), lambda state: state.remove(99, 0.0)),
+], ids=["add-fraction", "add-member", "add-outside", "remove-fraction", "remove-non-member",
+        "remove-outside"])
+@pytest.mark.parametrize("kind", sorted(THREE_ELEMENT_ORACLES))
+def test_add_and_remove_with_a_gain_check_the_id(kind, members, change):
+    """A supplied gain skips the query, not the id and membership checks;
+    a refused change leaves the state and the counter as they were."""
+    oracle = THREE_ELEMENT_ORACLES[kind]()
+    state = oracle.state(members)
+    before = (set(state.members), state.value, oracle.query_count)
+    with pytest.raises(InputError):
+        change(state)
+    assert (set(state.members), state.value, oracle.query_count) == before
 
 
 class TestQueryCount:
@@ -209,7 +238,7 @@ class TestGraphCutStorage:
         assert [a.tolist() for a in oracle.adjacency] == [[1, 3], [0, 2], [1], [0], []]
         assert [w.tolist() for w in oracle.edge_weights] == [
             [1.75, 2.0], [1.75, 1.0], [1.0], [2.0], []]
-        assert oracle.weighted_degree == (3.75, 2.75, 1.0, 2.0, 0.0)
+        assert oracle.weighted_degree.tolist() == [3.75, 2.75, 1.0, 2.0, 0.0]
         assert oracle.edge_count() == 3
 
     def test_peek_matches_edge_list(self):
@@ -295,8 +324,11 @@ def test_graph_cut_state_matches_peek(graph, ops):
                 assert same(state.removal_gain(x), oracle.peek(members - {x}) - value)
             else:
                 assert same(state.gain(x), oracle.peek(members | {x}) - value)
-        outside = [x for x in range(n) if x not in members]  # the generic batched path
-        assert state.gains(outside).tolist() == [state.gain(x) for x in outside]
+        # the vectorised batch equals the scalar gains bit for bit, in any
+        # order and with repeats
+        outside = [x for x in range(n) if x not in members]
+        batch = outside[::-1] + outside
+        assert state.gains(batch).tolist() == [state.gain(x) for x in batch]
 
     state = oracle.state(())
     parents = []  # (copied state, its members and value at the copy)
@@ -377,7 +409,7 @@ class TestRestrict:
         view = oracle.restrict([4, 1, 2])  # view ids 0, 1, 2 stand for 1, 2, 4
         assert [a.tolist() for a in view.adjacency] == [[1], [0], []]
         assert [w.tolist() for w in view.edge_weights] == [[1.0], [1.0], []]
-        assert view.weighted_degree == (2.5, 3.0, 2.0)
+        assert view.weighted_degree.tolist() == [2.5, 3.0, 2.0]
         assert view.edge_count() == 1 and view.name == oracle.name
 
     def test_duplicate_ids_rejected(self):

@@ -223,3 +223,28 @@ def _reference_branch_search(base_state, candidates, budget, target, best_set, b
         if remaining > 1 and pos + 1 < len(ordered):
             frames.append([child, ordered[pos + 1:], 0, remaining - 1])
     return SmpSearch(best_set, best_val)
+
+
+def reference_fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
+    """stream_cover's bucket pass as the one-by-one scan the batched pass
+    replaced: each element tries the buckets below cap in order, one counted
+    gain each, and goes into the first where the gain clears threshold.
+    Same arguments, buckets and "element" events as
+    ``nonmonotone._fill_buckets``."""
+    buckets = [oracle.state(()) for _ in range(num_buckets)]
+    for u in range(oracle.n):
+        for bucket in buckets:
+            if len(bucket.members) >= cap:
+                continue
+            gain = bucket.gain(u)
+            if gain >= threshold - TOL:
+                bucket.add(u, gain)
+                break
+        if watch is not None:
+            watch("element", {
+                "g": g,
+                "cap": cap,
+                "element": u,
+                "buckets": [frozenset(b.members) for b in buckets],
+            })
+    return buckets
