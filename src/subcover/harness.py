@@ -96,15 +96,27 @@ def _parse_params(text, defaults):
             key = key.strip()
             if key not in params:
                 raise InputError(f"unknown dataset parameter {key!r}")
-            try:
-                number = float(value)
-            except ValueError:
-                raise InputError(f"dataset parameter {key} must be a number, "
-                                 f"got {value.strip()!r}") from None
-            if isinstance(defaults[key], int):  # 60.0 is 60; 60.7, nan and inf raise
-                number = int(_int_ids([number], f"{key} value")[0])
-            params[key] = number
+            params[key] = _parse_number(key, value, isinstance(defaults[key], int))
     return params
+
+
+def _parse_number(key, value, integral):
+    """A dataset parameter's value: a float, or for an integer parameter an
+    int in the int64 range.  An integer literal is read exactly, however
+    many digits it has; "60.0" is 60; 60.7, nan and inf raise."""
+    if integral:
+        try:
+            exact = int(value)
+        except ValueError:
+            pass  # not an integer literal, maybe an integral float
+        else:
+            return int(_int_ids([exact], f"{key} value")[0])
+    try:
+        number = float(value)
+    except ValueError:
+        raise InputError(f"dataset parameter {key} must be a number, "
+                         f"got {value.strip()!r}") from None
+    return int(_int_ids([number], f"{key} value")[0]) if integral else number
 
 
 def load_dataset(kind, dataset):

@@ -30,10 +30,11 @@ class SmpSearch:
 _APPROX_RATIOS = {"ex": 1.0, "fex": 1.0, "dg": 0.5, "rg": 1.0 / math.e}
 
 
-# elements in a stream pass's first window after a store (see _fill_buckets);
-# cut-stream's solve_rel read 5.3-5.6 for first windows of 8 to 512 (one 6 s
-# run each, 2-vCPU VM), so the size hardly matters
-_FIRST_WINDOW = 32
+# a stream-pass window narrower than this is scanned one scalar gain at a time
+# (see _fill_buckets): one uncounted batch with its first-hit search cost as
+# much as 16 scalar gains on a cut state and about 30 on a coverage state
+# (3-9 us per batch against 0.3-0.5 us per gain, 2-vCPU Xeon VM)
+_SCALAR_SPAN = 16
 
 
 def _approx_ratio(kind):
@@ -309,46 +310,75 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
     each in the first bucket below cap where its gain is at least threshold.
 
     The open buckets and their states change only at an add, so the pass
-    runs from one add to the next: each open bucket takes the uncounted gains
-    of a window of the next elements in one batch, and the earliest element
-    clearing a bucket is stored in the lowest such bucket.  The window
-    doubles after a window with no store and restarts small after a store.
+    runs from one add to the next over windows of the next elements: the
+    earliest element in a window clearing an open bucket is stored in the
+    lowest such bucket.  A window starts at one element after each store and
+    doubles after each window with no store, so a window is never more than
+    twice the stretch it ends.  Windows narrower than _SCALAR_SPAN are
+    scanned with uncounted scalar gains, element by element; wider ones take
+    one uncounted batch of gains per open bucket.  Stores often come in runs
+    (most gaps between stores are 0, on cut graphs and on coverage), where a
+    batch per store would cost more than the scan, while most elements of a
+    pass are passed over in long stretches, where the batches pay.
+
     The counter is charged what the one-by-one scan pays, one query per open
     bucket tried: every open bucket for each element passed over, and the
     buckets up to the chosen one for the stored element.  A watcher gets the
     scan's "element" event, with its bucket snapshot, for every element.
     """
     buckets = [oracle.state(()) for _ in range(num_buckets)]
+    open_buckets = [b for b in buckets if len(b.members) < cap]
     bar = threshold - TOL
-    start, width = 0, _FIRST_WINDOW
+    start, width = 0, 1
     while start < oracle.n:
-        open_buckets = [b for b in buckets if len(b.members) < cap]
-        stop = oracle.n if not open_buckets else min(start + width, oracle.n)
-        window = np.arange(start, stop)
-        hit = chosen = gain = None
-        for k, bucket in enumerate(open_buckets):
-            gains = bucket._gains(window)
-            clears = gains >= bar
-            if clears.any():
-                at = int(clears.argmax())  # earlier than any hit so far: the window shrank to it
-                hit, chosen, gain = start + at, k, gains.item(at)
-                window = window[:at]
-                if not at:
-                    break
-        passed = stop if hit is None else hit
+        end = oracle.n if not open_buckets else min(start + width, oracle.n)
+        scan = _scan_scalar if end - start < _SCALAR_SPAN else _scan_batched
+        hit, chosen, gain = scan(open_buckets, start, end, bar)
+        passed = end if hit is None else hit
         oracle._counter.tick((passed - start) * len(open_buckets)
                              + (0 if hit is None else chosen + 1))
         if watch is not None:
             for u in range(start, passed):
                 _watch_element(watch, g, cap, u, buckets)
         if hit is None:
-            start, width = stop, 2 * width
+            start, width = end, 2 * width
             continue
-        open_buckets[chosen].add(hit, gain)
+        bucket = open_buckets[chosen]
+        bucket.add(hit, gain)
+        if len(bucket.members) >= cap:
+            del open_buckets[chosen]
         if watch is not None:
             _watch_element(watch, g, cap, hit, buckets)
-        start, width = hit + 1, _FIRST_WINDOW
+        start, width = hit + 1, 1
     return buckets
+
+
+def _scan_scalar(open_buckets, start, end, bar):
+    """The first (element, bucket index, gain) in [start, end) whose gain
+    clears bar, elements in order and buckets in order for each; Nones when
+    nothing clears."""
+    for u in range(start, end):
+        for k, bucket in enumerate(open_buckets):
+            gain = bucket._gain(u)
+            if gain >= bar:
+                return u, k, gain
+    return None, None, None
+
+
+def _scan_batched(open_buckets, start, end, bar):
+    """_scan_scalar's answer from one batch of gains per open bucket."""
+    window = np.arange(start, end)
+    hit = chosen = gain = None
+    for k, bucket in enumerate(open_buckets):
+        gains = bucket._gains(window)
+        clears = gains >= bar
+        if clears.any():
+            at = int(clears.argmax())  # earlier than any hit so far: the window shrank to it
+            hit, chosen, gain = start + at, k, gains.item(at)
+            window = window[:at]
+            if not at:
+                break
+    return hit, chosen, gain
 
 
 def _watch_element(watch, g, cap, u, buckets):

@@ -420,6 +420,26 @@ def test_bucket_pass_matches_the_sequential_scan(oracle, data):
     assert unwatched[:3] == ref[:3]
 
 
+def test_bucket_pass_takes_scalar_and_batched_windows():
+    """A run of stores, a stretch of 100 elements with no store, then one
+    more store in each bucket: the run and the start of the stretch are
+    scanned with scalar gains, the rest of the stretch in batches, and the
+    pass still matches the one-by-one scan."""
+    oracle = CoverageOracle([{t} for t in range(5)] + [set()] * 100 + [{5}, {0}])
+
+    def run(fill):
+        copy, events = oracle.clone(), []
+        buckets = fill(copy, 2, 1.0, 10, 1.0, lambda kind, payload: events.append(payload))
+        return [sorted(b.members) for b in buckets], copy.query_count, events
+
+    with mock.patch.object(nonmonotone, "_scan_batched", wraps=nonmonotone._scan_batched) as batched, \
+            mock.patch.object(nonmonotone, "_scan_scalar", wraps=nonmonotone._scan_scalar) as scalar:
+        ours = run(nonmonotone._fill_buckets)
+    assert scalar.call_count > 5 and batched.call_count >= 3
+    assert ours == run(reference_fill_buckets)
+    assert ours[0] == [[0, 1, 2, 3, 4, 105], [106]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(oracle=pass_oracles(max_n=40), data=st.data())
 def test_stream_cover_matches_the_sequential_scan(oracle, data):

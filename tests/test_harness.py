@@ -1,5 +1,7 @@
 """Experiment grid execution, CSV determinism, plot aggregation, CLI wiring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,7 @@ class TestRunExperiment:
         ("synthetic", "m=sixty,n=30,head=8"),
         ("tightness", "k=3,l=9.5"),
         ("tightness", "k=-inf,l=9"),
+        ("synthetic", "m=60,n=30,head=8,seed=99999999999999999999"),
     ])
     def test_integer_dataset_parameters_not_truncated(self, kind, dataset):
         with pytest.raises(InputError):
@@ -178,6 +181,14 @@ class TestRunExperiment:
         assert as_floats.tag_sets == as_ints.tag_sets
         assert load_dataset("tightness", "k=3.0,l=9").tag_sets == load_dataset(
             "tightness", "k=3,l=9").tag_sets
+
+    def test_integer_dataset_parameters_read_exactly(self):
+        # 2**53 + 1 rounds to 2**53 as a float; the dataset must get it unchanged
+        with mock.patch("subcover.harness.make_synthetic_summarization") as make:
+            load_dataset("synthetic", "m=60,n=30,head=8,seed= 9007199254740993")
+        args = make.call_args.args
+        assert args[-1] == 9007199254740993 and type(args[-1]) is int
+        assert args[:2] == (60, 30) and args[4] == 8
 
     def test_crash_isolation(self, tmp_path):
         rng = np.random.default_rng(76)
