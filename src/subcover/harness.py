@@ -3,7 +3,7 @@ parameters, with CSV output and plot-ready aggregation."""
 
 from __future__ import annotations
 
-import math
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -62,7 +62,10 @@ class ExperimentGrid:
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # a bad subroutine, timeout or guess mode fails here, not in every cell
+        # a bad count, subroutine, timeout or guess mode fails here, not in every cell
+        for name, count in (("repetitions", self.repetitions), ("jobs", self.jobs)):
+            if count < 1:
+                raise InputError(f"{name} must be at least 1, got {count}")
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
         if self.guess_mode not in GUESS_MODES:
             raise InputError(f"unknown guess mode {self.guess_mode!r}; "
@@ -84,7 +87,7 @@ class ExperimentGrid:
 
 
 def _parse_params(text, defaults):
-    params = dict(defaults)
+    given = {}
     if text:
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -94,10 +97,12 @@ def _parse_params(text, defaults):
                 raise InputError(f"expected key=value in dataset string, got {chunk!r}")
             key, value = chunk.split("=", 1)
             key = key.strip()
-            if key not in params:
+            if key not in defaults:
                 raise InputError(f"unknown dataset parameter {key!r}")
-            params[key] = _parse_number(key, value, isinstance(defaults[key], int))
-    return params
+            if key in given:
+                raise InputError(f"dataset parameter {key} given twice")
+            given[key] = _parse_number(key, value, isinstance(defaults[key], int))
+    return {**defaults, **given}
 
 
 def _parse_number(key, value, integral):
@@ -258,9 +263,5 @@ def emit_plot_data(csv_path, x_axis, metric, out_path):
             handle.write("# WARNING: empty selection\n")
             return
         for (alg, x), values in sorted(groups.items()):
-            n = len(values)
-            mean = sum(values) / n
-            variance = max(0.0, sum(v * v for v in values) / n - mean * mean)
-            handle.write(
-                f"{alg}\t{x:.6g}\t{mean:.6g}\t{math.sqrt(variance):.6g}\t{n}\n"
-            )
+            handle.write(f"{alg}\t{x:.6g}\t{statistics.fmean(values):.6g}\t"
+                         f"{statistics.pstdev(values):.6g}\t{len(values)}\n")

@@ -305,7 +305,7 @@ def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
     return random_greedy_max(oracle, budget, seed, ground=ground, target=accept_level), False
 
 
-def _fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
+def _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
     """One stream pass with guess g: scan the elements in order and store
     each in the first bucket below cap where its gain is at least threshold.
 
@@ -323,8 +323,10 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
 
     The counter is charged what the one-by-one scan pays, one query per open
     bucket tried: every open bucket for each element passed over, and the
-    buckets up to the chosen one for the stored element.  A watcher gets the
-    scan's "element" event, with its bucket snapshot, for every element.
+    buckets up to the chosen one for the stored element.  A hook gets a
+    "store" event {g, element, bucket} at each store, bucket being the index
+    among all num_buckets buckets; the buckets after any element are those
+    after the last store at or before it.
     """
     buckets = [oracle.state(()) for _ in range(num_buckets)]
     open_buckets = [b for b in buckets if len(b.members) < cap]
@@ -337,18 +339,15 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
         passed = end if hit is None else hit
         oracle._counter.tick((passed - start) * len(open_buckets)
                              + (0 if hit is None else chosen + 1))
-        if watch is not None:
-            for u in range(start, passed):
-                _watch_element(watch, g, cap, u, buckets)
         if hit is None:
             start, width = end, 2 * width
             continue
         bucket = open_buckets[chosen]
         bucket.add(hit, gain)
+        if on_event is not None:
+            on_event("store", {"g": g, "element": hit, "bucket": buckets.index(bucket)})
         if len(bucket.members) >= cap:
             del open_buckets[chosen]
-        if watch is not None:
-            _watch_element(watch, g, cap, hit, buckets)
         start, width = hit + 1, 1
     return buckets
 
@@ -381,16 +380,7 @@ def _scan_batched(open_buckets, start, end, bar):
     return hit, chosen, gain
 
 
-def _watch_element(watch, g, cap, u, buckets):
-    watch("element", {
-        "g": g,
-        "cap": cap,
-        "element": u,
-        "buckets": [frozenset(b.members) for b in buckets],
-    })
-
-
-def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=None):
+def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event=None):
     """Bucketed threshold passes for general submodular cover.
 
     Per pass with guess g, elements are scanned in order and stored in the
@@ -400,6 +390,10 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=No
     budget equal to the cap; its output is accepted once it reaches the
     subroutine's approximation ratio (1 for ex and fex, 1/2 for dg, 1/e for
     rg) times (1 - eps) * tau.  Buckets are reset between guesses.
+
+    An optional on_event(kind, fields) hook gets a "store" event for every
+    stored element (see _fill_buckets) and, after each subroutine run, a
+    "pass" event {g, cap, stored, smp_value}.
     """
     _check_unit_interval("eps", eps)
     _check_positive("alpha", alpha)
@@ -418,21 +412,15 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, watch=No
     for pass_index, g in enumerate(_budget_schedule(oracle.n, alpha, initial_guess)):
         cap = math.ceil(2.0 * g / eps)
         threshold = eps * tau / (2.0 * g)
-        buckets = _fill_buckets(oracle, num_buckets, g, cap, threshold, watch)
+        buckets = _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event)
         ground = sorted(u for b in buckets for u in b.members)
         sub_seed = derive_seed(seed, 1, pass_index)
         solution, timed_out = _run_subroutine(oracle, ground, cap, sub, accept_level, sub_seed)
         value = oracle.eval(solution)
         if value > best_value + 1e-12:
             best_members, best_value = solution, value
-        if watch is not None:
-            watch("pass", {
-                "g": g,
-                "cap": cap,
-                "stored": tuple(ground),
-                "smp_value": value,
-                "buckets": [frozenset(b.members) for b in buckets],
-            })
+        if on_event is not None:
+            on_event("pass", {"g": g, "cap": cap, "stored": tuple(ground), "smp_value": value})
         if timed_out:
             return finish_run(oracle, best_members, Status.BUDGET_EXHAUSTED, accept_level, q0, t0)
         if value >= accept_level - TOL:

@@ -39,13 +39,14 @@ def distorted_potential(inst, eps, i, X):
     return factor * inst.oracle.eval(X) - inst.cost(X)
 
 
-def distorted_greedy_max(inst, eps, watch=None):
+def distorted_greedy_max(inst, eps, on_event=None):
     """Greedy on the distorted objective with a positive-gain gate.
 
     At step i the element maximizing
     (1 - 1/kappa)^(t - i) * dg(S, x) - c_x is added, provided that quantity
     is positive; otherwise the run stops early.  At most t elements are
-    chosen.
+    chosen.  An optional on_event(kind, fields) hook gets a "step" event
+    {step, element, score} for every element added.
     """
     _check_instance(inst, need_kappa=True)
     oracle = inst.oracle
@@ -66,8 +67,8 @@ def distorted_greedy_max(inst, eps, watch=None):
         if best_score <= TOL:
             break
         state.add(best, float(gains[i]))
-        if watch is not None:
-            watch(step, best, best_score)
+        if on_event is not None:
+            on_event("step", {"step": step, "element": best, "score": float(best_score)})
         step += 1
     return tuple(sorted(state.members))
 

@@ -40,6 +40,7 @@ from util import (
     preferential_attachment_graph,
     random_coverage,
     random_graph,
+    stream_event_faults,
 )
 
 TOL = 1e-9
@@ -429,31 +430,17 @@ def test_ac10_invariant_suites():
     cut = random_graph(np.random.default_rng(4), 6, 0.6)
     nonmono_ok = cut.peek(range(6)) < max(cut.peek([v]) for v in range(6))
     # bucket discipline inside the stream solver
-    bucket_ok = True
     events = []
     oracle = random_graph(rng, 10, 0.5)
     best, _ = brute_max_all(oracle)
     stream_cover(
         CoverInstance(oracle, 0.8 * best), 0.5, 0.3, smp_subroutine("ex"),
-        watch=lambda kind, p: events.append((kind, p)),
+        on_event=lambda kind, p: events.append((kind, p)),
     )
-    # exactly one "element" event per element per pass, in scan order
-    kinds = [kind for kind, _ in events]
-    passes = kinds.count("pass")
-    if not passes or kinds != (["element"] * oracle.n + ["pass"]) * passes:
-        bucket_ok = False
-    if [p["element"] for k, p in events if k == "element"] != list(range(oracle.n)) * passes:
-        bucket_ok = False
-    for kind, payload in events:
-        if kind != "element":
-            continue
-        buckets = payload["buckets"]
-        if any(len(b) > payload["cap"] for b in buckets):
-            bucket_ok = False
-        for i in range(len(buckets)):
-            for j in range(i + 1, len(buckets)):
-                if buckets[i] & buckets[j]:
-                    bucket_ok = False
+    # one "store" per stored element with the buckets checked after each,
+    # then one "pass" whose stored set is the union of the stores
+    faults, passes = stream_event_faults(events, math.ceil(2 / 0.5))
+    bucket_ok = passes > 0 and not faults
     # disjoint-part lower bound: max_i f(A_i u B) >= (1 - 1/m) f(B)
     claim_ok = True
     for _ in range(1000):

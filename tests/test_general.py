@@ -42,6 +42,7 @@ from util import (
     random_graph,
     reference_exact_max_search,
     reference_fill_buckets,
+    stream_event_faults,
 )
 
 
@@ -90,28 +91,17 @@ class TestStreamCover:
         oracle = random_graph(rng, 10, 0.5)
         best, _ = brute_max_all(oracle)
         events = []
-
-        def watch(kind, payload):
-            events.append((kind, payload))
-
+        eps = 0.5
         stream_cover(
-            CoverInstance(oracle, 0.7 * best), 0.5, 0.3, smp_subroutine("ex"),
-            watch=watch,
+            CoverInstance(oracle, 0.7 * best), eps, 0.3, smp_subroutine("ex"),
+            on_event=lambda kind, fields: events.append((kind, fields)),
         )
-        # one event per element per pass, in scan order, before the pass event
-        passes = [p for k, p in events if k == "pass"]
-        assert passes
-        assert [k for k, _ in events] == (["element"] * oracle.n + ["pass"]) * len(passes)
-        element_events = [p for k, p in events if k == "element"]
-        assert [p["element"] for p in element_events] == list(range(oracle.n)) * len(passes)
-        assert [p["g"] for p in element_events] == [p["g"] for p in passes for _ in range(oracle.n)]
-        for payload in element_events:
-            buckets = payload["buckets"]
-            cap = payload["cap"]
-            assert all(len(b) <= cap for b in buckets)
-            for i in range(len(buckets)):
-                for j in range(i + 1, len(buckets)):
-                    assert not (buckets[i] & buckets[j])
+        # one "store" per stored element, the buckets checked after each,
+        # then one "pass" whose stored set is the union of the stores
+        faults, passes = stream_event_faults(events, math.ceil(2 / eps))
+        assert passes and not faults
+        assert sum(kind == "store" for kind, _ in events) == sum(
+            len(fields["stored"]) for kind, fields in events if kind == "pass")
 
     def test_infeasible_when_threshold_unreachable(self):
         oracle = GraphCutOracle(3, [(0, 1)])
@@ -132,7 +122,7 @@ class TestStreamCover:
             passes = []
             stream_cover(
                 CoverInstance(oracle.clone(), tau), eps, 0.3, smp_subroutine("ex"),
-                watch=lambda kind, p: passes.append(p) if kind == "pass" else None,
+                on_event=lambda kind, p: passes.append(p) if kind == "pass" else None,
                 initial_guess=g,
             )
             cap = math.ceil(2 * g / eps)
@@ -156,7 +146,7 @@ class TestStreamCover:
         guesses = []
         res = stream_cover(
             CoverInstance(oracle, tau), 0.5, 0.5, smp_subroutine("dg"), initial_guess=1.3,
-            watch=lambda kind, p: guesses.append(p["g"]) if kind == "pass" else None,
+            on_event=lambda kind, p: guesses.append(p["g"]) if kind == "pass" else None,
         )
         schedule = list(_budget_schedule(6, 0.5, 1.3))
         assert guesses and guesses == schedule[:len(guesses)]
@@ -403,21 +393,21 @@ def pass_oracles(draw, max_n=90):
 def test_bucket_pass_matches_the_sequential_scan(oracle, data):
     """The batched pass against the one-by-one scan, with one to eight
     buckets and caps that fill mid-pass: the same buckets, bucket values,
-    query count and "element" events, with and without a watcher."""
+    query count and "store" events, with and without a hook."""
     num_buckets = data.draw(st.integers(1, 8))
     cap = data.draw(st.integers(1, oracle.n + 1))
     threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-1.0, 6.0))
     runs = []
-    for fill, watched in ((nonmonotone._fill_buckets, True), (reference_fill_buckets, True),
-                          (nonmonotone._fill_buckets, False)):
+    for fill, hooked in ((nonmonotone._fill_buckets, True), (reference_fill_buckets, True),
+                         (nonmonotone._fill_buckets, False)):
         copy, events = oracle.clone(), []
         buckets = fill(copy, num_buckets, 1.5, cap, threshold,
-                       (lambda kind, payload: events.append((kind, payload))) if watched else None)
+                       (lambda kind, payload: events.append((kind, payload))) if hooked else None)
         runs.append(([sorted(b.members) for b in buckets], [b.value for b in buckets],
-                     copy.query_count, events if watched else None))
-    ours, ref, unwatched = runs
+                     copy.query_count, events if hooked else None))
+    ours, ref, unhooked = runs
     assert ours == ref
-    assert unwatched[:3] == ref[:3]
+    assert unhooked[:3] == ref[:3]
 
 
 def test_bucket_pass_takes_scalar_and_batched_windows():
@@ -445,7 +435,7 @@ def test_bucket_pass_takes_scalar_and_batched_windows():
 def test_stream_cover_matches_the_sequential_scan(oracle, data):
     """Whole stream_cover runs on the batched pass and on the one-by-one
     scan: the same result (solution, value, status, queries) and the same
-    "element" and "pass" payloads."""
+    "store" and "pass" payloads."""
     kinds = ["dg", "rg"] + (["ex", "fex"] if oracle.n <= 12 else [])
     sub = smp_subroutine(data.draw(st.sampled_from(kinds)))
     eps = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
@@ -458,7 +448,7 @@ def test_stream_cover_matches_the_sequential_scan(oracle, data):
         with mock.patch.object(nonmonotone, "_fill_buckets", fill):
             res = stream_cover(CoverInstance(copy, tau), eps, 0.5, sub, seed=seed,
                                initial_guess=guess,
-                               watch=lambda kind, payload: events.append((kind, payload)))
+                               on_event=lambda kind, payload: events.append((kind, payload)))
         runs.append((dataclasses.replace(res, wall_ms=0.0), copy.query_count, events))
     assert runs[0] == runs[1]
 
@@ -492,7 +482,7 @@ class TestTimeouts:
         passes = []
         res = stream_cover(
             CoverInstance(oracle, 48.0), 0.5, 0.5, smp_subroutine(kind, timeout_ms=0),
-            initial_guess=4, watch=lambda event, payload: passes.append(payload)
+            initial_guess=4, on_event=lambda event, payload: passes.append(payload)
             if event == "pass" else None,
         )
         assert res.status == Status.BUDGET_EXHAUSTED
@@ -601,13 +591,13 @@ class TestStoredSetSuffices:
             opt_size = len(opt.optimum_set)
             passes = []
 
-            def watch(kind, payload):
+            def on_event(kind, payload):
                 if kind == "pass":
                     passes.append(payload)
 
             stream_cover(
                 CoverInstance(oracle.clone(), tau), eps, 0.2,
-                smp_subroutine("ex"), watch=watch, initial_guess=opt_size,
+                smp_subroutine("ex"), on_event=on_event, initial_guess=opt_size,
             )
             payload = passes[0]
             assert payload["g"] >= opt_size

@@ -9,6 +9,7 @@ from subcover import (
     CoverInstance,
     ExperimentGrid,
     InputError,
+    ResultRow,
     convert_cover,
     double_greedy_max,
     emit_plot_data,
@@ -19,6 +20,7 @@ from subcover import (
     run_experiment,
     stochastic_greedy_cover,
     stochastic_max_subroutine,
+    write_results_csv,
 )
 from subcover.cli import main
 
@@ -143,6 +145,22 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="guess mode"):
             small_grid("tags.txt", guess_mode=mode)
 
+    @pytest.mark.parametrize("field, count", [
+        ("repetitions", 0), ("repetitions", -2), ("jobs", 0), ("jobs", -3),
+    ])
+    def test_bad_counts_rejected(self, field, count):
+        with pytest.raises(InputError, match=f"{field} must be at least 1"):
+            small_grid("tags.txt", **{field: count})
+
+    @pytest.mark.parametrize("kind, dataset", [
+        ("synthetic", "m=10,m=20"),
+        ("synthetic", "m=60,n=30,head=8, n =30"),
+        ("tightness", "k=3,l=9,k=4"),
+    ])
+    def test_repeated_dataset_parameter_rejected(self, kind, dataset):
+        with pytest.raises(InputError, match="given twice"):
+            load_dataset(kind, dataset)
+
     def test_synthetic_and_tightness_kinds(self, tmp_path):
         grid = ExperimentGrid(
             dataset="m=60,n=30,head=8,p_head=0.4,p_tail=0.01,seed=1",
@@ -252,6 +270,23 @@ class TestEmitPlotData:
         fields = line.split("\t")
         assert float(fields[3]) == 0.0 and fields[4] == "2"
 
+    @pytest.mark.parametrize("queries", [
+        (3079400123, 3079400124, 3079400126),
+        (20288228, 20288229, 20288231),
+    ])
+    def test_stddev_of_large_close_values(self, tmp_path, queries):
+        # population stddev of offsets 0, 1, 3 is sqrt(14/9) = 1.24722
+        rows = [ResultRow(run_id=i, dataset="d", algorithm="convert-rand", eps=0.1, tau=1.0,
+                          alpha=0.1, delta=0.1, seed=i, f_value=1.0, size=1, queries=q,
+                          wall_ms=0.0, status="Solved") for i, q in enumerate(queries)]
+        csv_path, out = tmp_path / "runs.csv", tmp_path / "plot.tsv"
+        write_results_csv(rows, str(csv_path))
+        emit_plot_data(str(csv_path), "eps", "queries", str(out))
+        line = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+        fields = line.split("\t")
+        assert fields[3] == "1.24722" and fields[4] == "3"
+        assert fields[2] == f"{queries[0] + 4 / 3:.6g}"
+
     def test_empty_selection_warning(self, tmp_path):
         csv_path = tmp_path / "empty.csv"
         from subcover import write_results_csv
@@ -300,6 +335,20 @@ class TestCli:
         ])
         assert code == 2
         assert "timeout_ms" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--reps", "-2"], ["--reps", "0"], ["--jobs", "0"], ["--jobs", "-3"],
+        ["--dataset", "m=60,n=30,head=8,m=60"],
+    ])
+    def test_bad_grid_exits_before_any_cell(self, tmp_path, capsys, flags):
+        out_csv = tmp_path / "o.csv"
+        code = main([
+            "run", "--dataset", "m=60,n=30,head=8", "--kind", "synthetic", "--alg", "greedy",
+            "--eps", "0.2", "--tau-frac", "0.5", "--out", str(out_csv), *flags,
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_unreadable_dataset_exits_cleanly(self, tmp_path, capsys):

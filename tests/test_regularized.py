@@ -106,10 +106,14 @@ class TestDistortedGreedyMax:
 
     def test_gate_never_accepts_nonpositive_distorted_gain(self):
         rng = np.random.default_rng(58)
-        gates = []
+        events = []
         inst = instance(rng, 9, kappa=3)
-        distorted_greedy_max(inst, 0.2, watch=lambda i, x, score: gates.append(score))
-        assert all(score > 0 for score in gates)
+        sol = distorted_greedy_max(inst, 0.2, on_event=lambda *event: events.append(event))
+        # one "step" event per added element, numbered from 1
+        assert [kind for kind, _ in events] == ["step"] * len(sol)
+        assert [fields["step"] for _, fields in events] == list(range(1, len(sol) + 1))
+        assert sorted(fields["element"] for _, fields in events) == list(sol)
+        assert all(fields["score"] > 0 for _, fields in events)
 
     def test_potential_increments_dominated_by_optimum(self):
         # along the trajectory, each potential step beats the scaled optimum bound
@@ -120,7 +124,8 @@ class TestDistortedGreedyMax:
             kappa = inst.kappa
             t = distortion_horizon(eps, kappa)
             picks = []
-            distorted_greedy_max(inst, eps, watch=lambda i, x, s: picks.append(x))
+            distorted_greedy_max(
+                inst, eps, on_event=lambda kind, fields: picks.append(fields["element"]))
             _, x_star = brute_max_regularized(inst, kappa)
             g_star = inst.oracle.peek(x_star)
             c_star = inst.cost(x_star)

@@ -225,26 +225,66 @@ def _reference_branch_search(base_state, candidates, budget, target, best_set, b
     return SmpSearch(best_set, best_val)
 
 
-def reference_fill_buckets(oracle, num_buckets, g, cap, threshold, watch):
+def stream_event_faults(events, num_buckets):
+    """Check a stream_cover event list against the bucket discipline.
+
+    Each pass must be its "store" events, one per stored element, then one
+    "pass" event whose stored set is the union of those stores.  Replaying
+    the stores, after every one: its bucket index is in range, element ids
+    strictly increase within the pass, and the buckets are pairwise disjoint
+    and each within the pass's cap.  Returns (faults, number of passes),
+    faults being a list of messages.
+    """
+    faults, stores, passes = [], [], 0
+    for kind, fields in events:
+        if kind == "store":
+            stores.append(fields)
+            continue
+        if kind != "pass":
+            faults.append(f"unexpected event kind {kind!r}")
+            continue
+        passes += 1
+        buckets = [set() for _ in range(num_buckets)]
+        last = -1
+        for store in stores:
+            u, index = store["element"], store["bucket"]
+            if store["g"] != fields["g"]:
+                faults.append(f"store of {u} at guess {store['g']} in pass {fields['g']}")
+            if not 0 <= index < num_buckets:
+                faults.append(f"bucket index {index} of {u} out of range")
+                continue
+            if u <= last:
+                faults.append(f"element {u} stored after {last}")
+            last = u
+            buckets[index].add(u)
+            if any(len(b) > fields["cap"] for b in buckets):
+                faults.append(f"a bucket exceeds cap {fields['cap']} after storing {u}")
+            if any(a & b for a, b in itertools.combinations(buckets, 2)):
+                faults.append(f"buckets overlap after storing {u}")
+        if [store["element"] for store in stores] != list(fields["stored"]):
+            faults.append(f"stores {[s['element'] for s in stores]} but pass stored "
+                          f"{list(fields['stored'])}")
+        stores = []
+    if stores:
+        faults.append(f"{len(stores)} stores after the last pass")
+    return faults, passes
+
+
+def reference_fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
     """stream_cover's bucket pass as the one-by-one scan the batched pass
     replaced: each element tries the buckets below cap in order, one counted
     gain each, and goes into the first where the gain clears threshold.
-    Same arguments, buckets and "element" events as
+    Same arguments, buckets and "store" events as
     ``nonmonotone._fill_buckets``."""
     buckets = [oracle.state(()) for _ in range(num_buckets)]
     for u in range(oracle.n):
-        for bucket in buckets:
+        for index, bucket in enumerate(buckets):
             if len(bucket.members) >= cap:
                 continue
             gain = bucket.gain(u)
             if gain >= threshold - TOL:
                 bucket.add(u, gain)
+                if on_event is not None:
+                    on_event("store", {"g": g, "element": u, "bucket": index})
                 break
-        if watch is not None:
-            watch("element", {
-                "g": g,
-                "cap": cap,
-                "element": u,
-                "buckets": [frozenset(b.members) for b in buckets],
-            })
     return buckets
