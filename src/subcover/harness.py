@@ -62,7 +62,11 @@ class ExperimentGrid:
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # a bad count, subroutine, timeout or guess mode fails here, not in every cell
+        # an empty axis, a bad count, subroutine, timeout or guess mode fails
+        # here, not in every cell
+        for name in ("algorithms", "eps_values", "tau_fractions", "seeds"):
+            if not len(getattr(self, name)):
+                raise InputError(f"{name} must not be empty")
         for name, count in (("repetitions", self.repetitions), ("jobs", self.jobs)):
             if count < 1:
                 raise InputError(f"{name} must be at least 1, got {count}")

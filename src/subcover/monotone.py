@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from .oracles import TOL, InputError, truncate
+from .oracles import TOL, InputError, _threshold_scan, truncate
 from .results import Status, finish_run
 
 
@@ -111,18 +111,14 @@ def threshold_greedy_cover(instance, eps):
     floor = eps * w / oracle.n
     status = None
     while status is None:
-        # one pass in id order, charged like the one-by-one scan: each hit
-        # is added and the rest of the pass is scanned against the new state
+        # one pass in id order: each hit is added and the rest of the pass
+        # is scanned against the new state
         rest = _unselected(state, ground)
-        while rest.size:
-            k, gain = state.first_gain_at_least(rest, w - TOL)
-            if gain is None:
-                break
-            state.add(int(rest[k]), gain)
+        for k, _, gain in _threshold_scan(rest, [state], w - TOL):
+            state.add(rest.item(k), gain)
             if state.value >= target - TOL:
                 status = Status.SOLVED
                 break
-            rest = rest[k + 1:]
         if status is None:
             w *= 1.0 - eps / 2.0
             if w < floor:

@@ -13,7 +13,7 @@ from operator import itemgetter
 import numpy as np
 
 from .monotone import _budget_schedule, _check_finite, _check_positive, _check_unit_interval, derive_seed
-from .oracles import TOL, InputError
+from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
 
 
@@ -28,13 +28,6 @@ class SmpSearch:
 
 # each subroutine kind's approximation ratio, which sets stream_cover's acceptance level
 _APPROX_RATIOS = {"ex": 1.0, "fex": 1.0, "dg": 0.5, "rg": 1.0 / math.e}
-
-
-# a stream-pass window narrower than this is scanned one scalar gain at a time
-# (see _fill_buckets): one uncounted batch with its first-hit search cost as
-# much as 16 scalar gains on a cut state and about 30 on a coverage state
-# (3-9 us per batch against 0.3-0.5 us per gain, 2-vCPU Xeon VM)
-_SCALAR_SPAN = 16
 
 
 def _approx_ratio(kind):
@@ -309,75 +302,22 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
     """One stream pass with guess g: scan the elements in order and store
     each in the first bucket below cap where its gain is at least threshold.
 
-    The open buckets and their states change only at an add, so the pass
-    runs from one add to the next over windows of the next elements: the
-    earliest element in a window clearing an open bucket is stored in the
-    lowest such bucket.  A window starts at one element after each store and
-    doubles after each window with no store, so a window is never more than
-    twice the stretch it ends.  Windows narrower than _SCALAR_SPAN are
-    scanned with uncounted scalar gains, element by element; wider ones take
-    one uncounted batch of gains per open bucket.  Stores often come in runs
-    (most gaps between stores are 0, on cut graphs and on coverage), where a
-    batch per store would cost more than the scan, while most elements of a
-    pass are passed over in long stretches, where the batches pay.
-
-    The counter is charged what the one-by-one scan pays, one query per open
-    bucket tried: every open bucket for each element passed over, and the
-    buckets up to the chosen one for the stored element.  A hook gets a
-    "store" event {g, element, bucket} at each store, bucket being the index
-    among all num_buckets buckets; the buckets after any element are those
-    after the last store at or before it.
+    The pass is one _threshold_scan over the open buckets, charged what the
+    one-by-one scan pays.  A hook gets a "store" event {g, element, bucket}
+    at each store, bucket being the index among all num_buckets buckets;
+    the buckets after any element are those after the last store at or
+    before it.
     """
     buckets = [oracle.state(()) for _ in range(num_buckets)]
     open_buckets = [b for b in buckets if len(b.members) < cap]
-    bar = threshold - TOL
-    start, width = 0, 1
-    while start < oracle.n:
-        end = oracle.n if not open_buckets else min(start + width, oracle.n)
-        scan = _scan_scalar if end - start < _SCALAR_SPAN else _scan_batched
-        hit, chosen, gain = scan(open_buckets, start, end, bar)
-        passed = end if hit is None else hit
-        oracle._counter.tick((passed - start) * len(open_buckets)
-                             + (0 if hit is None else chosen + 1))
-        if hit is None:
-            start, width = end, 2 * width
-            continue
+    for u, chosen, gain in _threshold_scan(np.arange(oracle.n), open_buckets, threshold - TOL):
         bucket = open_buckets[chosen]
-        bucket.add(hit, gain)
+        bucket.add(u, gain)
         if on_event is not None:
-            on_event("store", {"g": g, "element": hit, "bucket": buckets.index(bucket)})
+            on_event("store", {"g": g, "element": u, "bucket": buckets.index(bucket)})
         if len(bucket.members) >= cap:
             del open_buckets[chosen]
-        start, width = hit + 1, 1
     return buckets
-
-
-def _scan_scalar(open_buckets, start, end, bar):
-    """The first (element, bucket index, gain) in [start, end) whose gain
-    clears bar, elements in order and buckets in order for each; Nones when
-    nothing clears."""
-    for u in range(start, end):
-        for k, bucket in enumerate(open_buckets):
-            gain = bucket._gain(u)
-            if gain >= bar:
-                return u, k, gain
-    return None, None, None
-
-
-def _scan_batched(open_buckets, start, end, bar):
-    """_scan_scalar's answer from one batch of gains per open bucket."""
-    window = np.arange(start, end)
-    hit = chosen = gain = None
-    for k, bucket in enumerate(open_buckets):
-        gains = bucket._gains(window)
-        clears = gains >= bar
-        if clears.any():
-            at = int(clears.argmax())  # earlier than any hit so far: the window shrank to it
-            hit, chosen, gain = start + at, k, gains.item(at)
-            window = window[:at]
-            if not at:
-                break
-    return hit, chosen, gain
 
 
 def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event=None):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .monotone import _budget_sweep, _check_gamma, _check_positive, _check_unit_interval, _unselected
-from .oracles import TOL, InputError
+from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
 
 
@@ -132,10 +132,8 @@ def distorted_stream_cover(inst, eps, beta, opt_size):
     limit = math.ceil(opt_size / eps)
     bar = eps * inst.tau / opt_size
     state = oracle.state(())
-    for u in range(oracle.n):
+    for u, _, gain in _threshold_scan(np.arange(oracle.n), [state], bar - TOL, beta * inst.costs):
+        state.add(u, gain)
         if len(state.members) >= limit:
             break
-        gain = state.gain(u)
-        if gain - beta * inst.costs[u] >= bar - TOL:
-            state.add(u, gain)
     return tuple(sorted(state.members))

@@ -29,7 +29,7 @@ from subcover import (
     truncate,
 )
 
-from subcover import nonmonotone
+from subcover import nonmonotone, oracles
 from subcover.monotone import _budget_schedule
 from subcover.oracles import TOL, SetFunctionOracle
 
@@ -422,8 +422,8 @@ def test_bucket_pass_takes_scalar_and_batched_windows():
         buckets = fill(copy, 2, 1.0, 10, 1.0, lambda kind, payload: events.append(payload))
         return [sorted(b.members) for b in buckets], copy.query_count, events
 
-    with mock.patch.object(nonmonotone, "_scan_batched", wraps=nonmonotone._scan_batched) as batched, \
-            mock.patch.object(nonmonotone, "_scan_scalar", wraps=nonmonotone._scan_scalar) as scalar:
+    with mock.patch.object(oracles, "_batched_window", wraps=oracles._batched_window) as batched, \
+            mock.patch.object(oracles, "_scalar_window", wraps=oracles._scalar_window) as scalar:
         ours = run(nonmonotone._fill_buckets)
     assert scalar.call_count > 5 and batched.call_count >= 3
     assert ours == run(reference_fill_buckets)

@@ -339,7 +339,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--reps", "-2"], ["--reps", "0"], ["--jobs", "0"], ["--jobs", "-3"],
-        ["--dataset", "m=60,n=30,head=8,m=60"],
+        ["--dataset", "m=60,n=30,head=8,m=60"], ["--eps", ","], ["--tau-frac", ""],
+        ["--seeds", ""], ["--alg", " , "],
     ])
     def test_bad_grid_exits_before_any_cell(self, tmp_path, capsys, flags):
         out_csv = tmp_path / "o.csv"

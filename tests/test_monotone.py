@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,17 +35,18 @@ from subcover import (
     threshold_greedy_cover,
 )
 
+from subcover import oracles
 from subcover.monotone import _budget_schedule
 
-from util import FallbackCoverage, random_coverage
+from util import FallbackCoverage, random_coverage, reference_threshold_greedy
 
 
-def cover_corpus(seed, count, n_max=14):
+def cover_corpus(seed, count, n_max=14, n_min=5):
     """Random feasible monotone instances with a tau fraction of f(U)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        n = int(rng.integers(5, n_max + 1))
+        n = int(rng.integers(n_min, n_max + 1))
         oracle = random_coverage(rng, n)
         total = oracle.peek(range(n))
         if total == 0:
@@ -146,33 +148,18 @@ class TestThresholdGreedyCover:
         assert res.status == Status.INFEASIBLE
 
     def test_matches_one_by_one_scan(self):
-        # replay the passes one gain at a time with uncounted evaluations,
-        # counting a query per gain examined
-        for inst in cover_corpus(105, 15):
-            oracle, n = inst.oracle, inst.oracle.n
-            for eps in (0.05, 0.3):
-                res = threshold_greedy_cover(inst, eps)
-                target = (1 - eps) * inst.tau
-                chosen, queries = [], 1 + n
-                w = max(oracle.peek([x]) for x in range(n))
-                floor = eps * w / n
-                status = None
-                while status is None:
-                    for u in range(n):
-                        if u in chosen:
-                            continue
-                        queries += 1
-                        if oracle.peek(chosen + [u]) - oracle.peek(chosen) >= w - 1e-9:
-                            chosen.append(u)
-                            if oracle.peek(chosen) >= target - 1e-9:
-                                status = Status.SOLVED
-                                break
-                    else:
-                        w *= 1 - eps / 2
-                        if w < floor:
-                            status = Status.INFEASIBLE
-                assert (res.solution, res.status, res.queries) == (
-                    tuple(sorted(chosen)), status, queries)
+        """Small instances, and 40-90 elements on the packed and on the
+        generic coverage state, whose passes also scan windows of 16 ids and
+        more as batches."""
+        large = cover_corpus(106, 8, n_min=40, n_max=90)
+        corpus = cover_corpus(105, 15) + large + [
+            CoverInstance(FallbackCoverage(inst.oracle.tag_sets), inst.tau) for inst in large]
+        with mock.patch.object(oracles, "_batched_window", wraps=oracles._batched_window) as batched:
+            for inst in corpus:
+                for eps in (0.05, 0.3):
+                    res = threshold_greedy_cover(inst, eps)
+                    assert (res.solution, res.status, res.queries) == reference_threshold_greedy(inst, eps)
+        assert batched.call_count > 0
 
     def test_size_bound_on_corpus(self):
         for inst in cover_corpus(103, 40):

@@ -21,6 +21,8 @@ from subcover import (
     truncate,
 )
 
+from subcover.oracles import _threshold_scan
+
 from util import FallbackCoverage, edge_list_cut, random_coverage, random_edges, random_graph
 
 
@@ -62,7 +64,6 @@ ELEMENT_QUERIES = {
     "gain": lambda oracle, x: oracle.state(()).gain(x),
     "removal_gain": lambda oracle, x: oracle.state([1]).removal_gain(x),
     "gains": lambda oracle, x: oracle.state(()).gains([x]).tolist(),
-    "first_gain_at_least": lambda oracle, x: oracle.state(()).first_gain_at_least([x], 0.0),
     "restrict": lambda oracle, x: oracle.restrict([x]).n,
 }
 
@@ -539,13 +540,14 @@ class TestCoverageStateBookkeeping:
         before = oracle.query_count
         assert state.gains([1, 1, 3]).tolist() == [2.0, 2.0, 1.0]
         assert state._vec is None
-        assert state.first_gain_at_least([3, 3, 1], 3.0) == (3, None)
+        # 33 ids: the threshold scan's window over positions 15-30 is a batch
+        assert list(_threshold_scan(np.array([3, 3, 1] * 11), [state], 3.0)) == []
         assert state._vec is None
         assert state.gains([3, 2, 1, 2]).tolist() == [1.0, 0.0, 2.0, 0.0]
         assert state._vec is not None
         state.add(3, 1.0)
         assert state.gains([2, 1]).tolist() == [0.0, 1.0]
-        assert oracle.query_count - before == 3 + 3 + 4 + 2
+        assert oracle.query_count - before == 3 + 33 + 4 + 2
 
 
 class TestBatchedGains:
@@ -563,18 +565,7 @@ class TestBatchedGains:
         before = oracle.query_count
         with pytest.raises(InputError):
             state.gains(cands)
-        with pytest.raises(InputError):
-            state.first_gain_at_least(cands, 0.0)
         assert oracle.query_count == before
-
-    def test_first_gain_at_least_charges_the_scanned_prefix(self):
-        oracle = CoverageOracle([{0}, {0, 1}, {2, 3, 4}, {5, 6}])
-        state = oracle.state(())
-        before = oracle.query_count
-        assert state.first_gain_at_least([0, 1, 2, 3], 2.0) == (1, 2.0)
-        assert oracle.query_count - before == 2
-        assert state.first_gain_at_least([0, 1, 3], 3.0) == (3, None)
-        assert oracle.query_count - before == 5
 
     def test_truncated_add_with_gain_is_free(self):
         capped = truncate(CoverageOracle([{0, 1}, {1, 2}, {3}]), 2.5)
@@ -587,6 +578,20 @@ class TestBatchedGains:
         assert copy.add(1, 0.5) == 0.5 and capped.query_count == before
         assert copy.value == capped.peek([0, 1]) == 2.5
         assert state.add(2) == 0.5 and capped.query_count == before + 1
+
+
+class TestThresholdScan:
+    def test_charges_the_scanned_prefix(self):
+        oracle = CoverageOracle([{0}, {0, 1}, {2, 3, 4}, {5, 6}])
+        state = oracle.state(())
+        before = oracle.query_count
+        scan = _threshold_scan(np.arange(4), [state], 2.0)
+        assert next(scan) == (1, 0, 2.0)
+        assert oracle.query_count - before == 2
+        assert list(scan) == [(2, 0, 3.0), (3, 0, 2.0)]
+        assert oracle.query_count - before == 4
+        assert list(_threshold_scan(np.array([0, 1, 3]), [state], 3.0)) == []
+        assert oracle.query_count - before == 7
 
 
 @st.composite
@@ -621,10 +626,12 @@ def test_coverage_state_matches_peek(drawn, root, ops):
 
     States start at a random root set.  "scan_all" batches every non-member
     (rotated, sometimes with a repeat), which switches a coverage state to
-    its gain vector, as does a "first" scan that starts at the first
-    non-member; other "gains" and "first" batches then read that vector, or
-    scan the words on states that never had a full batch.  ``check`` runs its own full
-    batch on a copy, so the checked state keeps the path it was on.
+    its gain vector; other "gains" batches then read that vector, or scan
+    the words on states that never had a full batch.  "first" runs the
+    threshold scan over the non-members from a rotating start, which must
+    stop at the first clearing gain and charge the scanned prefix.
+    ``check`` runs its own full batch on a copy, so the checked state keeps
+    the path it was on.
     """
     oracle, view = drawn
     n = oracle.n
@@ -699,11 +706,12 @@ def test_coverage_state_matches_peek(drawn, root, ops):
             rest = outside[pick % len(outside):] if outside else []
             gains = expected_gains(state, rest)
             hits = [i for i, gain in enumerate(gains) if gain >= bar]
-            (k, gain), cost = charged(lambda: state.first_gain_at_least(rest, bar))
+            scan = _threshold_scan(np.array(rest, dtype=np.int64), [state], bar)
+            found, cost = charged(lambda: next(scan, None))
             if hits:
-                assert (k, gain, cost) == (hits[0], gains[hits[0]], hits[0] + 1)
+                assert found == (hits[0], 0, gains[hits[0]]) and cost == hits[0] + 1
             else:
-                assert (k, gain, cost) == (len(rest), None, len(rest))
+                assert found is None and cost == len(rest)
         check(state)
     for parent, members, value in parents:
         assert parent.members == members and parent.value == value

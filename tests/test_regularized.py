@@ -18,12 +18,15 @@ from subcover import (
     distorted_stream_cover,
     distortion_horizon,
     greedy_max,
+    truncate,
 )
 
 from util import (
+    FallbackCoverage,
     brute_max_regularized,
     brute_min_cover_regularized,
     random_coverage,
+    reference_distorted_stream_cover,
 )
 
 
@@ -219,6 +222,37 @@ class TestDistortedStreamCover:
         inst = instance(rng, 10, cost_high=0.01, tau=1.0)
         sol = distorted_stream_cover(inst, 0.5, 1.0, opt_size=1)
         assert len(sol) <= math.ceil(1 / 0.5)
+
+    @pytest.mark.parametrize("kind", ["coverage", "generic", "truncated"])
+    def test_matches_the_per_element_loop(self, kind):
+        """Against one counted gain per element, on 40-120 elements with
+        random costs, so the scan also runs batched windows: the same
+        solution and query count, whether or not the size limit stops the
+        pass before the last element."""
+        rng = np.random.default_rng(68)
+        stopped = ran_through = 0
+        for _ in range(16):
+            n = int(rng.integers(40, 121))
+            oracle = random_coverage(rng, n, max_tags=60, max_per_element=6)
+            if kind == "generic":
+                oracle = FallbackCoverage(oracle.tag_sets)
+            elif kind == "truncated":
+                oracle = truncate(oracle, float(rng.integers(4, 40)))
+            costs = rng.uniform(0.0, 1.5, size=n)
+            eps = float(rng.choice([0.2, 0.5]))
+            beta = float(rng.uniform(1.0, 3.0))
+            opt_size = int(rng.integers(1, 6))
+            tau = float(rng.uniform(0.5, 3.0)) * opt_size / eps
+            runs = []
+            for solve in (distorted_stream_cover, reference_distorted_stream_cover):
+                inst = RegularizedInstance(oracle.clone(), costs, tau=tau)
+                runs.append((solve(inst, eps, beta, opt_size), inst.oracle.query_count))
+            assert runs[0] == runs[1]
+            if runs[0][1] < 1 + n:
+                stopped += 1
+            else:
+                ran_through += 1
+        assert stopped and ran_through
 
     def test_draft_guarantee_by_enumeration(self):
         rng = np.random.default_rng(65)

@@ -9,10 +9,11 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 
 import numpy as np
 
-from subcover import CoverageOracle, GraphCutOracle, SmpSearch, classify_monotone_elements
+from subcover import CoverageOracle, GraphCutOracle, SmpSearch, Status, classify_monotone_elements
 from subcover.oracles import TOL, SolutionState
 
 
@@ -288,3 +289,48 @@ def reference_fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
                     on_event("store", {"g": g, "element": u, "bucket": index})
                 break
     return buckets
+
+
+def reference_threshold_greedy(inst, eps):
+    """threshold_greedy_cover replayed one gain at a time with uncounted
+    evaluations, counting one query per gain examined on top of the root
+    state and the first batch of singleton gains.  Returns (solution,
+    status, queries) for an instance with tau > 0 and a positive singleton."""
+    oracle, n = inst.oracle, inst.oracle.n
+    target = (1 - eps) * inst.tau
+    chosen, queries = [], 1 + n
+    w = max(oracle.peek([x]) for x in range(n))
+    floor = eps * w / n
+    status = None
+    while status is None:
+        for u in range(n):
+            if u in chosen:
+                continue
+            queries += 1
+            if oracle.peek(chosen + [u]) - oracle.peek(chosen) >= w - 1e-9:
+                chosen.append(u)
+                if oracle.peek(chosen) >= target - 1e-9:
+                    status = Status.SOLVED
+                    break
+        else:
+            w *= 1 - eps / 2
+            if w < floor:
+                status = Status.INFEASIBLE
+    return tuple(sorted(chosen)), status, queries
+
+
+def reference_distorted_stream_cover(inst, eps, beta, opt_size):
+    """distorted_stream_cover as the per-element loop the shared threshold
+    scan replaced: one counted gain() per element, in id order, until the
+    solution holds ceil(opt_size / eps) elements."""
+    oracle = inst.oracle
+    limit = math.ceil(opt_size / eps)
+    bar = eps * inst.tau / opt_size
+    state = oracle.state(())
+    for u in range(oracle.n):
+        if len(state.members) >= limit:
+            break
+        gain = state.gain(u)
+        if gain - beta * inst.costs[u] >= bar - TOL:
+            state.add(u, gain)
+    return tuple(sorted(state.members))
