@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .monotone import _check_budget
 from .oracles import TOL, InputError
 
 
@@ -46,11 +47,6 @@ def _enumerate(pool, max_size, score, stop_at=None):
     return None if stop_at is not None else ExactResult(*best, examined)
 
 
-def _check_budget(kappa):
-    if kappa < 0:
-        raise InputError(f"budget must be non-negative, got {kappa}")
-
-
 def exact_min_cover(instance, max_n=None):
     """Smallest set with f >= tau - 1e-9, ties broken lexicographically.
 
@@ -64,7 +60,7 @@ def exact_min_cover(instance, max_n=None):
 
 def exact_max_cardinality(oracle, kappa, max_n=None, ground=None):
     """Exact maximum of f over subsets of size <= kappa."""
-    _check_budget(kappa)
+    kappa = _check_budget(kappa, integral=True)
     pool = tuple(range(oracle.n)) if ground is None else tuple(sorted(oracle._check_members(ground)))
     _check_guard(len(pool), max_n)
     return _enumerate(pool, kappa, oracle.eval)
@@ -72,7 +68,7 @@ def exact_max_cardinality(oracle, kappa, max_n=None, ground=None):
 
 def exact_max_regularized(inst, kappa, max_n=None):
     """Exact maximum of g - c over subsets of size <= kappa."""
-    _check_budget(kappa)
+    kappa = _check_budget(kappa, integral=True)
     n = inst.oracle.n
     _check_guard(n, max_n)
     return _enumerate(range(n), kappa, lambda X: inst.oracle.eval(X) - inst.cost(X))

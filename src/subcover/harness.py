@@ -3,6 +3,7 @@ parameters, with CSV output and plot-ready aggregation."""
 
 from __future__ import annotations
 
+import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,21 +56,25 @@ class ExperimentGrid:
     delta: float = 0.1
     seeds: tuple = (0,)
     subroutine: str = "ex"
-    repetitions: int = 1
     jobs: int = 1
     ref_seed: int = 0
     guess_mode: str = "tau-ratio"
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # an empty axis, a bad count, subroutine, timeout or guess mode fails
-        # here, not in every cell
+        # an empty axis, an unknown algorithm, a bad tau fraction, job count,
+        # subroutine, timeout or guess mode fails here, not in every cell
         for name in ("algorithms", "eps_values", "tau_fractions", "seeds"):
             if not len(getattr(self, name)):
                 raise InputError(f"{name} must not be empty")
-        for name, count in (("repetitions", self.repetitions), ("jobs", self.jobs)):
-            if count < 1:
-                raise InputError(f"{name} must be at least 1, got {count}")
+        for alg in self.algorithms:
+            if alg not in ALGORITHMS:
+                raise InputError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
+        for frac in self.tau_fractions:
+            if not (math.isfinite(frac) and frac >= 0):
+                raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
+        if self.jobs < 1:
+            raise InputError(f"jobs must be at least 1, got {self.jobs}")
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
         if self.guess_mode not in GUESS_MODES:
             raise InputError(f"unknown guess mode {self.guess_mode!r}; "
@@ -81,13 +86,11 @@ class ExperimentGrid:
             for eps in self.eps_values:
                 for frac in self.tau_fractions:
                     for seed in self.seeds:
-                        for rep in range(self.repetitions):
-                            yield (run_id, alg, eps, frac, seed, rep)
-                            run_id += 1
+                        yield (run_id, alg, eps, frac, seed)
+                        run_id += 1
 
     def total_runs(self):
-        return (len(self.algorithms) * len(self.eps_values) * len(self.tau_fractions)
-                * len(self.seeds) * self.repetitions)
+        return len(self.algorithms) * len(self.eps_values) * len(self.tau_fractions) * len(self.seeds)
 
 
 def _parse_params(text, defaults):
@@ -169,10 +172,10 @@ def _build_context(grid):
 
 
 def run_cell(context, grid, cell, stable_output=False):
-    run_id, alg, eps, frac, seed, rep = cell
+    run_id, alg, eps, frac, seed = cell
+    seed = int(seed)
     oracle = context.base.clone()
     tau = frac * context.tau_basis
-    run_seed = int(seed) + 1_000_003 * rep
     instance = CoverInstance(oracle, tau)
     guess = None
     if grid.guess_mode == "tau-ratio" and context.max_single > 0 and tau > 0:
@@ -186,26 +189,24 @@ def run_cell(context, grid, cell, stable_output=False):
             res = threshold_greedy_cover(instance, eps)
         elif alg == "stoch":
             res = stochastic_greedy_cover(
-                instance, eps, grid.delta, grid.alpha, run_seed, initial_guess=guess
+                instance, eps, grid.delta, grid.alpha, seed, initial_guess=guess
             )
         elif alg == "convert":
             res = convert_cover(
                 stochastic_max_subroutine(eps), instance, grid.alpha, 1.0 - eps,
-                seed=run_seed, initial_budget=guess,
+                seed=seed, initial_budget=guess,
             )
         elif alg == "convert-rand":
             res = convert_cover_randomized(
                 stochastic_max_subroutine(eps / 2.0), instance, grid.alpha,
-                grid.delta, eps, seed=run_seed, initial_budget=guess,
+                grid.delta, eps, seed=seed, initial_budget=guess,
             )
-        elif alg == "stream":
+        else:  # stream; the grid admits no other name
             res = stream_cover(
                 instance, eps, grid.alpha,
                 smp_subroutine(grid.subroutine, timeout_ms=grid.sub_timeout_ms),
-                seed=run_seed,
+                seed=seed,
             )
-        else:
-            raise InputError(f"unknown algorithm {alg!r}")
         status = str(res.status)
         f_value, size, queries = res.f_value, res.size, res.queries
         wall_ms = 0.0 if stable_output else res.wall_ms
@@ -213,7 +214,7 @@ def run_cell(context, grid, cell, stable_output=False):
         status = f"Error:{type(exc).__name__}"
     return ResultRow(
         run_id=run_id, dataset=context.label, algorithm=alg, eps=eps, tau=tau,
-        alpha=grid.alpha, delta=grid.delta, seed=int(seed), f_value=f_value,
+        alpha=grid.alpha, delta=grid.delta, seed=seed, f_value=f_value,
         size=size, queries=queries, wall_ms=wall_ms, status=status,
     )
 

@@ -36,6 +36,19 @@ def _check_finite(name, value):
         raise InputError(f"{name} must be finite, got {value}")
 
 
+def _check_budget(kappa, integral=False):
+    """A maximizer's budget, checked before any query: a non-negative finite
+    number, and with integral an integer (returned as an int)."""
+    try:
+        valid = 0 <= kappa < math.inf and (not integral or kappa == int(kappa))
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
+        raise InputError(f"budget must be a non-negative {'integer' if integral else 'finite number'}, "
+                         f"got {kappa}")
+    return int(kappa) if integral else kappa
+
+
 def _require_monotone(oracle):
     if not oracle.monotone:
         raise InputError("this solver requires a monotone oracle")
@@ -201,6 +214,8 @@ def stochastic_max_subroutine(eps):
     lead = math.log(3.0 / (2.0 * eps))
 
     def run(oracle, kappa, seed, ground=None):
+        if not _check_budget(kappa):
+            return ()
         rng = np.random.default_rng(seed)
         pool = np.arange(oracle.n) if ground is None else oracle._check_ids(ground)
         steps = math.ceil(lead * kappa)
@@ -222,8 +237,7 @@ def greedy_max(oracle, kappa, seed=None, ground=None):
     Deterministic: ``seed`` is accepted, and ignored, so the function fits the
     (oracle, kappa, seed) shape the cover conversions call.
     """
-    if kappa < 0:
-        raise InputError(f"budget must be non-negative, got {kappa}")
+    _check_budget(kappa)
     pool = np.arange(oracle.n) if ground is None else np.sort(oracle._check_ids(list(ground)))
     limit = math.ceil(kappa - 1e-12)
     state = oracle.state(())

@@ -12,7 +12,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .monotone import _budget_schedule, _check_finite, _check_positive, _check_unit_interval, derive_seed
+from .monotone import (_budget_schedule, _check_budget, _check_finite, _check_positive,
+                       _check_unit_interval, _unselected, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
 
@@ -102,7 +103,7 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
     """
     if budget <= 0 or not candidates:
         return SmpSearch(best_set, best_val)
-    seeded = sorted((-base_state.gain(c), c) for c in candidates)
+    seeded = sorted(zip((-base_state.gains(candidates)).tolist(), candidates))
     frames = [[base_state, seeded, 0, budget]]
     while frames:
         if deadline is not None and time.perf_counter() > deadline:
@@ -138,11 +139,14 @@ def _branch_search(oracle, base_state, candidates, budget, target, deadline, bes
 
 def _on_ground(oracle, ground, run):
     """run(view, ids) on oracle.restrict(ground), ids being the ground's ids
-    on the view, with the returned solution mapped back to oracle ids.
+    on the view, with the returned solution mapped back to oracle ids; with
+    no ground, run(oracle, range(oracle.n)).
 
     View ids keep the order of the ids they stand for, so sorted solutions,
     tie-breaks and random draws are those of a run on the oracle itself.
     """
+    if ground is None:
+        return run(oracle, range(oracle.n))
     ground = tuple(sorted(oracle._check_members(ground)))
     view = oracle.restrict(ground)
     if view is oracle:
@@ -161,13 +165,14 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     completion and the result is the exact maximum.  Runs on
     ``oracle.restrict(ground)``.
     """
+    _check_budget(kappa)
     _check_timeout(timeout_ms)
     return _on_ground(oracle, ground, lambda view, ids: _exact_search(
         view, ids, kappa, target, timeout_ms))
 
 
 def _exact_search(oracle, ground, kappa, target, timeout_ms):
-    kappa = max(0, min(int(kappa), len(ground)))
+    kappa = min(int(kappa), len(ground))
     deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
     root = oracle.state(())
     best_set, best_val = (), root.value
@@ -175,7 +180,7 @@ def _exact_search(oracle, ground, kappa, target, timeout_ms):
         return SmpSearch(best_set, best_val)
     # greedy phase with lazily re-evaluated gains (stale gains are upper bounds)
     greedy = root.copy()
-    heap = [(-greedy.gain(c), c) for c in ground]
+    heap = list(zip((-greedy.gains(ground)).tolist(), ground))
     heapq.heapify(heap)
     while len(greedy.members) < kappa and heap:
         if deadline is not None and time.perf_counter() > deadline:
@@ -201,6 +206,7 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     Only applicable in the unconstrained case (kappa >= |ground|); falls back
     to the plain exact search otherwise.  Runs on ``oracle.restrict(ground)``.
     """
+    _check_budget(kappa)
     _check_timeout(timeout_ms)
     ground = tuple(sorted(oracle._check_members(ground)))
     if kappa < len(ground):
@@ -222,50 +228,40 @@ def _fast_exact_search(oracle, ground, target, timeout_ms):
 def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     """Randomized greedy for non-monotone maximization (1/e in expectation).
 
-    Each of the kappa rounds ranks the remaining elements by marginal gain,
-    pads the top-kappa pool with zero-gain dummies, and adds a uniformly
-    random pool entry (a dummy pick adds nothing).  An optional target value
-    stops the run early once reached.  Given a ground, runs on
-    ``oracle.restrict(ground)``.
+    Each of the kappa rounds ranks the remaining elements by marginal gain
+    (one batch of gains, ties to the lower id), pads the top-kappa pool with
+    zero-gain dummies, and adds a uniformly random pool entry (a dummy pick
+    adds nothing).  An optional target value stops the run early once
+    reached.  Given a ground, runs on ``oracle.restrict(ground)``.
     """
-    if kappa < 1:
-        raise InputError(f"budget must be at least 1, got {kappa}")
-    if ground is not None:
-        return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
-            view, kappa, seed, ids, target))
-    return _random_greedy(oracle, kappa, seed, range(oracle.n), target)
+    kappa = _check_budget(kappa, integral=True)
+    return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
+        view, kappa, seed, ids, target))
 
 
 def _random_greedy(oracle, kappa, seed, pool, target):
     rng = np.random.default_rng(seed)
+    pool = np.asarray(pool, dtype=np.int64)
     state = oracle.state(())
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
             break
-        scored = []
-        for x in pool:
-            if x in state.members:
-                continue
-            scored.append((state.gain(x), x))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        slots = []
-        for gain, x in scored:
-            if len(slots) == kappa or gain < -1e-12:
-                break
-            slots.append((gain, x))
+        cands = _unselected(state, pool)
+        if not cands.size:
+            break
+        gains = state.gains(cands)
+        top = np.lexsort((cands, -gains))[:kappa]
+        top = top[gains[top] >= -1e-12]
         pick = int(rng.integers(kappa))
-        if pick < len(slots):
-            gain, x = slots[pick]
-            state.add(x, gain)
+        if pick < top.size:
+            state.add(cands.item(top[pick]), gains.item(top[pick]))
     return tuple(sorted(state.members))
 
 
 def double_greedy_max(oracle, seed, ground=None):
     """Randomized double greedy for unconstrained maximization (1/2 in
     expectation).  Given a ground, runs on ``oracle.restrict(ground)``."""
-    if ground is not None:
-        return _on_ground(oracle, ground, lambda view, ids: _double_greedy(view, seed, ids))
-    return _double_greedy(oracle, seed, range(oracle.n))
+    return _on_ground(oracle, ground, lambda view, ids: _double_greedy(view, seed, ids))
 
 
 def _double_greedy(oracle, seed, pool):

@@ -748,7 +748,7 @@ class SmpInstance:
     ground: tuple = None
 
     def __post_init__(self):
-        if self.kappa < 1:
+        if not self.kappa >= 1:  # NaN fails the comparison
             raise InputError(f"budget must be at least 1, got {self.kappa}")
         if self.kappa > self.oracle.n:
             raise InputError("budget exceeds the ground set size")
@@ -860,8 +860,8 @@ class RegularizedInstance:
         if (costs < 0).any():
             raise InputError("costs must be non-negative")
         object.__setattr__(self, "costs", costs)
-        if self.kappa is not None and self.kappa < 1:
-            raise InputError(f"budget must be at least 1, got {self.kappa}")
+        if self.kappa is not None and not 1 <= self.kappa < math.inf:
+            raise InputError(f"budget must be finite and at least 1, got {self.kappa}")
         if self.tau is not None and not math.isfinite(self.tau):
             raise InputError(f"tau must be finite, got {self.tau}")
 

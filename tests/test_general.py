@@ -15,6 +15,8 @@ from subcover import (
     CoverInstance,
     GraphCutOracle,
     InputError,
+    RegularizedInstance,
+    SmpInstance,
     SmpSubroutine,
     Status,
     classify_monotone_elements,
@@ -23,8 +25,10 @@ from subcover import (
     exact_max_search,
     exact_min_cover,
     fast_exact_max_search,
+    greedy_max,
     random_greedy_max,
     smp_subroutine,
+    stochastic_max_subroutine,
     stream_cover,
     truncate,
 )
@@ -42,6 +46,7 @@ from util import (
     random_graph,
     reference_exact_max_search,
     reference_fill_buckets,
+    reference_random_greedy,
     stream_event_faults,
 )
 
@@ -216,6 +221,55 @@ class TestRandomGreedy:
         assert sum(values) / len(values) >= (opt / math.e) * 0.97
 
 
+MAXIMIZERS = {
+    "greedy": lambda o, kappa: greedy_max(o, kappa),
+    "sampled": lambda o, kappa: stochastic_max_subroutine(0.2)(o, kappa, 0),
+    "random": lambda o, kappa: random_greedy_max(o, kappa, 0),
+    "exact": lambda o, kappa: exact_max_search(o, range(o.n), kappa).solution,
+    "fast-exact": lambda o, kappa: fast_exact_max_search(o, range(o.n), kappa).solution,
+    "brute": lambda o, kappa: exact_max_cardinality(o, kappa).optimum_set,
+}
+
+
+class TestMaximizerBudgets:
+    """Every maximizer checks its budget with one rule, before any query."""
+
+    @pytest.mark.parametrize("kappa", [-1, -3, -0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(MAXIMIZERS))
+    def test_negative_or_non_finite_budget_rejected(self, name, kappa):
+        oracle = CoverageOracle([{0}, {1, 2}, {2}])
+        with pytest.raises(InputError, match="budget"):
+            MAXIMIZERS[name](oracle, kappa)
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("name", ["random", "brute"])
+    def test_integer_budget_required(self, name):
+        oracle = CoverageOracle([{0}, {1, 2}, {2}])
+        with pytest.raises(InputError, match="budget"):
+            MAXIMIZERS[name](oracle, 2.5)
+        assert oracle.query_count == 0
+        assert MAXIMIZERS[name](oracle, 2.0) == MAXIMIZERS[name](oracle.clone(), 2)
+
+    @pytest.mark.parametrize("name", list(MAXIMIZERS))
+    def test_zero_budget_chooses_nothing(self, name):
+        assert MAXIMIZERS[name](CoverageOracle([{0}, {1, 2}, {2}]), 0) == ()
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_instance_budget_rejected(self, kappa):
+        # stochastic_greedy_max and distorted_greedy_max take theirs from an instance
+        oracle = CoverageOracle([{0}, {1, 2}, {2}])
+        with pytest.raises(InputError, match="budget"):
+            SmpInstance(oracle, kappa)
+        with pytest.raises(InputError, match="budget"):
+            RegularizedInstance(oracle, np.zeros(3), kappa=kappa)
+
+    def test_real_valued_budget_accepted(self):
+        # convert_cover hands its maximizer real-valued budget guesses
+        oracle = CoverageOracle([{0}, {1, 2}, {3}])
+        assert greedy_max(oracle, 1.5) == (0, 1)
+        assert set(stochastic_max_subroutine(0.2)(oracle, 1.5, 0)) <= {0, 1, 2}
+
+
 class TestDoubleGreedy:
     def test_modular_accepts_positive_values_only(self):
         oracle = CoverageOracle([{0}, {1}, set(), {2, 3}])
@@ -386,6 +440,23 @@ def pass_oracles(draw, max_n=90):
     if kind == "generic":
         return FallbackCoverage(oracle.tag_sets)
     return oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle=pass_oracles(max_n=30), data=st.data())
+def test_random_greedy_matches_the_per_candidate_loop(oracle, data):
+    """The batched ranking against the per-candidate loop it replaced, with
+    and without a ground and a target, budgets up to past the pool: the
+    same solution and the same query count."""
+    ground = data.draw(st.none() | st.sets(st.integers(0, max(oracle.n - 1, 0)), max_size=oracle.n))
+    pool = oracle.n if ground is None else len(ground)
+    kappa = data.draw(st.integers(0, pool + 3))
+    target = data.draw(st.none() | st.integers(0, 12).map(float))
+    seed = data.draw(st.integers(0, 1000))
+    ours, theirs = oracle.clone(), oracle.clone()
+    found = random_greedy_max(ours, kappa, seed, ground=ground, target=target)
+    assert found == reference_random_greedy(theirs, kappa, seed, ground=ground, target=target)
+    assert ours.query_count == theirs.query_count
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Experiment grid execution, CSV determinism, plot aggregation, CLI wiring."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -79,10 +80,10 @@ class TestRunExperiment:
         grid = ExperimentGrid(
             dataset=dataset, kind="tags",
             algorithms=("greedy", "stoch"), eps_values=(0.1, 0.2),
-            tau_fractions=(0.5,), seeds=(0, 1, 2), repetitions=2,
+            tau_fractions=(0.5,), seeds=(0, 1, 2, 3, 4, 5),
         )
         rows = run_experiment(grid, str(tmp_path / "out.csv"))
-        assert len(rows) == grid.total_runs() == 2 * 2 * 1 * 3 * 2
+        assert len(rows) == grid.total_runs() == 2 * 2 * 1 * 6
 
     def test_byte_identical_reruns(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -145,12 +146,21 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="guess mode"):
             small_grid("tags.txt", guess_mode=mode)
 
-    @pytest.mark.parametrize("field, count", [
-        ("repetitions", 0), ("repetitions", -2), ("jobs", 0), ("jobs", -3),
-    ])
+    @pytest.mark.parametrize("field, count", [("jobs", 0), ("jobs", -3)])
     def test_bad_counts_rejected(self, field, count):
         with pytest.raises(InputError, match=f"{field} must be at least 1"):
             small_grid("tags.txt", **{field: count})
+
+    @pytest.mark.parametrize("algorithms", [("gredy",), ("greedy", "Stream"), ("greedy", "")])
+    def test_unknown_algorithm_rejected(self, algorithms):
+        with pytest.raises(InputError, match="unknown algorithm"):
+            small_grid("tags.txt", algorithms=algorithms)
+
+    @pytest.mark.parametrize("fractions", [(math.nan,), (0.5, -0.1), (math.inf,), (0.5, -math.inf)])
+    def test_bad_tau_fraction_rejected(self, fractions):
+        with pytest.raises(InputError, match="tau fractions"):
+            ExperimentGrid(dataset="tags.txt", kind="tags", algorithms=("greedy",),
+                           eps_values=(0.2,), tau_fractions=fractions)
 
     @pytest.mark.parametrize("kind, dataset", [
         ("synthetic", "m=10,m=20"),
@@ -211,11 +221,11 @@ class TestRunExperiment:
     def test_crash_isolation(self, tmp_path):
         rng = np.random.default_rng(76)
         dataset = write_tag_file(tmp_path, rng)
-        grid = small_grid(dataset, algorithms=("greedy", "bogus", "stoch"))
-        rows = run_experiment(grid, str(tmp_path / "out.csv"))
+        grid = small_grid(dataset, algorithms=("greedy", "thresh", "stoch"))
+        with mock.patch("subcover.harness.threshold_greedy_cover", side_effect=RuntimeError):
+            rows = run_experiment(grid, str(tmp_path / "out.csv"))
         statuses = [row.status for row in rows]
-        assert statuses[0] == "Solved" and statuses[2] == "Solved"
-        assert statuses[1].startswith("Error")
+        assert statuses == ["Solved", "Error:RuntimeError", "Solved"]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -317,12 +327,14 @@ class TestCli:
         assert code == 0
         assert out_tsv.read_text().count("\n") >= 4
 
-    def test_unknown_algorithm_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "run", "--dataset", "x", "--kind", "tags", "--alg", "nope",
-                "--eps", "0.1", "--tau-frac", "0.5", "--out", str(tmp_path / "o.csv"),
-            ])
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
+        code = main([
+            "run", "--dataset", "x", "--kind", "tags", "--alg", "nope",
+            "--eps", "0.1", "--tau-frac", "0.5", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert code == 2
+        assert "unknown algorithm 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("timeout", ["nan", "-1"])
     def test_bad_sub_timeout_rejected_before_any_cell(self, tmp_path, capsys, timeout):
@@ -338,7 +350,7 @@ class TestCli:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--reps", "-2"], ["--reps", "0"], ["--jobs", "0"], ["--jobs", "-3"],
+        ["--alg", "greedy,gredy"], ["--tau-frac", "0.5,nan"], ["--jobs", "0"], ["--jobs", "-3"],
         ["--dataset", "m=60,n=30,head=8,m=60"], ["--eps", ","], ["--tau-frac", ""],
         ["--seeds", ""], ["--alg", " , "],
     ])

@@ -226,6 +226,36 @@ def _reference_branch_search(base_state, candidates, budget, target, best_set, b
     return SmpSearch(best_set, best_val)
 
 
+def reference_random_greedy(oracle, kappa, seed, ground=None, target=None):
+    """random_greedy_max as the per-candidate loop the batched ranking
+    replaced, run on the oracle itself: each round takes one counted gain()
+    per candidate outside the solution, sorts on (-gain, id) and fills the
+    top-kappa slots with the gains >= -1e-12, then adds a uniformly random
+    slot (a pick past the filled slots adds nothing)."""
+    rng = np.random.default_rng(seed)
+    pool = range(oracle.n) if ground is None else sorted(oracle._check_members(ground))
+    state = oracle.state(())
+    for _ in range(kappa):
+        if target is not None and state.value >= target - TOL:
+            break
+        scored = []
+        for x in pool:
+            if x in state.members:
+                continue
+            scored.append((state.gain(x), x))
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        slots = []
+        for gain, x in scored:
+            if len(slots) == kappa or gain < -1e-12:
+                break
+            slots.append((gain, x))
+        pick = int(rng.integers(kappa))
+        if pick < len(slots):
+            gain, x = slots[pick]
+            state.add(x, gain)
+    return tuple(sorted(state.members))
+
+
 def stream_event_faults(events, num_buckets):
     """Check a stream_cover event list against the bucket discipline.
 
