@@ -31,7 +31,7 @@ def parse_edge_list(path):
     """Read a whitespace-separated `u v [w]` edge list into a cut oracle.
 
     Comment lines start with '#'.  Edges are undirected; duplicates have
-    their weights summed (default weight 1) and self-loops are dropped.
+    their weights summed (default 1); self-loops, once checked, are dropped.
     Node ids are remapped onto 0..n-1 in sorted order; the original ids are
     kept on the oracle as ``original_ids``.
     """
@@ -48,8 +48,7 @@ def parse_edge_list(path):
             raise ParseError(f"{path}:{lineno}: malformed edge {line!r}") from None
         nodes.add(u)
         nodes.add(v)
-        if u != v:
-            raw_edges.append((u, v, w))
+        raw_edges.append((u, v, w))
     original = sorted(nodes)
     index = {node: i for i, node in enumerate(original)}
     edges = [(index[u], index[v], w) for u, v, w in raw_edges]

@@ -58,12 +58,11 @@ def exact_min_cover(instance, max_n=None):
     return _enumerate(range(n), n, instance.oracle.eval, stop_at=instance.tau)
 
 
-def exact_max_cardinality(oracle, kappa, max_n=None, ground=None):
-    """Exact maximum of f over subsets of size <= kappa."""
+def exact_max_cardinality(oracle, kappa, max_n=None):
+    """Exact maximum of f over subsets of size <= kappa (one query at 0)."""
     kappa = _check_budget(kappa, integral=True)
-    pool = tuple(range(oracle.n)) if ground is None else tuple(sorted(oracle._check_members(ground)))
-    _check_guard(len(pool), max_n)
-    return _enumerate(pool, kappa, oracle.eval)
+    _check_guard(oracle.n, max_n)
+    return _enumerate(range(oracle.n), kappa, oracle.eval)
 
 
 def exact_max_regularized(inst, kappa, max_n=None):

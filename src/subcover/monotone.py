@@ -194,35 +194,25 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     return finish_run(oracle, chosen, status, target, q0, t0)
 
 
-def stochastic_greedy_max(instance, eps, seed):
-    """Over-budget sampled greedy maximization (expected value near optimal)."""
-    oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
-    run = stochastic_max_subroutine(eps)
-    chosen = run(oracle, instance.kappa, seed, instance.ground_ids())
-    return finish_run(oracle, chosen, Status.SOLVED, 0.0, q0, t0)
-
-
 def stochastic_max_subroutine(eps):
     """Sampled-greedy maximization as an (oracle, kappa, seed) callable.
 
     Runs ceil(ln(3/(2 eps)) * kappa) steps, each adding the best element of a
-    uniform sample of size ceil((n / kappa) * ln(3/(2 eps))) drawn from the
-    optional ground set.
+    uniform sample of size ceil((n / kappa) * ln(3/(2 eps))).  Over budget by
+    that log factor, with expected value near the optimum of size kappa.
     """
     _check_unit_interval("eps", eps)
     lead = math.log(3.0 / (2.0 * eps))
 
-    def run(oracle, kappa, seed, ground=None):
+    def run(oracle, kappa, seed):
         if not _check_budget(kappa):
             return ()
         rng = np.random.default_rng(seed)
-        pool = np.arange(oracle.n) if ground is None else oracle._check_ids(ground)
         steps = math.ceil(lead * kappa)
-        sample_size = min(len(pool), math.ceil((oracle.n / kappa) * lead))
+        sample_size = min(oracle.n, math.ceil((oracle.n / kappa) * lead))
         state = oracle.state(())
         for _ in range(steps):
-            sample = np.sort(rng.choice(pool, size=sample_size, replace=False))
+            sample = np.sort(rng.choice(oracle.n, size=sample_size, replace=False))
             best, gain = _best_gain(state, sample)
             if best is not None:
                 state.add(best, gain)
@@ -231,15 +221,21 @@ def stochastic_max_subroutine(eps):
     return run
 
 
-def greedy_max(oracle, kappa, seed=None, ground=None):
+def _size_limit(kappa):
+    """A checked real budget rounded up, less 1e-12 of float slack."""
+    return math.ceil(kappa - 1e-12)
+
+
+def greedy_max(oracle, kappa, seed=None):
     """Budgeted greedy maximization; stops early when no positive gain remains.
 
-    Deterministic: ``seed`` is accepted, and ignored, so the function fits the
-    (oracle, kappa, seed) shape the cover conversions call.
+    Deterministic: ``seed`` is ignored; it is there for the (oracle, kappa,
+    seed) shape the cover conversions call.  Budget 0 costs no query.
     """
-    _check_budget(kappa)
-    pool = np.arange(oracle.n) if ground is None else np.sort(oracle._check_ids(list(ground)))
-    limit = math.ceil(kappa - 1e-12)
+    limit = _size_limit(_check_budget(kappa))
+    if not limit:
+        return ()
+    pool = np.arange(oracle.n)
     state = oracle.state(())
     while len(state.members) < limit:
         best, gain = _best_gain(state, pool)

@@ -13,7 +13,7 @@ from operator import itemgetter
 import numpy as np
 
 from .monotone import (_budget_schedule, _check_budget, _check_finite, _check_positive,
-                       _check_unit_interval, _unselected, derive_seed)
+                       _check_unit_interval, _size_limit, _unselected, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
 
@@ -162,8 +162,9 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
 
     With a target: returns the first set reaching it (greedy prefix when
     possible), else the best set found.  Without a target the search runs to
-    completion and the result is the exact maximum.  Runs on
-    ``oracle.restrict(ground)``.
+    completion and the result is the exact maximum.  kappa is rounded up as
+    in greedy_max; budget 0 charges one query, for the value it reports.
+    Runs on ``oracle.restrict(ground)``.
     """
     _check_budget(kappa)
     _check_timeout(timeout_ms)
@@ -172,7 +173,7 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
 
 
 def _exact_search(oracle, ground, kappa, target, timeout_ms):
-    kappa = min(int(kappa), len(ground))
+    kappa = min(_size_limit(kappa), len(ground))
     deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
     root = oracle.state(())
     best_set, best_val = (), root.value
@@ -203,13 +204,14 @@ def _exact_search(oracle, ground, kappa, target, timeout_ms):
 def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     """Exact search that first pins every monotone element of ground.
 
-    Only applicable in the unconstrained case (kappa >= |ground|); falls back
-    to the plain exact search otherwise.  Runs on ``oracle.restrict(ground)``.
+    Only applicable in the unconstrained case (kappa >= |ground|, kappa
+    rounded up); falls back to the plain exact search otherwise.  Runs on
+    ``oracle.restrict(ground)``.
     """
     _check_budget(kappa)
     _check_timeout(timeout_ms)
     ground = tuple(sorted(oracle._check_members(ground)))
-    if kappa < len(ground):
+    if _size_limit(kappa) < len(ground):
         return exact_max_search(oracle, ground, kappa, target=target, timeout_ms=timeout_ms)
     return _on_ground(oracle, ground, lambda view, ids: _fast_exact_search(
         view, ids, target, timeout_ms))
@@ -232,7 +234,8 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     (one batch of gains, ties to the lower id), pads the top-kappa pool with
     zero-gain dummies, and adds a uniformly random pool entry (a dummy pick
     adds nothing).  An optional target value stops the run early once
-    reached.  Given a ground, runs on ``oracle.restrict(ground)``.
+    reached.  Budget 0 costs no query.  Given a ground, runs on
+    ``oracle.restrict(ground)``.
     """
     kappa = _check_budget(kappa, integral=True)
     return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
@@ -240,6 +243,8 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
 
 
 def _random_greedy(oracle, kappa, seed, pool, target):
+    if not kappa:
+        return ()
     rng = np.random.default_rng(seed)
     pool = np.asarray(pool, dtype=np.int64)
     state = oracle.state(())

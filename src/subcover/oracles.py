@@ -314,9 +314,9 @@ class CoverageOracle(SetFunctionOracle):
     monotone = True
     nonnegative = True
 
-    def __init__(self, tag_sets, name="coverage", counter=None):
+    def __init__(self, tag_sets, name="coverage"):
         rows = list(tag_sets)
-        super().__init__(len(rows), name=name, counter=counter)
+        super().__init__(len(rows), name=name)
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=self.n)
         keys = _int_ids(list(itertools.chain.from_iterable(rows)), "tag id")  # tag ids, for now
         if keys.size and keys.min() < 0:
@@ -514,8 +514,8 @@ class GraphCutOracle(SetFunctionOracle):
     monotone = False
     nonnegative = True
 
-    def __init__(self, n, edges, name="cut", counter=None):
-        super().__init__(n, name=name, counter=counter)
+    def __init__(self, n, edges, name="cut"):
+        super().__init__(n, name=name)
         ends, weights = [], []
         for edge in edges:
             if len(edge) == 2:
@@ -739,30 +739,6 @@ class CoverInstance:
         return self.oracle.peek(range(self.oracle.n)) >= self.tau - TOL
 
 
-@dataclass(frozen=True)
-class SmpInstance:
-    """A cardinality-constrained maximization instance, optionally on a subset."""
-
-    oracle: SetFunctionOracle
-    kappa: int
-    ground: tuple = None
-
-    def __post_init__(self):
-        if not self.kappa >= 1:  # NaN fails the comparison
-            raise InputError(f"budget must be at least 1, got {self.kappa}")
-        if self.kappa > self.oracle.n:
-            raise InputError("budget exceeds the ground set size")
-        if self.ground is not None:
-            object.__setattr__(
-                self, "ground", tuple(sorted(self.oracle._check_members(self.ground)))
-            )
-
-    def ground_ids(self):
-        if self.ground is None:
-            return tuple(range(self.oracle.n))
-        return self.ground
-
-
 def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     """Random tag-coverage instance with a dense head and a sparse tail.
 
@@ -867,8 +843,3 @@ class RegularizedInstance:
 
     def cost(self, S):
         return float(sum(self.costs[x] for x in S))
-
-    def with_scaled_costs(self, factor, kappa=None):
-        return RegularizedInstance(
-            self.oracle, self.costs * factor, kappa=kappa, tau=self.tau
-        )

@@ -3,6 +3,7 @@ it, and a single-pass streaming variant."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -94,10 +95,10 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
 
     if oracle.eval(()) >= target - TOL:
         return finish_run(oracle, (), Status.SOLVED, target, q0, t0, value)
-    scaled = inst.with_scaled_costs(scale)
+    scaled = dataclasses.replace(inst, costs=inst.costs * scale)
 
     def attempt(index, budget):
-        chosen = tuple(reg_alg(scaled.with_scaled_costs(1.0, kappa=budget)))
+        chosen = tuple(reg_alg(dataclasses.replace(scaled, kappa=budget)))
         return oracle.eval(chosen) - scale * inst.cost(chosen) >= target - TOL, chosen
 
     return _budget_sweep(oracle, alpha, None, attempt, target, q0, t0, value)

@@ -27,12 +27,10 @@ from subcover import (
     random_greedy_max,
     smp_subroutine,
     stochastic_greedy_cover,
-    stochastic_greedy_max,
     stochastic_max_subroutine,
     stream_cover,
     threshold_greedy_cover,
     truncate,
-    SmpInstance,
 )
 
 from util import (
@@ -344,7 +342,7 @@ def test_ac9_expectation_guarantees():
         if opt == 0:
             continue
         mean = np.mean([
-            stochastic_greedy_max(SmpInstance(oracle.clone(), kappa), eps, seed=s).f_value
+            oracle.peek(stochastic_max_subroutine(eps)(oracle.clone(), kappa, s))
             for s in range(300)
         ])
         stoch_ok.append(mean >= (1 - eps) * opt * 0.98)

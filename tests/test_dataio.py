@@ -58,6 +58,11 @@ class TestParseEdgeList:
         with pytest.raises(InputError):
             parse_edge_list(write(tmp_path, "nf.txt", f"0 1 {weight}\n1 2\n"))
 
+    @pytest.mark.parametrize("text", ["0 1\n3 3 -5\n", "0 1\n3 3 nan\n"])
+    def test_self_loop_weight_checked(self, tmp_path, text):
+        with pytest.raises(InputError):
+            parse_edge_list(write(tmp_path, "sl.txt", text))
+
     def test_directed_duplicates_collapse(self, tmp_path):
         # a directed file listing both orientations doubles the weight
         oracle = parse_edge_list(write(tmp_path, "dir.txt", "0 1\n1 0\n"))

@@ -16,7 +16,6 @@ from subcover import (
     GraphCutOracle,
     InputError,
     RegularizedInstance,
-    SmpInstance,
     SmpSubroutine,
     Status,
     classify_monotone_elements,
@@ -252,14 +251,15 @@ class TestMaximizerBudgets:
 
     @pytest.mark.parametrize("name", list(MAXIMIZERS))
     def test_zero_budget_chooses_nothing(self, name):
-        assert MAXIMIZERS[name](CoverageOracle([{0}, {1, 2}, {2}]), 0) == ()
+        oracle = CoverageOracle([{0}, {1, 2}, {2}])
+        assert MAXIMIZERS[name](oracle, 0) == ()
+        # the exact maximizers report the empty set's value, and that costs one query
+        assert oracle.query_count == (name in ("exact", "fast-exact", "brute"))
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_instance_budget_rejected(self, kappa):
-        # stochastic_greedy_max and distorted_greedy_max take theirs from an instance
+        # distorted_greedy_max takes its budget from an instance
         oracle = CoverageOracle([{0}, {1, 2}, {2}])
-        with pytest.raises(InputError, match="budget"):
-            SmpInstance(oracle, kappa)
         with pytest.raises(InputError, match="budget"):
             RegularizedInstance(oracle, np.zeros(3), kappa=kappa)
 
@@ -268,6 +268,12 @@ class TestMaximizerBudgets:
         oracle = CoverageOracle([{0}, {1, 2}, {3}])
         assert greedy_max(oracle, 1.5) == (0, 1)
         assert set(stochastic_max_subroutine(0.2)(oracle, 1.5, 0)) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("kappa,size", [(2.5, 3), (3.5, 4)])
+    @pytest.mark.parametrize("name", ["greedy", "exact", "fast-exact"])
+    def test_real_budget_rounded_up_alike(self, name, kappa, size):
+        # one rounding rule: a budget sweep hands every maximizer the same cap
+        assert len(MAXIMIZERS[name](CoverageOracle([[0], [1], [2], [3]]), kappa)) == size
 
 
 class TestDoubleGreedy:

@@ -14,7 +14,6 @@ from subcover import (
     GraphCutOracle,
     InputError,
     RegularizedInstance,
-    SmpInstance,
     Status,
     convert_cover,
     convert_cover_randomized,
@@ -29,7 +28,6 @@ from subcover import (
     make_synthetic_summarization,
     smp_subroutine,
     stochastic_greedy_cover,
-    stochastic_greedy_max,
     stochastic_max_subroutine,
     stream_cover,
     threshold_greedy_cover,
@@ -235,21 +233,20 @@ class TestStochasticGreedyCover:
 class TestStochasticGreedyMax:
     def test_single_element(self):
         oracle = CoverageOracle([{0}])
-        res = stochastic_greedy_max(SmpInstance(oracle, 1), 0.2, seed=0)
-        assert res.solution == (0,)
+        assert stochastic_max_subroutine(0.2)(oracle, 1, 0) == (0,)
 
     def test_full_budget_covers_universe(self):
         rng = np.random.default_rng(202)
         oracle = random_coverage(rng, 6)
-        res = stochastic_greedy_max(SmpInstance(oracle.clone(), 6), 0.2, seed=1)
-        assert res.f_value == oracle.peek(range(6))
+        solution = stochastic_max_subroutine(0.2)(oracle.clone(), 6, 1)
+        assert oracle.peek(solution) == oracle.peek(range(6))
 
     def test_size_within_ceiling(self):
         rng = np.random.default_rng(203)
         oracle = random_coverage(rng, 12)
         kappa = 3
-        res = stochastic_greedy_max(SmpInstance(oracle, kappa), 0.2, seed=5)
-        assert res.size <= math.ceil(math.log(3 / 0.4)) * kappa
+        solution = stochastic_max_subroutine(0.2)(oracle, kappa, 5)
+        assert len(solution) <= math.ceil(math.log(3 / 0.4)) * kappa
 
     def test_expected_value_near_optimum(self):
         rng = np.random.default_rng(204)
@@ -257,7 +254,7 @@ class TestStochasticGreedyMax:
         kappa = 3
         opt = exact_max_cardinality(oracle.clone(), kappa).optimum_value
         values = [
-            stochastic_greedy_max(SmpInstance(oracle.clone(), kappa), 0.2, seed=s).f_value
+            oracle.peek(stochastic_max_subroutine(0.2)(oracle.clone(), kappa, s))
             for s in range(120)
         ]
         assert sum(values) / len(values) >= 0.8 * opt * 0.97

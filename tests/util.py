@@ -231,9 +231,12 @@ def reference_random_greedy(oracle, kappa, seed, ground=None, target=None):
     replaced, run on the oracle itself: each round takes one counted gain()
     per candidate outside the solution, sorts on (-gain, id) and fills the
     top-kappa slots with the gains >= -1e-12, then adds a uniformly random
-    slot (a pick past the filled slots adds nothing)."""
+    slot (a pick past the filled slots adds nothing).  Budget 0 returns ()
+    without a query."""
     rng = np.random.default_rng(seed)
     pool = range(oracle.n) if ground is None else sorted(oracle._check_members(ground))
+    if kappa == 0:
+        return ()
     state = oracle.state(())
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
