@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .harness import ALGORITHMS, GUESS_MODES, ExperimentGrid, emit_plot_data, run_experiment
 from .nonmonotone import _APPROX_RATIOS
@@ -35,21 +36,22 @@ def build_parser():
                        help="file path (tags/edges) or key=value string (synthetic/tightness)")
     run_p.add_argument("--kind", required=True,
                        choices=("tags", "edges", "synthetic", "tightness"))
-    run_p.add_argument("--alg", required=True, type=_names,
+    run_p.add_argument("--alg", dest="algorithms", required=True, type=_names,
                        help=f"comma list from: {', '.join(ALGORITHMS)}")
-    run_p.add_argument("--eps", required=True, type=_floats, help="comma list of eps values")
-    run_p.add_argument("--tau-frac", required=True, type=_floats,
+    run_p.add_argument("--eps", dest="eps_values", required=True, type=_floats,
+                       help="comma list of eps values")
+    run_p.add_argument("--tau-frac", dest="tau_fractions", required=True, type=_floats,
                        help="comma list of threshold fractions of the reference value")
     run_p.add_argument("--alpha", type=float, default=0.1)
     run_p.add_argument("--delta", type=float, default=0.1)
     run_p.add_argument("--seeds", type=_ints, default=(0,), help="comma list of seeds")
-    run_p.add_argument("--sub", choices=tuple(_APPROX_RATIOS), default="ex",
+    run_p.add_argument("--sub", dest="subroutine", choices=tuple(_APPROX_RATIOS), default="ex",
                        help="maximization subroutine for the stream algorithm")
     run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--ref-seed", type=int, default=0,
                        help="seed of the double-greedy threshold reference on graphs")
-    run_p.add_argument("--guess", choices=GUESS_MODES, default="tau-ratio",
+    run_p.add_argument("--guess", dest="guess_mode", choices=GUESS_MODES, default="tau-ratio",
                        help="initial optimum-size guess for stoch/convert")
     run_p.add_argument("--sub-timeout-ms", type=float, default=300000.0,
                        help="time limit of each ex/fex subroutine call; dg and rg ignore it")
@@ -68,21 +70,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            grid = ExperimentGrid(
-                dataset=args.dataset,
-                kind=args.kind,
-                algorithms=args.alg,
-                eps_values=args.eps,
-                tau_fractions=args.tau_frac,
-                alpha=args.alpha,
-                delta=args.delta,
-                seeds=args.seeds,
-                subroutine=args.sub,
-                jobs=args.jobs,
-                ref_seed=args.ref_seed,
-                guess_mode=args.guess,
-                sub_timeout_ms=args.sub_timeout_ms,
-            )
+            # every run flag but --out and --stable-output is a grid field of the same name
+            grid = ExperimentGrid(**{f.name: getattr(args, f.name) for f in fields(ExperimentGrid)})
             rows = run_experiment(grid, args.out, stable_output=args.stable_output)
             errors = sum(1 for row in rows if row.status.startswith("Error"))
             print(f"wrote {len(rows)} rows to {args.out}" + (f" ({errors} errored)" if errors else ""))

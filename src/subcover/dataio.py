@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from .oracles import CoverageOracle, GraphCutOracle
 
 
 class ParseError(ValueError):
     """A dataset file line could not be interpreted."""
-
-
-CSV_COLUMNS = (
-    "run_id", "dataset", "algorithm", "eps", "tau", "alpha", "delta",
-    "seed", "f_value", "size", "queries", "wall_ms", "status",
-)
 
 
 def _data_lines(path):
@@ -36,7 +31,6 @@ def parse_edge_list(path):
     kept on the oracle as ``original_ids``.
     """
     raw_edges = []
-    nodes = set()
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -46,10 +40,8 @@ def parse_edge_list(path):
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed edge {line!r}") from None
-        nodes.add(u)
-        nodes.add(v)
         raw_edges.append((u, v, w))
-    original = sorted(nodes)
+    original = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
     index = {node: i for i, node in enumerate(original)}
     edges = [(index[u], index[v], w) for u, v, w in raw_edges]
     oracle = GraphCutOracle(len(original), edges, name="edge-list")
@@ -65,7 +57,6 @@ def parse_tag_assignments(path):
     are kept as ``original_ids`` / ``original_tags``.
     """
     per_element = {}
-    tags_seen = set()
     for lineno, line in _data_lines(path):
         parts = line.split()
         try:
@@ -76,9 +67,8 @@ def parse_tag_assignments(path):
         if elem in per_element:
             raise ParseError(f"{path}:{lineno}: duplicate element id {elem}")
         per_element[elem] = tags
-        tags_seen.update(tags)
     original_elems = sorted(per_element)
-    original_tags = sorted(tags_seen)
+    original_tags = sorted({t for tags in per_element.values() for t in tags})
     tag_index = {t: i for i, t in enumerate(original_tags)}
     tag_sets = [[tag_index[t] for t in per_element[e]] for e in original_elems]
     oracle = CoverageOracle(tag_sets, name="tag-file")
@@ -104,10 +94,7 @@ class ResultRow:
     status: str
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 def write_results_csv(rows, path):
@@ -116,30 +103,31 @@ def write_results_csv(rows, path):
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+            values = (getattr(row, col) for col in CSV_COLUMNS)
+            writer.writerow([format(v, ".6g") if isinstance(v, float) else str(v) for v in values])
 
 
 def read_results_csv(path):
-    """Read back rows written by write_results_csv."""
+    """Read back rows written by write_results_csv, converting each column by
+    its ResultRow field type; a malformed row raises ParseError."""
+    types = typing.get_type_hints(ResultRow)
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ParseError(f"{path}: unexpected results header {reader.fieldnames}")
-        for record in reader:
-            rows.append(ResultRow(
-                run_id=int(record["run_id"]),
-                dataset=record["dataset"],
-                algorithm=record["algorithm"],
-                eps=float(record["eps"]),
-                tau=float(record["tau"]),
-                alpha=float(record["alpha"]),
-                delta=float(record["delta"]),
-                seed=int(record["seed"]),
-                f_value=float(record["f_value"]),
-                size=int(record["size"]),
-                queries=int(record["queries"]),
-                wall_ms=float(record["wall_ms"]),
-                status=record["status"],
-            ))
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ParseError(f"{path}: unexpected results header {header}")
+        for record in filter(None, reader):  # a blank line holds no row
+            where = f"{path}:{reader.line_num}"
+            if len(record) != len(CSV_COLUMNS):
+                detail = (f"{CSV_COLUMNS[len(record)]} missing" if len(record) < len(CSV_COLUMNS)
+                          else "extra after status")
+                raise ParseError(f"{where}: {len(record)} fields, not {len(CSV_COLUMNS)}: {detail}")
+            values = []
+            for col, text in zip(CSV_COLUMNS, record):
+                try:
+                    values.append(types[col](text))
+                except ValueError:
+                    raise ParseError(f"{where}: {col} is {text!r}, not {types[col].__name__}") from None
+            rows.append(ResultRow(*values))
     return rows

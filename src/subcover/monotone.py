@@ -31,6 +31,12 @@ def _check_positive(name, value):
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_alpha(alpha):
+    """A guess grows by the factor 1 + alpha, which must be finite and above 1 in float."""
+    if not (math.isfinite(alpha) and 1.0 + alpha > 1.0):
+        raise InputError(f"alpha must be finite with 1 + alpha > 1, got {alpha}")
+
+
 def _check_finite(name, value):
     if value is not None and not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value}")
@@ -151,7 +157,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     """
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
-    _check_positive("alpha", alpha)
+    _check_alpha(alpha)
     _check_finite("initial_guess", initial_guess)
     _require_monotone(instance.oracle)
     oracle = instance.oracle
@@ -198,8 +204,9 @@ def stochastic_max_subroutine(eps):
     """Sampled-greedy maximization as an (oracle, kappa, seed) callable.
 
     Runs ceil(ln(3/(2 eps)) * kappa) steps, each adding the best element of a
-    uniform sample of size ceil((n / kappa) * ln(3/(2 eps))).  Over budget by
-    that log factor, with expected value near the optimum of size kappa.
+    uniform sample of size min(n, ceil((n / kappa) * ln(3/(2 eps)))), and
+    stops early once every element is selected.  Over budget by that log
+    factor, with expected value near the optimum of size kappa.
     """
     _check_unit_interval("eps", eps)
     lead = math.log(3.0 / (2.0 * eps))
@@ -208,10 +215,12 @@ def stochastic_max_subroutine(eps):
         if not _check_budget(kappa):
             return ()
         rng = np.random.default_rng(seed)
-        steps = math.ceil(lead * kappa)
-        sample_size = min(oracle.n, math.ceil((oracle.n / kappa) * lead))
+        # clamped in float: n / kappa and lead * kappa may overflow to inf
+        sample_size = math.ceil(min(float(oracle.n), (oracle.n / kappa) * lead))
         state = oracle.state(())
-        for _ in range(steps):
+        step = 0
+        while step < lead * kappa and len(state.members) < oracle.n:
+            step += 1
             sample = np.sort(rng.choice(oracle.n, size=sample_size, replace=False))
             best, gain = _best_gain(state, sample)
             if best is not None:
@@ -281,7 +290,7 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     however close consecutive guesses are) until f of its output reaches
     gamma * tau.
     """
-    _check_positive("alpha", alpha)
+    _check_alpha(alpha)
     _check_finite("initial_budget", initial_budget)
     _check_gamma(gamma)
     oracle = instance.oracle
@@ -310,7 +319,7 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     truncated objective min(f, tau); stops when any repetition reaches
     (1 - eps) * tau and returns the smallest successful solution.
     """
-    _check_positive("alpha", alpha)
+    _check_alpha(alpha)
     _check_finite("initial_budget", initial_budget)
     _check_unit_interval("eps", eps)
     reps = convert_rand_repetitions(delta)

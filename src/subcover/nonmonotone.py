@@ -12,7 +12,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .monotone import (_budget_schedule, _check_budget, _check_finite, _check_positive,
+from .monotone import (_budget_schedule, _check_alpha, _check_budget, _check_finite,
                        _check_unit_interval, _size_limit, _unselected, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
@@ -337,7 +337,7 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     "pass" event {g, cap, stored, smp_value}.
     """
     _check_unit_interval("eps", eps)
-    _check_positive("alpha", alpha)
+    _check_alpha(alpha)
     _check_finite("initial_guess", initial_guess)
     ratio = _approx_ratio(sub.kind)
     if not instance.oracle.nonnegative:

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from .monotone import _budget_sweep, _check_gamma, _check_positive, _check_unit_interval, _unselected
+from .monotone import (_budget_sweep, _check_alpha, _check_gamma, _check_positive,
+                       _check_unit_interval, _unselected)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Status, finish_run
 
@@ -82,7 +83,7 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     gamma * tau.  ``f_value`` of the result reports that checked quantity.
     """
     _check_instance(inst, need_tau=True)
-    _check_positive("alpha", alpha)
+    _check_alpha(alpha)
     _check_positive("beta", beta)
     _check_gamma(gamma)
     oracle = inst.oracle
@@ -130,7 +131,7 @@ def distorted_stream_cover(inst, eps, beta, opt_size):
     if not (math.isfinite(opt_size) and opt_size >= 1):
         raise InputError(f"opt_size must be finite and at least 1, got {opt_size}")
     oracle = inst.oracle
-    limit = math.ceil(opt_size / eps)
+    limit = math.ceil(min(opt_size / eps, oracle.n))  # no pass stores more than n
     bar = eps * inst.tau / opt_size
     state = oracle.state(())
     for u, _, gain in _threshold_scan(np.arange(oracle.n), [state], bar - TOL, beta * inst.costs):

@@ -135,6 +135,30 @@ class TestResultsCsv:
         with pytest.raises(ParseError):
             read_results_csv(str(path))
 
+    def test_columns_are_the_documented_header(self):
+        header = "run_id,dataset,algorithm,eps,tau,alpha,delta,seed,f_value,size,queries,wall_ms,status"
+        assert CSV_COLUMNS == tuple(header.split(","))
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,d,greedy", r"3 fields, not 13: eps missing"),
+        ("0,d,greedy,0.1,3,0.1,0.1,0,3,1,1,0", r"12 fields, not 13: status missing"),
+        ("0,d,greedy,0.1,3,0.1,0.1,0,3,1,1,0,Solved,x", r"14 fields, not 13: extra after status"),
+        ("x,d,greedy,0.1,3,0.1,0.1,0,3,1,1,0,Solved", r"run_id is 'x', not int"),
+        ("0,d,greedy,0.1,3,0.1,0.1,0,three,1,1,0,Solved", r"f_value is 'three', not float"),
+        ("0,d,greedy,0.1,3,0.1,0.1,0,3,1.5,1,0,Solved", r"size is '1.5', not int"),
+    ], ids=["short", "no-status", "extra", "run_id", "f_value", "size"])
+    def test_malformed_row_names_line_and_column(self, tmp_path, body, message):
+        good = "0,d,greedy,0.1,3,0.1,0.1,0,3,1,1,0,Solved"
+        path = write(tmp_path, "bad.csv", f"{','.join(CSV_COLUMNS)}\n{good}\n{body}\n")
+        with pytest.raises(ParseError, match=f"bad.csv:3: {message}"):
+            read_results_csv(path)
+
+    def test_blank_lines_hold_no_row(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_results_csv(sample_rows(), str(path))
+        path.write_text(path.read_text().replace("\r\n", "\r\n\r\n"))
+        assert read_results_csv(str(path)) == sample_rows()
+
     def test_parse_write_parse_fixed_point(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

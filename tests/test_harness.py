@@ -1,5 +1,6 @@
 """Experiment grid execution, CSV determinism, plot aggregation, CLI wiring."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from subcover import (
+    CSV_COLUMNS,
     CoverInstance,
     ExperimentGrid,
     InputError,
@@ -23,7 +25,7 @@ from subcover import (
     stochastic_max_subroutine,
     write_results_csv,
 )
-from subcover.cli import main
+from subcover.cli import build_parser, main
 
 
 def write_tag_file(tmp_path, rng, n=20, m=18):
@@ -363,6 +365,23 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_plot_of_truncated_row_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\n0,d,greedy\n")
+        code = main(["plot", "--in", str(csv_path), "--x", "eps", "--metric", "queries",
+                     "--out", str(tmp_path / "o.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "short.csv:2: 3 fields" in err
+
+    def test_run_flags_are_the_grid_fields(self, tmp_path):
+        args = build_parser().parse_args([
+            "run", "--dataset", "x", "--kind", "tags", "--alg", "greedy", "--eps", "0.1",
+            "--tau-frac", "0.5", "--out", str(tmp_path / "o.csv"),
+        ])
+        grid_fields = [f.name for f in dataclasses.fields(ExperimentGrid)]
+        assert sorted(vars(args)) == sorted(["command", "out", "stable_output", *grid_fields])
 
     def test_unreadable_dataset_exits_cleanly(self, tmp_path, capsys):
         code = main([

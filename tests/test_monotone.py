@@ -33,7 +33,7 @@ from subcover import (
     threshold_greedy_cover,
 )
 
-from subcover import oracles
+from subcover import monotone, oracles
 from subcover.monotone import _budget_schedule
 
 from util import FallbackCoverage, random_coverage, reference_threshold_greedy
@@ -247,6 +247,22 @@ class TestStochasticGreedyMax:
         kappa = 3
         solution = stochastic_max_subroutine(0.2)(oracle, kappa, 5)
         assert len(solution) <= math.ceil(math.log(3 / 0.4)) * kappa
+
+    @pytest.mark.parametrize("budget, expected", [
+        (1e-310, (0,)),  # n / kappa overflows: one step over the whole ground set
+        (1e308, (0, 1, 2)),  # lead * kappa overflows
+        (1e18, (0, 1, 2)),  # ~1e18 steps, all but three with nothing to add
+    ])
+    def test_extreme_budget_stops_once_every_element_is_selected(self, budget, expected):
+        oracle = CoverageOracle([[0], [1], [2]])
+        best_gain = monotone._best_gain
+
+        def step(state, candidates):
+            assert len(state.members) < oracle.n, "a step ran with every element selected"
+            return best_gain(state, candidates)
+
+        with mock.patch.object(monotone, "_best_gain", step):
+            assert stochastic_max_subroutine(0.2)(oracle, budget, 0) == expected
 
     def test_expected_value_near_optimum(self):
         rng = np.random.default_rng(204)
@@ -465,6 +481,32 @@ class TestNonFiniteSweepParameters:
         with pytest.raises(InputError):
             convert_cover_randomized(greedy_max, self.inst(), delta=0.1, eps=0.2,
                                      **kwargs)
+
+
+def _no_query(*args, **kwargs):
+    raise AssertionError("a query was charged")
+
+
+TINY_ALPHA_SOLVERS = {
+    "convert": lambda inst, alpha: convert_cover(stochastic_max_subroutine(0.2), inst, alpha, 0.8),
+    "convert-rand": lambda inst, alpha: convert_cover_randomized(
+        stochastic_max_subroutine(0.2), inst, alpha, 0.1, 0.2),
+    "distorted": lambda inst, alpha: distorted_cover(
+        RegularizedInstance(inst.oracle, np.zeros(inst.oracle.n), tau=inst.tau), 0.2, alpha),
+    "stoch": lambda inst, alpha: stochastic_greedy_cover(inst, 0.2, 0.1, alpha, seed=0),
+    "stream": lambda inst, alpha: stream_cover(inst, 0.5, alpha, smp_subroutine("dg")),
+}
+
+
+@pytest.mark.parametrize("tau", [2.0, 9.0], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("solver", TINY_ALPHA_SOLVERS)
+def test_alpha_that_cannot_grow_a_guess_rejected_before_any_query(solver, tau):
+    """1 + 1e-17 rounds to 1, so the guesses would never grow."""
+    inst = CoverInstance(CoverageOracle([{0}, {1}, {0, 1}, {2}]), tau)
+    with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
+            pytest.raises(InputError, match="alpha"):
+        TINY_ALPHA_SOLVERS[solver](inst, 1e-17)
+    assert inst.oracle.query_count == 0
 
 
 class TestBatchedGainsMatchFallback:

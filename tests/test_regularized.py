@@ -223,6 +223,13 @@ class TestDistortedStreamCover:
         sol = distorted_stream_cover(inst, 0.5, 1.0, opt_size=1)
         assert len(sol) <= math.ceil(1 / 0.5)
 
+    def test_huge_opt_size_stops_at_n(self):
+        """opt_size / eps overflows to inf; the stop count is capped at n."""
+        rng = np.random.default_rng(65)
+        inst = instance(rng, 10, cost_high=0.01, tau=1.0)
+        huge = distorted_stream_cover(inst, 0.5, 1.0, opt_size=1e308)
+        assert huge == distorted_stream_cover(inst, 0.5, 1.0, opt_size=1e300)
+
     @pytest.mark.parametrize("kind", ["coverage", "generic", "truncated"])
     def test_matches_the_per_element_loop(self, kind):
         """Against one counted gain per element, on 40-120 elements with
