@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .harness import ALGORITHMS, GUESS_MODES, ExperimentGrid, emit_plot_data, run_experiment
 from .nonmonotone import _APPROX_RATIOS
@@ -42,21 +42,23 @@ def build_parser():
                        help="comma list of eps values")
     run_p.add_argument("--tau-frac", dest="tau_fractions", required=True, type=_floats,
                        help="comma list of threshold fractions of the reference value")
-    run_p.add_argument("--alpha", type=float, default=0.1)
-    run_p.add_argument("--delta", type=float, default=0.1)
-    run_p.add_argument("--seeds", type=_ints, default=(0,), help="comma list of seeds")
-    run_p.add_argument("--sub", dest="subroutine", choices=tuple(_APPROX_RATIOS), default="ex",
+    run_p.add_argument("--alpha", type=float)
+    run_p.add_argument("--delta", type=float)
+    run_p.add_argument("--seeds", type=_ints, help="comma list of seeds")
+    run_p.add_argument("--sub", dest="subroutine", choices=tuple(_APPROX_RATIOS),
                        help="maximization subroutine for the stream algorithm")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int)
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--ref-seed", type=int, default=0,
+    run_p.add_argument("--ref-seed", type=int,
                        help="seed of the double-greedy threshold reference on graphs")
-    run_p.add_argument("--guess", dest="guess_mode", choices=GUESS_MODES, default="tau-ratio",
+    run_p.add_argument("--guess", dest="guess_mode", choices=GUESS_MODES,
                        help="initial optimum-size guess for stoch/convert")
-    run_p.add_argument("--sub-timeout-ms", type=float, default=300000.0,
+    run_p.add_argument("--sub-timeout-ms", type=float,
                        help="time limit of each ex/fex subroutine call; dg and rg ignore it")
     run_p.add_argument("--stable-output", action="store_true",
                        help="zero the wall_ms column so reruns are byte-identical")
+    # every optional grid field's default is the dataclass's own
+    run_p.set_defaults(**{f.name: f.default for f in fields(ExperimentGrid) if f.default is not MISSING})
 
     plot_p = commands.add_parser("plot", help="aggregate a results CSV into TSV plot data")
     plot_p.add_argument("--in", dest="csv_in", required=True)

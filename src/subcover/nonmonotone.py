@@ -4,7 +4,6 @@ pluggable maximization subroutines used after each pass."""
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -79,29 +78,32 @@ def classify_monotone_elements(oracle, T):
     return tuple(mono), tuple(nonmono)
 
 
-def _branch_search(oracle, base_state, candidates, budget, target, deadline, best_set, best_val):
+def _branch_search(base_state, candidates, budget, target, deadline):
     """Depth-first search over subsets of candidates (size <= budget) on top
-    of base_state.
+    of base_state; the one search body of both exact searches.
 
-    Candidate lists hold (-cached_gain, id) entries in decreasing cached
-    gain; cached gains from ancestor states stay valid upper bounds by
-    submodularity and are refreshed lazily, just before an element is
-    branched on (Minoux's lazy evaluation).  A frame's bound is its value
-    plus the positive cached gains among its next ``remaining`` entries: a
-    bisect finds where the positive gains end and ``math.fsum`` adds them,
-    exactly rounded and so independent of the Python version and of the
-    summation order (on integer gains it equals a left-to-right fold).
-    Branches whose bound cannot beat the incumbent or reach the target are
-    pruned.
+    The root list holds (-gain, id) entries in decreasing gain, from one
+    batch of gains on base_state.  Cached gains from ancestor states stay
+    valid upper bounds by submodularity and are refreshed lazily, just
+    before an element is branched on, so the first descent is the lazy
+    greedy (Minoux, 1978).  A frame's bound is its value plus the positive
+    cached gains among its next ``remaining`` entries: a bisect finds where
+    the positive gains end and ``math.fsum`` adds them, exactly rounded and
+    so independent of the Python version and of the summation order (on
+    integer gains it equals a left-to-right fold).  Branches whose bound
+    cannot beat the incumbent or reach the target are pruned.
 
     Every child gets its own state copy and its own list ``ordered[pos+1:]``:
     the gains a child refreshes are bounds for the child only, not for its
     parent's later siblings, so the lists cannot be shared, and undoing an
     add in place of the copy saves nothing on a compact graph view while it
-    makes a coverage state build its per-tag counts.  Returns the first set
-    reaching the target, else the best set found.
+    makes a coverage state build its per-tag counts.  Returns base_state's
+    own set when it reaches the target, the budget is 0 or there are no
+    candidates; else the first set reaching the target, else the best set
+    found.
     """
-    if budget <= 0 or not candidates:
+    best_set, best_val = tuple(sorted(base_state.members)), base_state.value
+    if (target is not None and best_val >= target - TOL) or budget <= 0 or not candidates:
         return SmpSearch(best_set, best_val)
     seeded = sorted(zip((-base_state.gains(candidates)).tolist(), candidates))
     frames = [[base_state, seeded, 0, budget]]
@@ -157,74 +159,44 @@ def _on_ground(oracle, ground, run):
     return tuple(ground[i] for i in found)
 
 
-def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
-    """Greedy first, then exhaustive branch-and-bound over subsets <= kappa.
-
-    With a target: returns the first set reaching it (greedy prefix when
-    possible), else the best set found.  Without a target the search runs to
-    completion and the result is the exact maximum.  kappa is rounded up as
-    in greedy_max; budget 0 charges one query, for the value it reports.
-    Runs on ``oracle.restrict(ground)``.
-    """
-    _check_budget(kappa)
+def _deadline(timeout_ms):
+    """The perf_counter time a search must stop at, or None; timeout_ms is
+    checked here, before any query."""
     _check_timeout(timeout_ms)
-    return _on_ground(oracle, ground, lambda view, ids: _exact_search(
-        view, ids, kappa, target, timeout_ms))
+    return None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
 
 
-def _exact_search(oracle, ground, kappa, target, timeout_ms):
-    kappa = min(_size_limit(kappa), len(ground))
-    deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
-    root = oracle.state(())
-    best_set, best_val = (), root.value
-    if kappa == 0 or (target is not None and best_val >= target - TOL):
-        return SmpSearch(best_set, best_val)
-    # greedy phase with lazily re-evaluated gains (stale gains are upper bounds)
-    greedy = root.copy()
-    heap = list(zip((-greedy.gains(ground)).tolist(), ground))
-    heapq.heapify(heap)
-    while len(greedy.members) < kappa and heap:
-        if deadline is not None and time.perf_counter() > deadline:
-            return SmpSearch(best_set, best_val, True)
-        _, x = heapq.heappop(heap)
-        fresh = greedy.gain(x)
-        if heap and (-fresh, x) > heap[0]:
-            heapq.heappush(heap, (-fresh, x))
-            continue
-        if fresh <= TOL:
-            break
-        greedy.add(x, fresh)
-        if greedy.value > best_val + 1e-12:
-            best_set, best_val = tuple(sorted(greedy.members)), greedy.value
-        if target is not None and greedy.value >= target - TOL:
-            return SmpSearch(tuple(sorted(greedy.members)), greedy.value)
-    return _branch_search(oracle, root, list(ground), kappa, target, deadline, best_set, best_val)
+def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
+    """Exhaustive branch-and-bound over subsets of ground of size <= kappa,
+    from the empty set; its first descent is the lazy greedy.
+
+    With a target: returns the first set reaching it (the greedy prefix
+    when it does), else the best set found.  Without a target the search
+    runs to completion and the result is the exact maximum.  kappa is
+    rounded up as in greedy_max; budget 0 charges one query, for the value
+    it reports.  Runs on ``oracle.restrict(ground)``.
+    """
+    budget = _size_limit(_check_budget(kappa))
+    deadline = _deadline(timeout_ms)
+    return _on_ground(oracle, ground, lambda view, ids: _branch_search(
+        view.state(()), list(ids), budget, target, deadline))
 
 
 def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
-    """Exact search that first pins every monotone element of ground.
+    """Exact search that first pins every monotone element of ground and
+    branches over the rest.
 
     Only applicable in the unconstrained case (kappa >= |ground|, kappa
-    rounded up); falls back to the plain exact search otherwise.  Runs on
-    ``oracle.restrict(ground)``.
+    rounded up); searches from the empty set, as exact_max_search does,
+    otherwise.  Runs on ``oracle.restrict(ground)``.
     """
-    _check_budget(kappa)
-    _check_timeout(timeout_ms)
-    ground = tuple(sorted(oracle._check_members(ground)))
-    if _size_limit(kappa) < len(ground):
-        return exact_max_search(oracle, ground, kappa, target=target, timeout_ms=timeout_ms)
-    return _on_ground(oracle, ground, lambda view, ids: _fast_exact_search(
-        view, ids, target, timeout_ms))
+    budget = _size_limit(_check_budget(kappa))
+    deadline = _deadline(timeout_ms)
 
-
-def _fast_exact_search(oracle, ground, target, timeout_ms):
-    deadline = None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
-    mono, nonmono = classify_monotone_elements(oracle, ground)
-    base = oracle.state(mono)
-    best_set, best_val = tuple(sorted(base.members)), base.value
-    if target is not None and best_val >= target - TOL:
-        return SmpSearch(best_set, best_val)
-    return _branch_search(oracle, base, list(nonmono), len(nonmono), target, deadline, best_set, best_val)
+    def search(view, ids):
+        pinned, rest = ((), ids) if budget < len(ids) else classify_monotone_elements(view, ids)
+        return _branch_search(view.state(pinned), list(rest), budget, target, deadline)
+    return _on_ground(oracle, ground, search)
 
 
 def random_greedy_max(oracle, kappa, seed, ground=None, target=None):

@@ -53,6 +53,11 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match=":2"):
             parse_edge_list(path)
 
+    @pytest.mark.parametrize("text", ["0 x\n", "0 1 heavy\n", "0.5 1\n"])
+    def test_unreadable_edge_numbers_rejected(self, tmp_path, text):
+        with pytest.raises(ParseError, match=":2: malformed edge"):
+            parse_edge_list(write(tmp_path, "bad.txt", "1 2\n" + text))
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_rejected(self, tmp_path, weight):
         with pytest.raises(InputError):
@@ -86,6 +91,11 @@ class TestParseTagAssignments:
         path = write(tmp_path, "dup.txt", "0 1\n0 2\n")
         with pytest.raises(ParseError, match=":2"):
             parse_tag_assignments(path)
+
+    @pytest.mark.parametrize("text", ["0 a\n", "x 1 2\n", "2 1.5\n"])
+    def test_unreadable_assignment_rejected(self, tmp_path, text):
+        with pytest.raises(ParseError, match=":2: malformed assignment"):
+            parse_tag_assignments(write(tmp_path, "bad.txt", "1 4\n" + text))
 
     def test_repeated_tag_counts_once(self, tmp_path):
         twice = parse_tag_assignments(write(tmp_path, "r.txt", "0 5 7 5\n1 7 9 7 7\n"))

@@ -197,6 +197,20 @@ class TestStreamCoverNonFiniteParameters:
             stream_cover(CoverInstance(four_cycle(), 4.0), 0.5, sub=smp_subroutine("ex"), **kwargs)
 
 
+class SignedCut(GraphCutOracle):
+    """A cut oracle that does not vouch for non-negative values."""
+
+    nonnegative = False
+
+
+@pytest.mark.parametrize("kind", ["ex", "dg"])
+def test_stream_cover_requires_a_nonnegative_oracle(kind):
+    oracle = SignedCut(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(InputError, match="requires a non-negative oracle"):
+        stream_cover(CoverInstance(oracle, 4.0), 0.5, 0.5, smp_subroutine(kind))
+    assert oracle.query_count == 0
+
+
 class TestRandomGreedy:
     def test_single_element(self):
         oracle = CoverageOracle([{0}])
@@ -343,6 +357,38 @@ class TestExactMaxSearch:
             found = exact_max_search(oracle.clone(), range(8), 3, target=ref * 10 + 5)
             assert not found.timed_out
             assert found.value == pytest.approx(ref)
+
+    @pytest.mark.parametrize("kappa", [1, 3, 9])
+    def test_root_gains_charged_in_one_batch(self, kappa):
+        # the branch-and-bound's first descent is the greedy phase, so the
+        # empty root's gains over the ground are charged once, not twice
+        oracle = random_graph(np.random.default_rng(43), 14, 0.4)
+        ground = (0, 2, 3, 5, 7, 8, 10, 12, 13)
+        ticks = []
+        tick = oracles.QueryCounter.tick
+
+        def counted(counter, queries=1):
+            ticks.append(queries)
+            tick(counter, queries)
+        with mock.patch.object(oracles.QueryCounter, "tick", counted):
+            exact_max_search(oracle, ground, kappa)
+        assert ticks[:2] == [1, len(ground)]
+        assert ticks.count(len(ground)) == 1
+        assert sum(ticks) == oracle.query_count
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_optimum_as_target_is_reached(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v, float(rng.integers(1, 4)) if seed % 2 else 1.0)
+                 for u, v, _ in random_edges(rng, 9, 0.5)]
+        oracle = GraphCutOracle(9, edges)
+        kappa = int(rng.integers(1, 10))
+        best = exact_max_cardinality(oracle.clone(), kappa).optimum_value
+        found = exact_max_search(oracle, range(9), kappa, target=best)
+        assert not found.timed_out
+        assert found.value >= best - TOL
+        assert len(found.solution) <= kappa
+        assert oracle.peek(found.solution) == found.value
 
 
 @st.composite

@@ -26,6 +26,7 @@ from subcover import (
     write_results_csv,
 )
 from subcover.cli import build_parser, main
+from subcover.harness import ALGORITHMS
 
 
 def write_tag_file(tmp_path, rng, n=20, m=18):
@@ -242,6 +243,35 @@ class TestRunExperiment:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_every_algorithm_serial_and_parallel(self, tmp_path):
+        def grid(jobs):
+            return ExperimentGrid(dataset="m=60,n=30,head=8,p_head=0.4,p_tail=0.01,seed=2",
+                                  kind="synthetic", algorithms=ALGORITHMS, eps_values=(0.2,),
+                                  tau_fractions=(0.9,), seeds=(0, 1), jobs=jobs)
+        serial = run_experiment(grid(1), str(tmp_path / "a.csv"), stable_output=True)
+        parallel = run_experiment(grid(2), str(tmp_path / "b.csv"), stable_output=True)
+        assert serial == parallel
+        assert [row.algorithm for row in serial] == [a for a in ALGORITHMS for _ in (0, 1)]
+        assert {row.status for row in serial} == {"Solved"}
+
+
+HARNESS_CHECKS = {
+    "chunk-without-equals": (lambda p: load_dataset("synthetic", "m=60,n30"),
+                             "expected key=value"),
+    "unknown-key": (lambda p: load_dataset("tightness", "k=3,width=9"),
+                    "unknown dataset parameter 'width'"),
+    "unknown-kind": (lambda p: load_dataset("graphml", "x.txt"), "unknown dataset kind"),
+    "bad-axis": (lambda p: emit_plot_data(p, "seed", "queries", p + ".tsv"), "x axis must be"),
+    "bad-metric": (lambda p: emit_plot_data(p, "eps", "wall_ms", p + ".tsv"), "metric must be"),
+}
+
+
+@pytest.mark.parametrize("case", HARNESS_CHECKS)
+def test_harness_input_checks(tmp_path, case):
+    run, message = HARNESS_CHECKS[case]
+    with pytest.raises(InputError, match=message):
+        run(str(tmp_path / "missing.csv"))
+
 class TestEmitPlotData:
     def make_csv(self, tmp_path, seeds=(0, 1, 2)):
         rng = np.random.default_rng(78)
@@ -382,6 +412,17 @@ class TestCli:
         ])
         grid_fields = [f.name for f in dataclasses.fields(ExperimentGrid)]
         assert sorted(vars(args)) == sorted(["command", "out", "stable_output", *grid_fields])
+
+    def test_minimal_run_builds_the_default_grid(self):
+        args = build_parser().parse_args([
+            "run", "--dataset", "x", "--kind", "tags", "--alg", "greedy", "--eps", "0.1",
+            "--tau-frac", "0.5", "--out", "o.csv",
+        ])
+        grid = ExperimentGrid(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(ExperimentGrid)})
+        assert grid == ExperimentGrid(dataset="x", kind="tags", algorithms=("greedy",),
+                                      eps_values=(0.1,), tau_fractions=(0.5,))
+        assert not args.stable_output
 
     def test_unreadable_dataset_exits_cleanly(self, tmp_path, capsys):
         code = main([

@@ -576,3 +576,31 @@ class TestBatchedGainsMatchFallback:
                 if u % 3 == 2:
                     st.add(u - 1)
             assert states[0].value == states[1].value == base.peek(states[0].members)
+
+
+def _cover(oracle=None):
+    return CoverInstance(oracle or CoverageOracle([{0}, {1}, {0, 1}]), 2.0)
+
+
+def _path():
+    return GraphCutOracle(3, [(0, 1), (1, 2)])
+
+
+INPUT_CHECKS = {
+    "gamma-zero": (lambda: convert_cover(greedy_max, _cover(), 0.1, 0.0), "gamma must lie in"),
+    "gamma-above-one": (lambda: convert_cover(greedy_max, _cover(), 0.1, 1.5), "gamma must lie in"),
+    "gamma-nan": (lambda: convert_cover(greedy_max, _cover(), 0.1, math.nan), "gamma must lie in"),
+    "greedy-on-cut": (lambda: greedy_cover(_cover(_path()), 0.2), "requires a monotone oracle"),
+    "thresh-on-cut": (lambda: threshold_greedy_cover(_cover(_path()), 0.2),
+                      "requires a monotone oracle"),
+    "stoch-on-cut": (lambda: stochastic_greedy_cover(_cover(_path()), 0.2, 0.1, 0.1, seed=0),
+                     "requires a monotone oracle"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_raise_before_any_query(case):
+    run, message = INPUT_CHECKS[case]
+    with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
+            pytest.raises(InputError, match=message):
+        run()

@@ -12,6 +12,7 @@ from subcover import (
     CoverInstance,
     GraphCutOracle,
     InputError,
+    RegularizedInstance,
     TOL,
     Status,
     exact_min_cover,
@@ -830,3 +831,26 @@ class TestTightnessInstance:
     def test_slices_cover_everything(self):
         inst = make_greedy_tightness_instance(4, 8)
         assert inst.oracle.peek(inst.slice_ids) == inst.tau
+
+
+CONSTRUCTOR_CHECKS = {
+    "negative-n": (lambda: GraphCutOracle(-1, []), "ground set size must be non-negative"),
+    "gain-of-member": (lambda: two_element_coverage().state([0]).gain(0),
+                       "already in the solution"),
+    "head-above-m": (lambda: make_synthetic_summarization(10, 5, 0.4, 0.0, 11, seed=0),
+                     "head_size must lie in"),
+    "negative-head": (lambda: make_synthetic_summarization(10, 5, 0.4, 0.0, -1, seed=0),
+                      "head_size must lie in"),
+    "tightness-l-zero": (lambda: make_greedy_tightness_instance(3, 0), "l must be positive"),
+    "cost-length": (lambda: RegularizedInstance(two_element_coverage(), [0.5], tau=1.0),
+                    "cost vector length"),
+    "negative-cost": (lambda: RegularizedInstance(two_element_coverage(), [0.5, -0.1], tau=1.0),
+                      "costs must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_CHECKS)
+def test_constructor_and_state_checks(case):
+    run, message = CONSTRUCTOR_CHECKS[case]
+    with pytest.raises(InputError, match=message):
+        run()

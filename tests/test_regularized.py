@@ -8,6 +8,7 @@ import pytest
 
 from subcover import (
     CoverageOracle,
+    GraphCutOracle,
     InputError,
     RegularizedInstance,
     Status,
@@ -332,3 +333,28 @@ class TestNonFiniteSweepParameters:
         kwargs = {"beta": 1.5, "opt_size": 2, name: value}
         with pytest.raises(InputError, match=name):
             distorted_stream_cover(self.inst(), 0.2, **kwargs)
+
+
+def _reg(oracle=None, **kw):
+    oracle = oracle or CoverageOracle([{0}, {1}, {0, 1}])
+    return RegularizedInstance(oracle, np.zeros(oracle.n), **kw)
+
+
+INSTANCE_CHECKS = {
+    "max-on-cut": (lambda: distorted_greedy_max(
+        _reg(GraphCutOracle(3, [(0, 1), (1, 2)]), kappa=2), 0.2), "monotone gain oracle"),
+    "max-without-budget": (lambda: distorted_greedy_max(_reg(tau=1.0), 0.2), "no budget"),
+    "potential-without-budget": (lambda: distorted_potential(_reg(tau=1.0), 0.2, 0, ()),
+                                 "no budget"),
+    "cover-without-threshold": (lambda: distorted_cover(_reg(kappa=2), 0.2, 0.1),
+                                "no cover threshold"),
+    "stream-without-threshold": (lambda: distorted_stream_cover(_reg(kappa=2), 0.2, 1.0, 2),
+                                 "no cover threshold"),
+}
+
+
+@pytest.mark.parametrize("case", INSTANCE_CHECKS)
+def test_instance_checks(case):
+    run, message = INSTANCE_CHECKS[case]
+    with pytest.raises(InputError, match=message):
+        run()

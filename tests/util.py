@@ -7,7 +7,6 @@ module so that tests cross-check two separate implementations.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 
@@ -165,22 +164,6 @@ def reference_exact_max_search(oracle, ground, kappa, target=None, fast=False):
         return SmpSearch(best_set, best_val)
     if kappa == 0:
         return SmpSearch(best_set, best_val)
-    greedy = root.copy()
-    heap = [(-greedy.gain(c), c) for c in ground]
-    heapq.heapify(heap)
-    while len(greedy.members) < kappa and heap:
-        _, x = heapq.heappop(heap)
-        fresh = greedy.gain(x)
-        if heap and (-fresh, x) > heap[0]:
-            heapq.heappush(heap, (-fresh, x))
-            continue
-        if fresh <= TOL:
-            break
-        greedy.add(x, fresh)
-        if greedy.value > best_val + 1e-12:
-            best_set, best_val = tuple(sorted(greedy.members)), greedy.value
-        if target is not None and greedy.value >= target - TOL:
-            return SmpSearch(tuple(sorted(greedy.members)), greedy.value)
     return _reference_branch_search(root, list(ground), kappa, target, best_set, best_val)
 
 
