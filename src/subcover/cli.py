@@ -52,7 +52,7 @@ def build_parser():
     run_p.add_argument("--ref-seed", type=int,
                        help="seed of the double-greedy threshold reference on graphs")
     run_p.add_argument("--guess", dest="guess_mode", choices=GUESS_MODES,
-                       help="initial optimum-size guess for stoch/convert")
+                       help="initial optimum-size guess for stoch/convert/convert-rand")
     run_p.add_argument("--sub-timeout-ms", type=float,
                        help="time limit of each ex/fex subroutine call; dg and rg ignore it")
     run_p.add_argument("--stable-output", action="store_true",

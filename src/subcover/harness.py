@@ -33,7 +33,7 @@ from .oracles import (
 )
 
 ALGORITHMS = ("greedy", "thresh", "stoch", "convert", "convert-rand", "stream")
-# initial optimum-size guess of stoch and convert: tau over the largest
+# initial optimum-size guess of stoch, convert and convert-rand: tau over the largest
 # singleton value, or the geometric budget schedule's default 1 + alpha
 GUESS_MODES = ("tau-ratio", "geometric")
 
@@ -239,7 +239,8 @@ def run_experiment(grid, out_path, stable_output=False):
     cells = list(grid.cells())
     if grid.jobs > 1:
         payloads = [(grid, cell, stable_output) for cell in cells]
-        with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
+        # a fork-started pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(grid.jobs, len(cells))) as pool:
             rows = list(pool.map(_pool_worker, payloads))
     else:
         context = _build_context(grid)

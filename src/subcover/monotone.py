@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .oracles import TOL, InputError, _threshold_scan, truncate
-from .results import Status, finish_run
+from .results import Run, Status
 
 
 def derive_seed(seed, *key):
@@ -31,10 +30,19 @@ def _check_positive(name, value):
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_alpha(alpha):
-    """A guess grows by the factor 1 + alpha, which must be finite and above 1 in float."""
+# the most guesses a geometric schedule may take to grow from 1 to n
+MAX_GUESSES = 10**8
+
+
+def _check_alpha(alpha, n):
+    """A guess grows by the factor 1 + alpha, which must be finite and above 1
+    in float, and reach n within MAX_GUESSES guesses."""
     if not (math.isfinite(alpha) and 1.0 + alpha > 1.0):
         raise InputError(f"alpha must be finite with 1 + alpha > 1, got {alpha}")
+    length = math.log(n) / math.log1p(alpha) if n > 1 else 0.0
+    if length > MAX_GUESSES:
+        raise InputError(f"alpha = {alpha} takes about {length:.3g} guesses to reach n = {n}, "
+                         f"above the limit of {MAX_GUESSES:.0e}")
 
 
 def _check_finite(name, value):
@@ -88,21 +96,20 @@ def greedy_cover(instance, eps):
     _check_unit_interval("eps", eps)
     _require_monotone(instance.oracle)
     oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
-    target = (1.0 - eps) * instance.tau
+    run = Run(oracle, (1.0 - eps) * instance.tau)
     if instance.tau <= 0:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
+        return run.finish((), Status.SOLVED)
     state = oracle.state(())
     status = Status.SOLVED
     ground = np.arange(oracle.n)
-    while state.value < target - TOL:
+    while state.value < run.target - TOL:
         best, gain = _best_gain(state, ground)
         if best is None or gain <= TOL:
             # monotone + submodular: no remaining element can ever help
             status = Status.INFEASIBLE
             break
         state.add(best, gain)
-    return finish_run(oracle, state.members, status, target, q0, t0)
+    return run.finish(state.members, status)
 
 
 def threshold_greedy_cover(instance, eps):
@@ -115,18 +122,17 @@ def threshold_greedy_cover(instance, eps):
     _check_unit_interval("eps", eps)
     _require_monotone(instance.oracle)
     oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
-    target = (1.0 - eps) * instance.tau
+    run = Run(oracle, (1.0 - eps) * instance.tau)
     if instance.tau <= 0:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
+        return run.finish((), Status.SOLVED)
     state = oracle.state(())
-    if state.value >= target - TOL:
-        return finish_run(oracle, state.members, Status.SOLVED, target, q0, t0)
+    if state.value >= run.target - TOL:
+        return run.finish(state.members, Status.SOLVED)
     ground = np.arange(oracle.n)
     gains = state.gains(ground)
     w = float(gains.max()) if gains.size else 0.0
     if w <= TOL:
-        return finish_run(oracle, state.members, Status.INFEASIBLE, target, q0, t0)
+        return run.finish(state.members, Status.INFEASIBLE)
     floor = eps * w / oracle.n
     status = None
     while status is None:
@@ -135,14 +141,14 @@ def threshold_greedy_cover(instance, eps):
         rest = _unselected(state, ground)
         for k, _, gain in _threshold_scan(rest, [state], w - TOL):
             state.add(rest.item(k), gain)
-            if state.value >= target - TOL:
+            if state.value >= run.target - TOL:
                 status = Status.SOLVED
                 break
         if status is None:
             w *= 1.0 - eps / 2.0
             if w < floor:
                 status = Status.INFEASIBLE
-    return finish_run(oracle, state.members, status, target, q0, t0)
+    return run.finish(state.members, status)
 
 
 def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=None):
@@ -157,15 +163,14 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     """
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
-    _check_alpha(alpha)
+    _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_guess", initial_guess)
     _require_monotone(instance.oracle)
     oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
     tau = instance.tau
-    target = (1.0 - eps) * tau
+    run = Run(oracle, (1.0 - eps) * tau)
     if tau <= 0:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
+        return run.finish((), Status.SOLVED)
     n = oracle.n
     capped = truncate(oracle, tau)  # shares the query counter
     num_solutions = convert_rand_repetitions(delta)
@@ -177,7 +182,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     stalled = 0
     stall_limit = math.ceil(lead * n)
     status = Status.SOLVED
-    while not any(st.value >= target - TOL for st in states):
+    while not any(st.value >= run.target - TOL for st in states):
         if g >= n and stalled >= stall_limit:
             status = Status.INFEASIBLE
             break
@@ -192,12 +197,12 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
             g = min(float(n), (1.0 + alpha) * g)
         if g >= n:
             stalled += 1
-    winners = [st for st in states if st.value >= target - TOL]
+    winners = [st for st in states if st.value >= run.target - TOL]
     if winners:
         chosen = min(winners, key=lambda st: len(st.members)).members
     else:
         chosen = min(states, key=lambda st: len(st.members)).members
-    return finish_run(oracle, chosen, status, target, q0, t0)
+    return run.finish(chosen, status)
 
 
 def stochastic_max_subroutine(eps):
@@ -270,16 +275,16 @@ def _budget_schedule(n, alpha, initial=None):
         g *= 1.0 + alpha
 
 
-def _budget_sweep(oracle, alpha, initial, attempt, target, q0, t0, value=None):
+def _budget_sweep(run, alpha, initial, attempt):
     """Call attempt(index, budget) -> (hit, chosen) for each budget of the
-    schedule.  The first hit is Solved; when the schedule ends the run is
-    InfeasibleDetected with the last chosen set."""
+    schedule.  The first hit finishes the run Solved; when the schedule ends
+    it is InfeasibleDetected with the last chosen set."""
     chosen = ()
-    for index, budget in enumerate(_budget_schedule(oracle.n, alpha, initial)):
+    for index, budget in enumerate(_budget_schedule(run.oracle.n, alpha, initial)):
         hit, chosen = attempt(index, budget)
         if hit:
-            return finish_run(oracle, chosen, Status.SOLVED, target, q0, t0, value)
-    return finish_run(oracle, chosen, Status.INFEASIBLE, target, q0, t0, value)
+            return run.finish(chosen, Status.SOLVED)
+    return run.finish(chosen, Status.INFEASIBLE)
 
 
 def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
@@ -290,20 +295,19 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     however close consecutive guesses are) until f of its output reaches
     gamma * tau.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_budget", initial_budget)
     _check_gamma(gamma)
     oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
-    target = gamma * instance.tau
-    if oracle.eval(()) >= target - TOL:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
+    run = Run(oracle, gamma * instance.tau)
+    if oracle.eval(()) >= run.target - TOL:
+        return run.finish((), Status.SOLVED)
 
     def attempt(index, budget):
         chosen = tuple(smp_alg(oracle, budget, derive_seed(seed, index)))
-        return oracle.eval(chosen) >= target - TOL, chosen
+        return oracle.eval(chosen) >= run.target - TOL, chosen
 
-    return _budget_sweep(oracle, alpha, initial_budget, attempt, target, q0, t0)
+    return _budget_sweep(run, alpha, initial_budget, attempt)
 
 
 def convert_rand_repetitions(delta):
@@ -319,24 +323,23 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     truncated objective min(f, tau); stops when any repetition reaches
     (1 - eps) * tau and returns the smallest successful solution.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_budget", initial_budget)
     _check_unit_interval("eps", eps)
     reps = convert_rand_repetitions(delta)
     oracle = instance.oracle
-    t0, q0 = time.perf_counter(), oracle.query_count
     tau = instance.tau
-    target = (1.0 - eps) * tau
+    run = Run(oracle, (1.0 - eps) * tau)
     if tau <= 0:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0)
+        return run.finish((), Status.SOLVED)
     capped = truncate(oracle, tau)
 
     def attempt(index, budget):
         winners = []
         for i in range(reps):
             candidate = tuple(smp_alg(capped, budget, derive_seed(seed, index, i)))
-            if capped.eval(candidate) >= target - TOL:
+            if capped.eval(candidate) >= run.target - TOL:
                 winners.append(candidate)
         return (True, min(winners, key=len)) if winners else (False, candidate)
 
-    return _budget_sweep(oracle, alpha, initial_budget, attempt, target, q0, t0)
+    return _budget_sweep(run, alpha, initial_budget, attempt)

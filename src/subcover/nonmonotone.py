@@ -14,7 +14,7 @@ import numpy as np
 from .monotone import (_budget_schedule, _check_alpha, _check_budget, _check_finite,
                        _check_unit_interval, _size_limit, _unselected, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
-from .results import Status, finish_run
+from .results import Run, Status
 
 
 @dataclass(frozen=True)
@@ -309,17 +309,16 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     "pass" event {g, cap, stored, smp_value}.
     """
     _check_unit_interval("eps", eps)
-    _check_alpha(alpha)
+    _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_guess", initial_guess)
     ratio = _approx_ratio(sub.kind)
     if not instance.oracle.nonnegative:
         raise InputError("stream cover requires a non-negative oracle")
     oracle = instance.oracle
     tau = instance.tau
-    t0, q0 = time.perf_counter(), oracle.query_count
-    accept_level = ratio * (1.0 - eps) * tau
-    if oracle.eval(()) >= accept_level - TOL:
-        return finish_run(oracle, (), Status.SOLVED, accept_level, q0, t0)
+    run = Run(oracle, ratio * (1.0 - eps) * tau)
+    if oracle.eval(()) >= run.target - TOL:
+        return run.finish((), Status.SOLVED)
     num_buckets = math.ceil(2.0 / eps)
     best_members, best_value = (), 0.0
     for pass_index, g in enumerate(_budget_schedule(oracle.n, alpha, initial_guess)):
@@ -328,14 +327,14 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
         buckets = _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event)
         ground = sorted(u for b in buckets for u in b.members)
         sub_seed = derive_seed(seed, 1, pass_index)
-        solution, timed_out = _run_subroutine(oracle, ground, cap, sub, accept_level, sub_seed)
+        solution, timed_out = _run_subroutine(oracle, ground, cap, sub, run.target, sub_seed)
         value = oracle.eval(solution)
         if value > best_value + 1e-12:
             best_members, best_value = solution, value
         if on_event is not None:
             on_event("pass", {"g": g, "cap": cap, "stored": tuple(ground), "smp_value": value})
         if timed_out:
-            return finish_run(oracle, best_members, Status.BUDGET_EXHAUSTED, accept_level, q0, t0)
-        if value >= accept_level - TOL:
-            return finish_run(oracle, solution, Status.SOLVED, accept_level, q0, t0)
-    return finish_run(oracle, best_members, Status.INFEASIBLE, accept_level, q0, t0)
+            return run.finish(best_members, Status.BUDGET_EXHAUSTED)
+        if value >= run.target - TOL:
+            return run.finish(solution, Status.SOLVED)
+    return run.finish(best_members, Status.INFEASIBLE)

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
 from .monotone import (_budget_sweep, _check_alpha, _check_gamma, _check_positive,
                        _check_unit_interval, _unselected)
 from .oracles import TOL, InputError, _threshold_scan
-from .results import Status, finish_run
+from .results import Run, Status
 
 
 def _check_instance(inst, need_kappa=False, need_tau=False):
@@ -83,26 +82,21 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     gamma * tau.  ``f_value`` of the result reports that checked quantity.
     """
     _check_instance(inst, need_tau=True)
-    _check_alpha(alpha)
+    _check_alpha(alpha, inst.oracle.n)
     _check_positive("beta", beta)
     _check_gamma(gamma)
     oracle = inst.oracle
     scale = gamma / beta
-    target = gamma * inst.tau
-    t0, q0 = time.perf_counter(), oracle.query_count
-
-    def value(S):
-        return oracle.peek(S) - scale * inst.cost(S)
-
-    if oracle.eval(()) >= target - TOL:
-        return finish_run(oracle, (), Status.SOLVED, target, q0, t0, value)
+    run = Run(oracle, gamma * inst.tau, value=lambda S: oracle.peek(S) - scale * inst.cost(S))
+    if oracle.eval(()) >= run.target - TOL:
+        return run.finish((), Status.SOLVED)
     scaled = dataclasses.replace(inst, costs=inst.costs * scale)
 
     def attempt(index, budget):
         chosen = tuple(reg_alg(dataclasses.replace(scaled, kappa=budget)))
-        return oracle.eval(chosen) - scale * inst.cost(chosen) >= target - TOL, chosen
+        return oracle.eval(chosen) - scale * inst.cost(chosen) >= run.target - TOL, chosen
 
-    return _budget_sweep(oracle, alpha, None, attempt, target, q0, t0, value)
+    return _budget_sweep(run, alpha, None, attempt)
 
 
 def distorted_cover(inst, eps, alpha):

@@ -34,19 +34,25 @@ class BicriteriaResult:
     target: float = 0.0
 
 
-def finish_run(oracle, members, status, target, queries_before, started_at, value=None):
-    """Assemble a result, re-evaluating the solution without counting.
+class Run:
+    """The measuring frame of one cover run: opened once the inputs are checked,
+    it notes the clock and the query count, and ``finish`` builds the result.
+    ``value`` re-checks the solution uncounted in place of ``oracle.peek``, for
+    a run that aims at another objective than f."""
 
-    ``value`` re-checks the solution in place of ``oracle.peek`` when the run
-    aims at another objective than f.
-    """
-    solution = tuple(sorted(int(x) for x in members))
-    return BicriteriaResult(
-        solution=solution,
-        f_value=(oracle.peek if value is None else value)(solution),
-        size=len(solution),
-        queries=oracle.query_count - queries_before,
-        status=status,
-        wall_ms=(time.perf_counter() - started_at) * 1000.0,
-        target=target,
-    )
+    def __init__(self, oracle, target, value=None):
+        self.oracle, self.target = oracle, target
+        self._value = oracle.peek if value is None else value
+        self._started, self._queries = time.perf_counter(), oracle.query_count
+
+    def finish(self, members, status):
+        solution = tuple(sorted(int(x) for x in members))
+        return BicriteriaResult(
+            solution=solution,
+            f_value=self._value(solution),
+            size=len(solution),
+            queries=self.oracle.query_count - self._queries,
+            status=status,
+            wall_ms=(time.perf_counter() - self._started) * 1000.0,
+            target=self.target,
+        )

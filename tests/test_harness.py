@@ -254,6 +254,32 @@ class TestRunExperiment:
         assert [row.algorithm for row in serial] == [a for a in ALGORITHMS for _ in (0, 1)]
         assert {row.status for row in serial} == {"Solved"}
 
+    def test_pool_is_no_larger_than_the_grid(self, tmp_path):
+        sizes = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor: notes its size, runs in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        grid = small_grid(write_tag_file(tmp_path, np.random.default_rng(79)), seeds=(0, 1), jobs=64)
+        with mock.patch("subcover.harness.ProcessPoolExecutor", InProcessPool), \
+                mock.patch.dict("subcover.harness._WORKER_STATE", clear=True):
+            pooled = run_experiment(grid, str(tmp_path / "a.csv"), stable_output=True)
+        serial = run_experiment(dataclasses.replace(grid, jobs=1), str(tmp_path / "b.csv"),
+                                stable_output=True)
+        assert sizes == [2]
+        assert pooled == serial
+
 
 HARNESS_CHECKS = {
     "chunk-without-equals": (lambda p: load_dataset("synthetic", "m=60,n30"),

@@ -498,14 +498,16 @@ TINY_ALPHA_SOLVERS = {
 }
 
 
-@pytest.mark.parametrize("tau", [2.0, 9.0], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("tau, alpha", [(2.0, 1e-17), (9.0, 1e-17), (2.0, 2.3e-16), (9.0, 2.3e-16)],
+                         ids=["feasible", "infeasible", "feasible-2.3e-16", "infeasible-2.3e-16"])
 @pytest.mark.parametrize("solver", TINY_ALPHA_SOLVERS)
-def test_alpha_that_cannot_grow_a_guess_rejected_before_any_query(solver, tau):
-    """1 + 1e-17 rounds to 1, so the guesses would never grow."""
+def test_alpha_that_cannot_grow_a_guess_rejected_before_any_query(solver, tau, alpha):
+    """1 + 1e-17 rounds to 1, so the guesses would never grow; with 2.3e-16
+    they would take about 6e15 guesses to reach n = 4."""
     inst = CoverInstance(CoverageOracle([{0}, {1}, {0, 1}, {2}]), tau)
     with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
             pytest.raises(InputError, match="alpha"):
-        TINY_ALPHA_SOLVERS[solver](inst, 1e-17)
+        TINY_ALPHA_SOLVERS[solver](inst, alpha)
     assert inst.oracle.query_count == 0
 
 
