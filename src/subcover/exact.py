@@ -14,7 +14,7 @@ class GuardError(InputError):
 
 
 def _check_guard(count, max_n):
-    limit = 20 if max_n is None else int(max_n)
+    limit = 20 if max_n is None else _check_budget(max_n, integral=True, name="max_n")
     if count > limit:
         raise GuardError(f"brute force over {count} elements exceeds the guard {limit} (pass max_n)")
 

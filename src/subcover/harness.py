@@ -3,6 +3,7 @@ parameters, with CSV output and plot-ready aggregation."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,24 @@ from .oracles import (
     make_synthetic_summarization,
 )
 
-ALGORITHMS = ("greedy", "thresh", "stoch", "convert", "convert-rand", "stream")
+# each --alg name's solver call; every solver is looked up by its module name
+# at call time, so patching harness.<solver> reaches the cell
+_SOLVERS = {
+    "greedy": lambda inst, eps, seed, grid, guess: greedy_cover(inst, eps),
+    "thresh": lambda inst, eps, seed, grid, guess: threshold_greedy_cover(inst, eps),
+    "stoch": lambda inst, eps, seed, grid, guess: stochastic_greedy_cover(
+        inst, eps, grid.delta, grid.alpha, seed, initial_guess=guess),
+    "convert": lambda inst, eps, seed, grid, guess: convert_cover(
+        stochastic_max_subroutine(eps), inst, grid.alpha, 1.0 - eps,
+        seed=seed, initial_budget=guess),
+    "convert-rand": lambda inst, eps, seed, grid, guess: convert_cover_randomized(
+        stochastic_max_subroutine(eps / 2.0), inst, grid.alpha, grid.delta, eps,
+        seed=seed, initial_budget=guess),
+    "stream": lambda inst, eps, seed, grid, guess: stream_cover(
+        inst, eps, grid.alpha,
+        smp_subroutine(grid.subroutine, timeout_ms=grid.sub_timeout_ms), seed=seed),
+}
+ALGORITHMS = tuple(_SOLVERS)
 # initial optimum-size guess of stoch, convert and convert-rand: tau over the largest
 # singleton value, or the geometric budget schedule's default 1 + alpha
 GUESS_MODES = ("tau-ratio", "geometric")
@@ -62,14 +80,20 @@ class ExperimentGrid:
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # an empty axis, an unknown algorithm, a bad tau fraction, job count,
-        # subroutine, timeout or guess mode fails here, not in every cell
+        # an empty axis, an unknown algorithm, a bad eps, tau fraction, seed,
+        # job count, subroutine, timeout or guess mode fails here, not in every cell
         for name in ("algorithms", "eps_values", "tau_fractions", "seeds"):
             if not len(getattr(self, name)):
                 raise InputError(f"{name} must not be empty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise InputError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
+        for eps in self.eps_values:
+            if not 0 < eps < 1:
+                raise InputError(f"eps must lie in (0, 1), got {eps}")
+        for seed in self.seeds:
+            if not seed >= 0:
+                raise InputError(f"seeds must be non-negative, got {seed}")
         for frac in self.tau_fractions:
             if not (math.isfinite(frac) and frac >= 0):
                 raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
@@ -81,13 +105,9 @@ class ExperimentGrid:
                              f"choose from {', '.join(GUESS_MODES)}")
 
     def cells(self):
-        run_id = 0
-        for alg in self.algorithms:
-            for eps in self.eps_values:
-                for frac in self.tau_fractions:
-                    for seed in self.seeds:
-                        yield (run_id, alg, eps, frac, seed)
-                        run_id += 1
+        axes = (self.algorithms, self.eps_values, self.tau_fractions, self.seeds)
+        for run_id, cell in enumerate(itertools.product(*axes)):
+            yield (run_id, *cell)
 
     def total_runs(self):
         return len(self.algorithms) * len(self.eps_values) * len(self.tau_fractions) * len(self.seeds)
@@ -183,30 +203,7 @@ def run_cell(context, grid, cell, stable_output=False):
     status = "Error"
     f_value, size, queries, wall_ms = 0.0, 0, 0, 0.0
     try:
-        if alg == "greedy":
-            res = greedy_cover(instance, eps)
-        elif alg == "thresh":
-            res = threshold_greedy_cover(instance, eps)
-        elif alg == "stoch":
-            res = stochastic_greedy_cover(
-                instance, eps, grid.delta, grid.alpha, seed, initial_guess=guess
-            )
-        elif alg == "convert":
-            res = convert_cover(
-                stochastic_max_subroutine(eps), instance, grid.alpha, 1.0 - eps,
-                seed=seed, initial_budget=guess,
-            )
-        elif alg == "convert-rand":
-            res = convert_cover_randomized(
-                stochastic_max_subroutine(eps / 2.0), instance, grid.alpha,
-                grid.delta, eps, seed=seed, initial_budget=guess,
-            )
-        else:  # stream; the grid admits no other name
-            res = stream_cover(
-                instance, eps, grid.alpha,
-                smp_subroutine(grid.subroutine, timeout_ms=grid.sub_timeout_ms),
-                seed=seed,
-            )
+        res = _SOLVERS[alg](instance, eps, seed, grid, guess)
         status = str(res.status)
         f_value, size, queries = res.f_value, res.size, res.queries
         wall_ms = 0.0 if stable_output else res.wall_ms

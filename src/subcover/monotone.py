@@ -50,15 +50,15 @@ def _check_finite(name, value):
         raise InputError(f"{name} must be finite, got {value}")
 
 
-def _check_budget(kappa, integral=False):
-    """A maximizer's budget, checked before any query: a non-negative finite
-    number, and with integral an integer (returned as an int)."""
+def _check_budget(kappa, integral=False, name="budget"):
+    """A budget or size limit called name, checked before any query: a non-
+    negative finite number, and with integral an integer (returned as an int)."""
     try:
         valid = 0 <= kappa < math.inf and (not integral or kappa == int(kappa))
     except TypeError:  # not a number
         valid = False
     if not valid:
-        raise InputError(f"budget must be a non-negative {'integer' if integral else 'finite number'}, "
+        raise InputError(f"{name} must be a non-negative {'integer' if integral else 'finite number'}, "
                          f"got {kappa}")
     return int(kappa) if integral else kappa
 

@@ -521,8 +521,10 @@ class GraphCutOracle(SetFunctionOracle):
             if len(edge) == 2:
                 u, v = edge
                 w = 1.0
-            else:
+            elif len(edge) == 3:
                 u, v, w = edge
+            else:
+                raise InputError(f"an edge is (u, v) or (u, v, weight), got {edge!r}")
             ends.append(u)
             ends.append(v)
             weights.append(w)
@@ -671,8 +673,8 @@ class _TruncatedState(SolutionState):
     """min(f, tau) over an inner state of the wrapped oracle.
 
     Gains are min(inner value + inner gain, tau) - value.  ``add``/``remove``
-    handed a gain recompute the inner one uncounted, since that query was
-    already paid; without a gain they charge one query.
+    charge as on any state; the inner move recomputes its own gain
+    uncounted, since the truncated gain already paid for that query.
     """
 
     def __init__(self, oracle, members):
@@ -691,25 +693,11 @@ class _TruncatedState(SolutionState):
     def _removal_gain(self, x):
         return min(self._inner.value + self._inner._removal_gain(x), self.oracle.tau) - self.value
 
-    def add(self, x, gain=None):
-        x = self._check_new(x)
-        if gain is None:
-            self.oracle._counter.tick()
+    def _apply_add(self, x):
         self._inner.add(x, self._inner._gain(x))
-        return self._sync()
 
-    def remove(self, x, gain=None):
-        x = self._check_held(x)
-        if gain is None:
-            self.oracle._counter.tick()
+    def _apply_remove(self, x):
         self._inner.remove(x, self._inner._removal_gain(x))
-        return self._sync()
-
-    def _sync(self):
-        new_value = min(self._inner.value, self.oracle.tau)
-        delta = new_value - self.value
-        self.value = new_value
-        return delta
 
     def _copy_into(self, dup):
         dup._inner = self._inner.copy()
@@ -746,6 +734,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     p_head and every later tag with probability p_tail.  Deterministic for a
     fixed seed.
     """
+    m, n, head_size = _int_ids([m, n, head_size], "size (m, n, head_size)").tolist()
     if not (0 <= p_head <= 1 and 0 <= p_tail <= 1):
         raise InputError("tag probabilities must lie in [0, 1]")
     if head_size > m or head_size < 0:
@@ -782,6 +771,7 @@ def make_greedy_tightness_instance(k, l):
     groups with the most uncovered tags, so its greedy gain ties the best
     group set at every step.  Non-divisible l is padded up to a multiple of k.
     """
+    k, l = _int_ids([k, l], "size (k, l)").tolist()
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
     if l < 1:

@@ -104,11 +104,8 @@ def distorted_cover(inst, eps, alpha):
     _check_unit_interval("eps", eps)
     gamma = 1.0 - eps
     beta = math.log(1.0 / eps)
-
-    def run(scaled_inst):
-        return distorted_greedy_max(scaled_inst, eps)
-
-    return convert_regularized(run, inst, alpha, gamma, beta)
+    return convert_regularized(lambda scaled: distorted_greedy_max(scaled, eps),
+                               inst, alpha, gamma, beta)
 
 
 def distorted_stream_cover(inst, eps, beta, opt_size):

@@ -1,5 +1,7 @@
 """Brute-force reference solvers, cross-checked against independent enumerations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from subcover import (
     CoverInstance,
     GraphCutOracle,
     GuardError,
+    InputError,
     RegularizedInstance,
     exact_max_cardinality,
     exact_max_regularized,
@@ -52,6 +55,14 @@ class TestExactMinCover:
         oracle = CoverageOracle([{0}] * 25)
         with pytest.raises(GuardError):
             exact_min_cover(CoverInstance(oracle, 1.0))
+
+    @pytest.mark.parametrize("max_n", [math.inf, math.nan, "x", 2.5])
+    def test_bad_guard_rejected_before_any_enumeration(self, max_n):
+        oracle = CoverageOracle([{0}, {1}])
+        with pytest.raises(InputError, match="max_n must be a non-negative integer") as raised:
+            exact_min_cover(CoverInstance(oracle, 1.0), max_n=max_n)
+        assert not isinstance(raised.value, GuardError)
+        assert oracle.query_count == 0
 
     def test_guard_override(self):
         oracle = CoverageOracle([{0}] * 25)

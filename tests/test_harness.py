@@ -411,6 +411,8 @@ class TestCli:
         ["--alg", "greedy,gredy"], ["--tau-frac", "0.5,nan"], ["--jobs", "0"], ["--jobs", "-3"],
         ["--dataset", "m=60,n=30,head=8,m=60"], ["--eps", ","], ["--tau-frac", ""],
         ["--seeds", ""], ["--alg", " , "],
+        ["--alg", "greedy,stoch", "--eps", "1.5"], ["--eps", "0.2,0"], ["--eps", "nan"],
+        ["--alg", "greedy,stoch", "--seeds=-1"],
     ])
     def test_bad_grid_exits_before_any_cell(self, tmp_path, capsys, flags):
         out_csv = tmp_path / "o.csv"

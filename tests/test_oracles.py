@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,11 @@ class TestGraphCutStorage:
     def test_out_of_range_endpoint_rejected(self, edges):
         with pytest.raises(InputError):
             GraphCutOracle(3, edges)
+
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 1.0, 2), ()])
+    def test_edge_of_wrong_length_rejected(self, edge):
+        with pytest.raises(InputError, match=re.escape(repr(edge))):
+            GraphCutOracle(3, [(0, 1), edge])
 
     def test_integral_float_endpoints_accepted(self):
         oracle = GraphCutOracle(3, [(0.0, np.float64(1)), (np.int64(1), 2)])
@@ -599,8 +605,8 @@ class TestThresholdScan:
 def coverage_oracles(draw):
     """(oracle, view): tag rows over up to three 64-bit words, with repeated
     tags, empty rows and n = 0 included; view is the oracle or a truncate()
-    of it at a half-integer or integer cap, so every value stays an exact
-    float."""
+    of it at a half-integer or integer cap, or at the non-dyadic cap
+    0.3 or 0.6 f(U) of the benchmarks."""
     n = draw(st.integers(0, 7))
     m = draw(st.sampled_from([0, 1, 5, 64, 65, 140]))
     tags = st.lists(st.integers(0, m - 1), max_size=8) if m else st.just([])
@@ -608,11 +614,13 @@ def coverage_oracles(draw):
     oracle = CoverageOracle(tag_sets)
     if draw(st.booleans()):
         return oracle, truncate(oracle, draw(st.integers(0, 2 * m)) / 2.0)
+    if draw(st.booleans()):
+        return oracle, truncate(oracle, draw(st.sampled_from([0.3, 0.6])) * oracle.peek(range(n)))
     return oracle, oracle
 
 
 COVERAGE_OPS = st.lists(
-    st.tuples(st.sampled_from(["add", "add_unpaid", "remove", "copy", "gain",
+    st.tuples(st.sampled_from(["add", "add_unpaid", "remove", "remove_unpaid", "copy", "gain",
                                "removal_gain", "gains", "scan_all", "first"]),
               st.integers(0, 1000)),
     max_size=25,
@@ -623,7 +631,10 @@ COVERAGE_OPS = st.lists(
 @given(drawn=coverage_oracles(), root=st.sets(st.integers(0, 6), max_size=4), ops=COVERAGE_OPS)
 def test_coverage_state_matches_peek(drawn, root, ops):
     """Coverage and truncated states against the uncounted evaluation: every
-    value and gain is an integer or half-integer, so they must match exactly.
+    inner value and gain is an integer, and a truncated state's running value
+    min(inner value, tau) is exact for every cap, so they must match bit for
+    bit.  Every add and remove returns the gain it made, charging one query
+    without a supplied gain and none with one.
 
     States start at a random root set.  "scan_all" batches every non-member
     (rotated, sometimes with a repeat), which switches a coverage state to
@@ -649,6 +660,8 @@ def test_coverage_state_matches_peek(drawn, root, ops):
         members = state.members
         value = view.peek(members)
         assert state.value == value
+        if view is not oracle:
+            assert state.value == min(state._inner.value, view.tau)
         outside = [x for x in range(n) if x not in members]
         expected = expected_gains(state, outside)
         probe = state.copy()
@@ -678,21 +691,28 @@ def test_coverage_state_matches_peek(drawn, root, ops):
             state = state.copy()
         elif op in ("add", "gain", "add_unpaid") and outside:
             x = outside[pick % len(outside)]
+            expected = view.peek(state.members | {x}) - state.value
             if op == "add_unpaid":
-                _, cost = charged(lambda: state.add(x))
-                assert cost == 1
+                made, cost = charged(lambda: state.add(x))
+                assert made == expected and cost == 1
             else:
                 gain, cost = charged(lambda: state.gain(x))
-                assert cost == 1
+                assert gain == expected and cost == 1
                 if op == "add":
-                    _, cost = charged(lambda: state.add(x, gain))
-                    assert cost == 0
-        elif op in ("remove", "removal_gain") and inside:
+                    made, cost = charged(lambda: state.add(x, gain))
+                    assert made == gain and cost == 0
+        elif op in ("remove", "remove_unpaid", "removal_gain") and inside:
             x = inside[pick % len(inside)]
-            gain = state.removal_gain(x)
-            if op == "remove":
-                _, cost = charged(lambda: state.remove(x, gain))
-                assert cost == 0
+            expected = view.peek(state.members - {x}) - state.value
+            if op == "remove_unpaid":
+                made, cost = charged(lambda: state.remove(x))
+                assert made == expected and cost == 1
+            else:
+                gain, cost = charged(lambda: state.removal_gain(x))
+                assert gain == expected and cost == 1
+                if op == "remove":
+                    made, cost = charged(lambda: state.remove(x, gain))
+                    assert made == gain and cost == 0
         elif op in ("gains", "scan_all") and outside:
             if op == "gains":  # up to three ids, repeats when few are outside
                 picks = [outside[(pick + i) % len(outside)] for i in range(pick % 4)]
@@ -805,6 +825,18 @@ class TestSyntheticSummarization:
         with pytest.raises(InputError):
             make_synthetic_summarization(10, 5, 1.5, 0.0, 2, seed=0)
 
+    @pytest.mark.parametrize("sizes", [(10.5, 5, 2), (10, 2.5, 2), (10, 5, 2.5), (10, 5, math.nan),
+                                       (math.inf, 5, 2), (10, "5", 2)])
+    def test_non_integral_size_rejected(self, sizes):
+        m, n, head = sizes
+        with pytest.raises(InputError, match="m, n, head_size"):
+            make_synthetic_summarization(m, n, 0.5, 0.1, head, seed=0)
+
+    def test_integral_float_sizes_accepted(self):
+        a = make_synthetic_summarization(40.0, 10.0, 0.4, 0.1, np.float64(5), seed=3)
+        b = make_synthetic_summarization(40, 10, 0.4, 0.1, 5, seed=3)
+        assert a.n == 10 and a.tag_sets == b.tag_sets
+
 
 class TestTightnessInstance:
     def test_small_construction(self):
@@ -827,6 +859,16 @@ class TestTightnessInstance:
     def test_k_below_two_rejected(self):
         with pytest.raises(InputError):
             make_greedy_tightness_instance(1, 4)
+
+    @pytest.mark.parametrize("k, l", [(2.5, 10), (3, 10.5), (math.nan, 10), (3, math.inf), ("3", 9)])
+    def test_non_integral_size_rejected(self, k, l):
+        with pytest.raises(InputError, match="k, l"):
+            make_greedy_tightness_instance(k, l)
+
+    def test_integral_float_sizes_accepted(self):
+        inst = make_greedy_tightness_instance(3.0, 9.0)
+        assert (inst.k, inst.l) == (3, 9) and type(inst.k) is type(inst.l) is int
+        assert inst.oracle.tag_sets == make_greedy_tightness_instance(3, 9).oracle.tag_sets
 
     def test_slices_cover_everything(self):
         inst = make_greedy_tightness_instance(4, 8)
