@@ -91,9 +91,10 @@ class ExperimentGrid:
         for eps in self.eps_values:
             if not 0 < eps < 1:
                 raise InputError(f"eps must lie in (0, 1), got {eps}")
-        for seed in self.seeds:
-            if not seed >= 0:
-                raise InputError(f"seeds must be non-negative, got {seed}")
+        seeds = tuple(_int_ids(self.seeds, "seed").tolist())
+        if min(seeds) < 0:
+            raise InputError(f"seeds must be non-negative, got {min(seeds)}")
+        object.__setattr__(self, "seeds", seeds)
         for frac in self.tau_fractions:
             if not (math.isfinite(frac) and frac >= 0):
                 raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
@@ -193,7 +194,6 @@ def _build_context(grid):
 
 def run_cell(context, grid, cell, stable_output=False):
     run_id, alg, eps, frac, seed = cell
-    seed = int(seed)
     oracle = context.base.clone()
     tau = frac * context.tau_basis
     instance = CoverInstance(oracle, tau)

@@ -227,10 +227,10 @@ class SolutionState:
 _SCALAR_SPAN = 16
 
 
-def _threshold_scan(ids, states, bar, shift=None):
+def _threshold_scan(ids, states, bar):
     """Scan the ids (an int64 array) in order, each against the open states
     in order, and yield (position, state index, gain) at each first id and
-    state whose gain clears bar (gain - shift[position] >= bar with a shift).
+    state whose gain clears bar.
 
     Before resuming, the caller may change the yielded state and drop states
     from the list; the scan goes on after the yielded position and ends when
@@ -249,7 +249,7 @@ def _threshold_scan(ids, states, bar, shift=None):
     while start < len(ids) and states:
         end = min(start + width, len(ids))
         window = _scalar_window if end - start < _SCALAR_SPAN else _batched_window
-        hit, chosen, gain = window(ids, states, start, end, bar, shift)
+        hit, chosen, gain = window(ids, states, start, end, bar)
         passed = end if hit is None else hit
         states[0].oracle._counter.tick((passed - start) * len(states)
                                        + (0 if hit is None else chosen + 1))
@@ -260,27 +260,25 @@ def _threshold_scan(ids, states, bar, shift=None):
         start, width = hit + 1, 1
 
 
-def _scalar_window(ids, states, start, end, bar, shift):
+def _scalar_window(ids, states, start, end, bar):
     """The first (position, state index, gain) in [start, end) that clears
     bar, ids in order and states in order for each; Nones when none does."""
     for i in range(start, end):
         u = ids.item(i)
-        offset = 0.0 if shift is None else shift.item(i)
         for k, state in enumerate(states):
             gain = state._gain(u)
-            if gain - offset >= bar:
+            if gain >= bar:
                 return i, k, gain
     return None, None, None
 
 
-def _batched_window(ids, states, start, end, bar, shift):
+def _batched_window(ids, states, start, end, bar):
     """_scalar_window's answer from one batch of gains per open state."""
     window = ids[start:end]
-    offsets = None if shift is None else shift[start:end]
     hit = chosen = gain = None
     for k, state in enumerate(states):
         gains = state._gains(window)
-        clears = (gains if offsets is None else gains - offsets[:len(window)]) >= bar
+        clears = gains >= bar
         if clears.any():
             at = int(clears.argmax())  # earlier than any hit so far: the window shrank to it
             hit, chosen, gain = start + at, k, gains.item(at)
@@ -735,6 +733,8 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     fixed seed.
     """
     m, n, head_size = _int_ids([m, n, head_size], "size (m, n, head_size)").tolist()
+    if m < 0 or n < 0:
+        raise InputError(f"sizes m and n must be non-negative, got m={m}, n={n}")
     if not (0 <= p_head <= 1 and 0 <= p_tail <= 1):
         raise InputError("tag probabilities must lie in [0, 1]")
     if head_size > m or head_size < 0:
@@ -770,6 +770,8 @@ def make_greedy_tightness_instance(k, l):
     set j covers ceil(U_j / k) still-uncovered tags, always taken from the
     groups with the most uncovered tags, so its greedy gain ties the best
     group set at every step.  Non-divisible l is padded up to a multiple of k.
+    Taking from the fullest group, lowest index first, visits the groups
+    round robin: the t-th tag taken is tag t // k of group t % k.
     """
     k, l = _int_ids([k, l], "size (k, l)").tolist()
     if k < 2:
@@ -778,20 +780,12 @@ def make_greedy_tightness_instance(k, l):
         raise InputError(f"l must be positive, got {l}")
     if l % k:
         l += k - (l % k)
-    remaining = [l] * k
-    next_tag = [i * l for i in range(k)]
-    slices = []
-    total_left = k * l
-    while total_left:
-        take = math.ceil(total_left / k)
-        tags = []
-        for _ in range(take):
-            grp = max(range(k), key=lambda i: (remaining[i], -i))
-            tags.append(next_tag[grp])
-            next_tag[grp] += 1
-            remaining[grp] -= 1
-        slices.append(tags)
-        total_left -= take
+    order = [(t % k) * l + t // k for t in range(k * l)]
+    slices, start = [], 0
+    while start < k * l:
+        take = math.ceil((k * l - start) / k)
+        slices.append(order[start:start + take])
+        start += take
     groups = [list(range(i * l, (i + 1) * l)) for i in range(k)]
     oracle = CoverageOracle(slices + groups, name="tightness")
     m = len(slices)

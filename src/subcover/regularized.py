@@ -1,5 +1,4 @@
-"""Regularized cover: distorted greedy maximization, a cover conversion for
-it, and a single-pass streaming variant."""
+"""Regularized cover: distorted greedy maximization and its cover conversion."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .monotone import (_budget_sweep, _check_alpha, _check_gamma, _check_positive,
                        _check_unit_interval, _unselected)
-from .oracles import TOL, InputError, _threshold_scan
+from .oracles import TOL, InputError
 from .results import Run, Status
 
 
@@ -107,26 +106,3 @@ def distorted_cover(inst, eps, alpha):
     return convert_regularized(lambda scaled: distorted_greedy_max(scaled, eps),
                                inst, alpha, gamma, beta)
 
-
-def distorted_stream_cover(inst, eps, beta, opt_size):
-    """One ordered pass accepting u when dg(S, u) - beta * c_u clears
-    eps * tau / opt_size; stops at ceil(opt_size / eps) elements.
-
-    opt_size is a caller-supplied guess of the optimal cover size;
-    experimental, wrap in a geometric guessing loop for end-to-end use.
-    """
-    _check_instance(inst, need_tau=True)
-    _check_unit_interval("eps", eps)
-    if not (math.isfinite(beta) and beta >= 1.0):
-        raise InputError(f"beta must be finite and at least 1, got {beta}")
-    if not (math.isfinite(opt_size) and opt_size >= 1):
-        raise InputError(f"opt_size must be finite and at least 1, got {opt_size}")
-    oracle = inst.oracle
-    limit = math.ceil(min(opt_size / eps, oracle.n))  # no pass stores more than n
-    bar = eps * inst.tau / opt_size
-    state = oracle.state(())
-    for u, _, gain in _threshold_scan(np.arange(oracle.n), [state], bar - TOL, beta * inst.costs):
-        state.add(u, gain)
-        if len(state.members) >= limit:
-            break
-    return tuple(sorted(state.members))

@@ -159,6 +159,20 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="unknown algorithm"):
             small_grid("tags.txt", algorithms=algorithms)
 
+    @pytest.mark.parametrize("seeds", [(1.5,), (0, math.nan), (math.inf,), ("1",)])
+    def test_non_integral_seed_rejected(self, seeds):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            small_grid("tags.txt", algorithms=("stoch",), seeds=seeds)
+
+    def test_integral_float_seed_runs_as_that_integer(self, tmp_path):
+        dataset = write_tag_file(tmp_path, np.random.default_rng(74))
+        grid = small_grid(dataset, algorithms=("stoch",), seeds=(2.0,))
+        assert grid.seeds == (2,) and type(grid.seeds[0]) is int
+        (row,) = run_experiment(grid, str(tmp_path / "a.csv"))
+        (ref,) = run_experiment(small_grid(dataset, algorithms=("stoch",), seeds=(2,)),
+                                str(tmp_path / "b.csv"))
+        assert row.seed == 2 and (row.queries, row.size) == (ref.queries, ref.size)
+
     @pytest.mark.parametrize("fractions", [(math.nan,), (0.5, -0.1), (math.inf,), (0.5, -math.inf)])
     def test_bad_tau_fraction_rejected(self, fractions):
         with pytest.raises(InputError, match="tau fractions"):

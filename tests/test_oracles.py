@@ -8,24 +8,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subcover
 from subcover import (
     CoverageOracle,
     CoverInstance,
     GraphCutOracle,
     InputError,
     RegularizedInstance,
+    SetFunctionOracle,
     TOL,
     Status,
+    exact_max_search,
     exact_min_cover,
     greedy_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
+    threshold_greedy_cover,
     truncate,
 )
 
 from subcover.oracles import _threshold_scan
 
-from util import FallbackCoverage, edge_list_cut, random_coverage, random_edges, random_graph
+from util import (FallbackCoverage, brute_max_subsets, edge_list_cut, random_coverage,
+                  random_edges, random_graph, reference_tightness_slices)
 
 
 def two_element_coverage():
@@ -601,6 +606,34 @@ class TestThresholdScan:
         assert oracle.query_count - before == 7
 
 
+class OnePlusSize(SetFunctionOracle):
+    """f(S) = 1 + |S|: a monotone oracle that defines only _value, so it runs
+    on the generic state and every default of the oracle layer."""
+
+    monotone = True
+
+    def _value(self, members):
+        return 1.0 + len(members)
+
+
+class TestGenericDefaults:
+    @pytest.mark.parametrize("solve", [greedy_cover, threshold_greedy_cover])
+    def test_empty_set_already_covers(self, solve):
+        oracle = OnePlusSize(3)
+        res = solve(CoverInstance(oracle, 1.0), 0.2)
+        assert (res.solution, res.status, res.queries) == ((), Status.SOLVED, 1)
+
+    def test_exact_search_matches_enumeration(self):
+        oracle = OnePlusSize(4)
+        res = exact_max_search(oracle, range(4), 2)
+        assert (res.value, len(res.solution)) == (brute_max_subsets(oracle, 2)[0], 2)
+        assert oracle.peek(res.solution) == res.value
+
+
+def test_every_export_resolves():
+    assert all(hasattr(subcover, name) for name in subcover.__all__)
+
+
 @st.composite
 def coverage_oracles(draw):
     """(oracle, view): tag rows over up to three 64-bit words, with repeated
@@ -874,6 +907,18 @@ class TestTightnessInstance:
         inst = make_greedy_tightness_instance(4, 8)
         assert inst.oracle.peek(inst.slice_ids) == inst.tau
 
+    def test_slices_match_the_tag_by_tag_construction(self):
+        """The round-robin slices equal the fullest-group-first loop, for
+        divisible and padded (non-divisible) l alike."""
+        padded = 0
+        for k, l in itertools.product(range(2, 8), range(1, 26)):
+            inst = make_greedy_tightness_instance(k, l)
+            slices = inst.oracle.tag_sets[:len(inst.slice_ids)]
+            assert slices == tuple(map(frozenset, reference_tightness_slices(k, l)))
+            assert inst.l == -(-l // k) * k
+            padded += inst.l != l
+        assert padded
+
 
 CONSTRUCTOR_CHECKS = {
     "negative-n": (lambda: GraphCutOracle(-1, []), "ground set size must be non-negative"),
@@ -883,6 +928,10 @@ CONSTRUCTOR_CHECKS = {
                      "head_size must lie in"),
     "negative-head": (lambda: make_synthetic_summarization(10, 5, 0.4, 0.0, -1, seed=0),
                       "head_size must lie in"),
+    "negative-m": (lambda: make_synthetic_summarization(-10, 5, 0.4, 0.0, 0, seed=0),
+                   r"sizes m and n must be non-negative, got m=-10, n=5"),
+    "negative-synthetic-n": (lambda: make_synthetic_summarization(10, -3, 0.5, 0.1, 2, seed=0),
+                             r"sizes m and n must be non-negative, got m=10, n=-3"),
     "tightness-l-zero": (lambda: make_greedy_tightness_instance(3, 0), "l must be positive"),
     "cost-length": (lambda: RegularizedInstance(two_element_coverage(), [0.5], tau=1.0),
                     "cost vector length"),

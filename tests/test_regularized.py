@@ -1,4 +1,4 @@
-"""Distorted greedy maximization, its cover conversion, and the streaming variant."""
+"""Distorted greedy maximization and its cover conversion."""
 
 import itertools
 import math
@@ -16,19 +16,11 @@ from subcover import (
     distorted_cover,
     distorted_greedy_max,
     distorted_potential,
-    distorted_stream_cover,
     distortion_horizon,
     greedy_max,
-    truncate,
 )
 
-from util import (
-    FallbackCoverage,
-    brute_max_regularized,
-    brute_min_cover_regularized,
-    random_coverage,
-    reference_distorted_stream_cover,
-)
+from util import brute_max_regularized, random_coverage
 
 
 def instance(rng, n, cost_high=0.3, kappa=None, tau=None):
@@ -193,101 +185,6 @@ class TestConvertRegularized:
         assert res.f_value == inst.oracle.peek(res.solution) - scale * inst.cost(res.solution)
 
 
-class TestDistortedStreamCover:
-    def test_everything_below_bar_gives_empty(self):
-        oracle = CoverageOracle([{0}, {1}])
-        inst = RegularizedInstance(oracle, np.zeros(2), tau=100.0)
-        assert distorted_stream_cover(inst, 0.5, 1.0, opt_size=1) == ()
-
-    def test_plain_thresholding_when_costs_vanish(self):
-        rng = np.random.default_rng(63)
-        oracle = random_coverage(rng, 8)
-        tau = oracle.peek(range(8))
-        inst = RegularizedInstance(oracle.clone(), np.zeros(8), tau=tau)
-        eps, opt_size = 0.25, 2
-        sol = distorted_stream_cover(inst, eps, 1.0, opt_size)
-        bar = eps * tau / opt_size
-        state = set()
-        expected = []
-        for u in range(8):
-            if len(expected) >= math.ceil(opt_size / eps):
-                break
-            gain = oracle.peek(state | {u}) - oracle.peek(state)
-            if gain >= bar - 1e-9:
-                expected.append(u)
-                state.add(u)
-        assert sol == tuple(expected)
-
-    def test_size_cap(self):
-        rng = np.random.default_rng(64)
-        inst = instance(rng, 10, cost_high=0.01, tau=1.0)
-        sol = distorted_stream_cover(inst, 0.5, 1.0, opt_size=1)
-        assert len(sol) <= math.ceil(1 / 0.5)
-
-    def test_huge_opt_size_stops_at_n(self):
-        """opt_size / eps overflows to inf; the stop count is capped at n."""
-        rng = np.random.default_rng(65)
-        inst = instance(rng, 10, cost_high=0.01, tau=1.0)
-        huge = distorted_stream_cover(inst, 0.5, 1.0, opt_size=1e308)
-        assert huge == distorted_stream_cover(inst, 0.5, 1.0, opt_size=1e300)
-
-    @pytest.mark.parametrize("kind", ["coverage", "generic", "truncated"])
-    def test_matches_the_per_element_loop(self, kind):
-        """Against one counted gain per element, on 40-120 elements with
-        random costs, so the scan also runs batched windows: the same
-        solution and query count, whether or not the size limit stops the
-        pass before the last element."""
-        rng = np.random.default_rng(68)
-        stopped = ran_through = 0
-        for _ in range(16):
-            n = int(rng.integers(40, 121))
-            oracle = random_coverage(rng, n, max_tags=60, max_per_element=6)
-            if kind == "generic":
-                oracle = FallbackCoverage(oracle.tag_sets)
-            elif kind == "truncated":
-                oracle = truncate(oracle, float(rng.integers(4, 40)))
-            costs = rng.uniform(0.0, 1.5, size=n)
-            eps = float(rng.choice([0.2, 0.5]))
-            beta = float(rng.uniform(1.0, 3.0))
-            opt_size = int(rng.integers(1, 6))
-            tau = float(rng.uniform(0.5, 3.0)) * opt_size / eps
-            runs = []
-            for solve in (distorted_stream_cover, reference_distorted_stream_cover):
-                inst = RegularizedInstance(oracle.clone(), costs, tau=tau)
-                runs.append((solve(inst, eps, beta, opt_size), inst.oracle.query_count))
-            assert runs[0] == runs[1]
-            if runs[0][1] < 1 + n:
-                stopped += 1
-            else:
-                ran_through += 1
-        assert stopped and ran_through
-
-    def test_draft_guarantee_by_enumeration(self):
-        rng = np.random.default_rng(65)
-        eps, beta = 0.25, 4.0
-        checked = 0
-        while checked < 12:
-            oracle = random_coverage(rng, 8)
-            costs = np.full(8, 0.05)
-            reg = RegularizedInstance(oracle, costs)
-            best, _ = brute_max_regularized(reg, 8)
-            if best <= 0:
-                continue
-            tau = 0.5 * best
-            inst = RegularizedInstance(oracle, costs, tau=tau)
-            opt = brute_min_cover_regularized(inst)
-            if opt is None or not opt:
-                continue
-            sol = distorted_stream_cover(inst, eps, beta, opt_size=len(opt))
-            achieved = oracle.peek(sol) - inst.cost(sol)
-            g_opt = oracle.peek(opt)
-            c_opt = inst.cost(opt)
-            lhs = (1 - 1 / beta - eps * (1 - 1 / beta)) * g_opt
-            rhs = (beta + 1 - eps * (1 - 1 / beta)) * c_opt
-            assert achieved >= lhs - rhs - 1e-9
-            checked += 1
-
-
 class TestCostModularityContract:
     def test_additive_over_disjoint_sets(self):
         rng = np.random.default_rng(66)
@@ -327,13 +224,6 @@ class TestNonFiniteSweepParameters:
         with pytest.raises(InputError, match=name):
             convert_regularized(lambda scaled: (), self.inst(), gamma=0.8, **kwargs)
 
-    @pytest.mark.parametrize("value", NON_FINITE)
-    @pytest.mark.parametrize("name", ["beta", "opt_size"])
-    def test_distorted_stream_cover(self, name, value):
-        kwargs = {"beta": 1.5, "opt_size": 2, name: value}
-        with pytest.raises(InputError, match=name):
-            distorted_stream_cover(self.inst(), 0.2, **kwargs)
-
 
 def _reg(oracle=None, **kw):
     oracle = oracle or CoverageOracle([{0}, {1}, {0, 1}])
@@ -348,8 +238,6 @@ INSTANCE_CHECKS = {
                                  "no budget"),
     "cover-without-threshold": (lambda: distorted_cover(_reg(kappa=2), 0.2, 0.1),
                                 "no cover threshold"),
-    "stream-without-threshold": (lambda: distorted_stream_cover(_reg(kappa=2), 0.2, 1.0, 2),
-                                 "no cover threshold"),
 }
 
 

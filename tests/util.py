@@ -335,18 +335,24 @@ def reference_threshold_greedy(inst, eps):
     return tuple(sorted(chosen)), status, queries
 
 
-def reference_distorted_stream_cover(inst, eps, beta, opt_size):
-    """distorted_stream_cover as the per-element loop the shared threshold
-    scan replaced: one counted gain() per element, in id order, until the
-    solution holds ceil(opt_size / eps) elements."""
-    oracle = inst.oracle
-    limit = math.ceil(opt_size / eps)
-    bar = eps * inst.tau / opt_size
-    state = oracle.state(())
-    for u in range(oracle.n):
-        if len(state.members) >= limit:
-            break
-        gain = state.gain(u)
-        if gain - beta * inst.costs[u] >= bar - TOL:
-            state.add(u, gain)
-    return tuple(sorted(state.members))
+def reference_tightness_slices(k, l):
+    """The slice sets of make_greedy_tightness_instance(k, l) built tag by
+    tag: each tag comes from the group with the most uncovered tags, the
+    lowest index on a tie (l is padded up to a multiple of k first)."""
+    if l % k:
+        l += k - (l % k)
+    remaining = [l] * k
+    next_tag = [i * l for i in range(k)]
+    slices = []
+    total_left = k * l
+    while total_left:
+        take = math.ceil(total_left / k)
+        tags = []
+        for _ in range(take):
+            grp = max(range(k), key=lambda i: (remaining[i], -i))
+            tags.append(next_tag[grp])
+            next_tag[grp] += 1
+            remaining[grp] -= 1
+        slices.append(tags)
+        total_left -= take
+    return slices
