@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,6 +89,10 @@ class ExperimentGrid:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise InputError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
+        for name in ("eps_values", "tau_fractions"):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InputError(f"{name} must hold real numbers, got {value!r}")
         for eps in self.eps_values:
             if not 0 < eps < 1:
                 raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -98,8 +103,12 @@ class ExperimentGrid:
         for frac in self.tau_fractions:
             if not (math.isfinite(frac) and frac >= 0):
                 raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
-        if self.jobs < 1:
-            raise InputError(f"jobs must be at least 1, got {self.jobs}")
+        if isinstance(self.jobs, bool):
+            raise InputError(f"jobs must be an integer, got {self.jobs}")
+        (jobs,) = _int_ids([self.jobs], "job count").tolist()
+        if jobs < 1:
+            raise InputError(f"jobs must be at least 1, got {jobs}")
+        object.__setattr__(self, "jobs", jobs)
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
         if self.guess_mode not in GUESS_MODES:
             raise InputError(f"unknown guess mode {self.guess_mode!r}; "

@@ -68,27 +68,48 @@ def _require_monotone(oracle):
         raise InputError("this solver requires a monotone oracle")
 
 
-def _unselected(state, candidates):
-    """The candidates (an int64 array of valid ids) not in the solution, in order."""
-    if not state.members:
-        return candidates
-    inside = np.zeros(state.oracle.n, dtype=bool)
-    inside[list(state.members)] = True
-    return candidates[~inside[candidates]]
+def _outside_gains(state, candidates, inside):
+    """The candidates (valid int64 ids) outside the solution and their gains,
+    charged in one tick.  inside is the solution's bool membership mask; the
+    caller sets inside[x] after each add."""
+    candidates = candidates[~inside[candidates]]
+    state.oracle._counter.tick(candidates.size)
+    return candidates, state._gains(candidates)
 
 
-def _best_gain(state, candidates):
-    """Argmax marginal gain over candidates not yet selected.
-
-    Candidates come in ascending order, so argmax's first occurrence is the
-    lowest-id tie-break.  Charges one query per unselected candidate.
-    """
-    candidates = _unselected(state, candidates)
+def _best_gain(state, candidates, inside):
+    """Argmax marginal gain over the candidates outside the solution, or
+    Nones when there is none; candidates in ascending order make argmax's
+    first occurrence the lowest-id tie-break."""
+    candidates, gains = _outside_gains(state, candidates, inside)
     if not candidates.size:
         return None, None
-    gains = state.gains(candidates)
     i = int(gains.argmax())
-    return int(candidates[i]), float(gains[i])
+    return candidates.item(i), gains.item(i)
+
+
+def _greedy(state, done):
+    """Add the element of largest gain until done(state), and return True;
+    return False first if no element outside the solution gains above TOL."""
+    ground = np.arange(state.oracle.n)
+    inside = np.zeros(state.oracle.n, dtype=bool)
+    while not done(state):
+        best, gain = _best_gain(state, ground, inside)
+        if best is None or gain <= TOL:
+            return False
+        state.add(best, gain)
+        inside[best] = True
+    return True
+
+
+def _sampled_step(state, inside, rng, size):
+    """Add the best element of a uniform sample of size ids, if the sample
+    holds one outside the solution, whatever its gain."""
+    sample = np.sort(rng.choice(state.oracle.n, size=size, replace=False))
+    best, gain = _best_gain(state, sample, inside)
+    if best is not None:
+        state.add(best, gain)
+        inside[best] = True
 
 
 def greedy_cover(instance, eps):
@@ -100,16 +121,9 @@ def greedy_cover(instance, eps):
     if instance.tau <= 0:
         return run.finish((), Status.SOLVED)
     state = oracle.state(())
-    status = Status.SOLVED
-    ground = np.arange(oracle.n)
-    while state.value < run.target - TOL:
-        best, gain = _best_gain(state, ground)
-        if best is None or gain <= TOL:
-            # monotone + submodular: no remaining element can ever help
-            status = Status.INFEASIBLE
-            break
-        state.add(best, gain)
-    return run.finish(state.members, status)
+    # monotone + submodular: once no element gains, none ever can
+    reached = _greedy(state, lambda st: st.value >= run.target - TOL)
+    return run.finish(state.members, Status.SOLVED if reached else Status.INFEASIBLE)
 
 
 def threshold_greedy_cover(instance, eps):
@@ -128,19 +142,20 @@ def threshold_greedy_cover(instance, eps):
     state = oracle.state(())
     if state.value >= run.target - TOL:
         return run.finish(state.members, Status.SOLVED)
-    ground = np.arange(oracle.n)
-    gains = state.gains(ground)
+    gains = state.gains(np.arange(oracle.n))
     w = float(gains.max()) if gains.size else 0.0
     if w <= TOL:
         return run.finish(state.members, Status.INFEASIBLE)
     floor = eps * w / oracle.n
+    inside = np.zeros(oracle.n, dtype=bool)
     status = None
     while status is None:
         # one pass in id order: each hit is added and the rest of the pass
         # is scanned against the new state
-        rest = _unselected(state, ground)
+        rest = np.flatnonzero(~inside)
         for k, _, gain in _threshold_scan(rest, [state], w - TOL):
             state.add(rest.item(k), gain)
+            inside[rest.item(k)] = True
             if state.value >= run.target - TOL:
                 status = Status.SOLVED
                 break
@@ -175,6 +190,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     capped = truncate(oracle, tau)  # shares the query counter
     num_solutions = convert_rand_repetitions(delta)
     states = [capped.state(()) for _ in range(num_solutions)]
+    insides = [np.zeros(n, dtype=bool) for _ in range(num_solutions)]
     rngs = [np.random.default_rng(derive_seed(seed, i)) for i in range(num_solutions)]
     lead = math.log(3.0 / eps)
     g = min(float(n), max(1.0, float(initial_guess if initial_guess is not None else 1.0 + alpha)))
@@ -187,11 +203,8 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
             status = Status.INFEASIBLE
             break
         sample_size = min(n, math.ceil(n * lead / g))
-        for st, rng in zip(states, rngs):
-            sample = np.sort(rng.choice(n, size=sample_size, replace=False))
-            best, gain = _best_gain(st, sample)
-            if best is not None:
-                st.add(best, gain)
+        for st, inside, rng in zip(states, insides, rngs):
+            _sampled_step(st, inside, rng, sample_size)
         r += 1
         if r > lead * g:
             g = min(float(n), (1.0 + alpha) * g)
@@ -223,13 +236,11 @@ def stochastic_max_subroutine(eps):
         # clamped in float: n / kappa and lead * kappa may overflow to inf
         sample_size = math.ceil(min(float(oracle.n), (oracle.n / kappa) * lead))
         state = oracle.state(())
+        inside = np.zeros(oracle.n, dtype=bool)
         step = 0
         while step < lead * kappa and len(state.members) < oracle.n:
             step += 1
-            sample = np.sort(rng.choice(oracle.n, size=sample_size, replace=False))
-            best, gain = _best_gain(state, sample)
-            if best is not None:
-                state.add(best, gain)
+            _sampled_step(state, inside, rng, sample_size)
         return tuple(sorted(state.members))
 
     return run
@@ -249,13 +260,8 @@ def greedy_max(oracle, kappa, seed=None):
     limit = _size_limit(_check_budget(kappa))
     if not limit:
         return ()
-    pool = np.arange(oracle.n)
     state = oracle.state(())
-    while len(state.members) < limit:
-        best, gain = _best_gain(state, pool)
-        if best is None or gain <= TOL:
-            break
-        state.add(best, gain)
+    _greedy(state, lambda st: len(st.members) >= limit)
     return tuple(sorted(state.members))
 
 

@@ -12,7 +12,7 @@ from operator import itemgetter
 import numpy as np
 
 from .monotone import (_budget_schedule, _check_alpha, _check_budget, _check_finite,
-                       _check_unit_interval, _size_limit, _unselected, derive_seed)
+                       _check_unit_interval, _outside_gains, _size_limit, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Run, Status
 
@@ -220,18 +220,20 @@ def _random_greedy(oracle, kappa, seed, pool, target):
     rng = np.random.default_rng(seed)
     pool = np.asarray(pool, dtype=np.int64)
     state = oracle.state(())
+    inside = np.zeros(oracle.n, dtype=bool)
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
             break
-        cands = _unselected(state, pool)
+        cands, gains = _outside_gains(state, pool, inside)
         if not cands.size:
             break
-        gains = state.gains(cands)
         top = np.lexsort((cands, -gains))[:kappa]
         top = top[gains[top] >= -1e-12]
         pick = int(rng.integers(kappa))
         if pick < top.size:
-            state.add(cands.item(top[pick]), gains.item(top[pick]))
+            x = cands.item(top[pick])
+            state.add(x, gains.item(top[pick]))
+            inside[x] = True
     return tuple(sorted(state.members))
 
 

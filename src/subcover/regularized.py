@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .monotone import (_budget_sweep, _check_alpha, _check_gamma, _check_positive,
-                       _check_unit_interval, _unselected)
+                       _check_unit_interval, _outside_gains)
 from .oracles import TOL, InputError
 from .results import Run, Status
 
@@ -54,19 +54,20 @@ def distorted_greedy_max(inst, eps, on_event=None):
     t = distortion_horizon(eps, kappa)
     state = oracle.state(())
     ground = np.arange(oracle.n)
+    inside = np.zeros(oracle.n, dtype=bool)
     step = 1
     while len(state.members) < t:
         factor = (1.0 - 1.0 / kappa) ** (t - step)
-        cands = _unselected(state, ground)
+        cands, gains = _outside_gains(state, ground, inside)
         if not cands.size:
             break
-        gains = state.gains(cands)
         scores = factor * gains - inst.costs[cands]
         i = int(scores.argmax())  # first maximum: the lowest id
         best, best_score = int(cands[i]), scores[i]
         if best_score <= TOL:
             break
         state.add(best, float(gains[i]))
+        inside[best] = True
         if on_event is not None:
             on_event("step", {"step": step, "element": best, "score": float(best_score)})
         step += 1

@@ -154,6 +154,24 @@ class TestRunExperiment:
         with pytest.raises(InputError, match=f"{field} must be at least 1"):
             small_grid("tags.txt", **{field: count})
 
+    @pytest.mark.parametrize("jobs", [1.5, True, "2", None, math.nan])
+    def test_non_integral_jobs_rejected(self, jobs):
+        with pytest.raises(InputError, match="job"):
+            small_grid("tags.txt", jobs=jobs)
+
+    def test_integral_float_jobs_is_that_integer(self):
+        grid = small_grid("tags.txt", jobs=np.float64(2.0))
+        assert grid.jobs == 2 and type(grid.jobs) is int
+
+    @pytest.mark.parametrize("field, values", [
+        ("eps_values", ("0.2",)), ("eps_values", (0.2, None)),
+        ("tau_fractions", ("0.5",)), ("tau_fractions", (True,)),
+    ])
+    def test_non_numeric_eps_or_tau_fraction_rejected(self, field, values):
+        axes = {"eps_values": (0.2,), "tau_fractions": (0.6,), field: values}
+        with pytest.raises(InputError, match=f"{field} must hold real numbers"):
+            ExperimentGrid(dataset="tags.txt", kind="tags", algorithms=("greedy",), **axes)
+
     @pytest.mark.parametrize("algorithms", [("gredy",), ("greedy", "Stream"), ("greedy", "")])
     def test_unknown_algorithm_rejected(self, algorithms):
         with pytest.raises(InputError, match="unknown algorithm"):

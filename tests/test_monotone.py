@@ -257,9 +257,9 @@ class TestStochasticGreedyMax:
         oracle = CoverageOracle([[0], [1], [2]])
         best_gain = monotone._best_gain
 
-        def step(state, candidates):
+        def step(state, candidates, inside):
             assert len(state.members) < oracle.n, "a step ran with every element selected"
-            return best_gain(state, candidates)
+            return best_gain(state, candidates, inside)
 
         with mock.patch.object(monotone, "_best_gain", step):
             assert stochastic_max_subroutine(0.2)(oracle, budget, 0) == expected

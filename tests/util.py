@@ -209,6 +209,31 @@ def _reference_branch_search(base_state, candidates, budget, target, best_set, b
     return SmpSearch(best_set, best_val)
 
 
+def reference_outside_gains(state, candidates):
+    """The candidates (an int64 array of valid ids) not in the solution, in
+    order, and their gains: the step the greedy-style loops took before they
+    kept a membership mask, rebuilding the unselected ids from state.members
+    and charging through the checked state.gains.  A step with no candidate
+    left takes no gains."""
+    if state.members:
+        inside = np.zeros(state.oracle.n, dtype=bool)
+        inside[list(state.members)] = True
+        candidates = candidates[~inside[candidates]]
+    if not candidates.size:
+        return candidates, np.zeros(0)
+    return candidates, state.gains(candidates)
+
+
+def reference_best_gain(state, candidates):
+    """Argmax gain over the reference_outside_gains step, lowest id on ties
+    for ascending candidates; Nones when every candidate is selected."""
+    candidates, gains = reference_outside_gains(state, candidates)
+    if not candidates.size:
+        return None, None
+    i = int(gains.argmax())
+    return int(candidates[i]), float(gains[i])
+
+
 def reference_random_greedy(oracle, kappa, seed, ground=None, target=None):
     """random_greedy_max as the per-candidate loop the batched ranking
     replaced, run on the oracle itself: each round takes one counted gain()
