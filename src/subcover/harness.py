@@ -18,6 +18,8 @@ from .dataio import (
     write_results_csv,
 )
 from .monotone import (
+    _check_alpha,
+    _check_unit_interval,
     convert_cover,
     convert_cover_randomized,
     greedy_cover,
@@ -81,25 +83,32 @@ class ExperimentGrid:
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # an empty axis, an unknown algorithm, a bad eps, tau fraction, seed,
-        # job count, subroutine, timeout or guess mode fails here, not in every cell
+        # an empty axis, an unknown algorithm, a bad eps, tau fraction, alpha,
+        # delta, seed, reference seed, job count, subroutine, timeout or guess
+        # mode fails here, not in every cell
         for name in ("algorithms", "eps_values", "tau_fractions", "seeds"):
             if not len(getattr(self, name)):
                 raise InputError(f"{name} must not be empty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise InputError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
-        for name in ("eps_values", "tau_fractions"):
-            for value in getattr(self, name):
+        reals = {"eps_values": self.eps_values, "tau_fractions": self.tau_fractions,
+                 "alpha": (self.alpha,), "delta": (self.delta,)}
+        for name, values in reals.items():
+            for value in values:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise InputError(f"{name} must hold real numbers, got {value!r}")
         for eps in self.eps_values:
             if not 0 < eps < 1:
                 raise InputError(f"eps must lie in (0, 1), got {eps}")
+        _check_alpha(self.alpha, 1)  # the guess-count limit depends on each cell's n
+        _check_unit_interval("delta", self.delta)
         seeds = tuple(_int_ids(self.seeds, "seed").tolist())
-        if min(seeds) < 0:
-            raise InputError(f"seeds must be non-negative, got {min(seeds)}")
+        (ref_seed,) = _int_ids([self.ref_seed], "seed").tolist()
+        if min(seeds + (ref_seed,)) < 0:
+            raise InputError(f"seeds must be non-negative, got {min(seeds + (ref_seed,))}")
         object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "ref_seed", ref_seed)
         for frac in self.tau_fractions:
             if not (math.isfinite(frac) and frac >= 0):
                 raise InputError(f"tau fractions must be finite and non-negative, got {frac}")

@@ -172,9 +172,9 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     Keeps ceil(ln(1/delta)/ln 2) candidate solutions.  Each iteration extends
     every solution with the best element of a fresh uniform sample of size
     min(n, ceil(n * ln(3/eps) / g)); after iteration r > ln(3/eps) * g the
-    guess g grows by (1 + alpha), capped at n.  Gains are taken against the
-    truncated objective min(f, tau).  Stops once some solution reaches
-    (1 - eps) * tau and returns the smallest one.
+    guess g takes the next _budget_schedule guess (at n it stays at n).
+    Gains are taken against the truncated objective min(f, tau).  Stops once
+    some solution reaches (1 - eps) * tau and returns the smallest one.
     """
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
@@ -193,7 +193,8 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     insides = [np.zeros(n, dtype=bool) for _ in range(num_solutions)]
     rngs = [np.random.default_rng(derive_seed(seed, i)) for i in range(num_solutions)]
     lead = math.log(3.0 / eps)
-    g = min(float(n), max(1.0, float(initial_guess if initial_guess is not None else 1.0 + alpha)))
+    guesses = _budget_schedule(n, alpha, initial_guess)
+    g = next(guesses, float(n))
     r = 1
     stalled = 0
     stall_limit = math.ceil(lead * n)
@@ -207,7 +208,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
             _sampled_step(st, inside, rng, sample_size)
         r += 1
         if r > lead * g:
-            g = min(float(n), (1.0 + alpha) * g)
+            g = next(guesses, g)
         if g >= n:
             stalled += 1
     winners = [st for st in states if st.value >= run.target - TOL]
@@ -282,14 +283,14 @@ def _budget_schedule(n, alpha, initial=None):
 
 
 def _budget_sweep(run, alpha, initial, attempt):
-    """Call attempt(index, budget) -> (hit, chosen) for each budget of the
-    schedule.  The first hit finishes the run Solved; when the schedule ends
-    it is InfeasibleDetected with the last chosen set."""
+    """Call attempt(index, budget) -> (status, chosen) per budget of the schedule;
+    the first status that is not None finishes the run with chosen.  When the
+    schedule ends the run is InfeasibleDetected with the last chosen set."""
     chosen = ()
     for index, budget in enumerate(_budget_schedule(run.oracle.n, alpha, initial)):
-        hit, chosen = attempt(index, budget)
-        if hit:
-            return run.finish(chosen, Status.SOLVED)
+        status, chosen = attempt(index, budget)
+        if status is not None:
+            return run.finish(chosen, status)
     return run.finish(chosen, Status.INFEASIBLE)
 
 
@@ -311,7 +312,7 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
 
     def attempt(index, budget):
         chosen = tuple(smp_alg(oracle, budget, derive_seed(seed, index)))
-        return oracle.eval(chosen) >= run.target - TOL, chosen
+        return Status.SOLVED if oracle.eval(chosen) >= run.target - TOL else None, chosen
 
     return _budget_sweep(run, alpha, initial_budget, attempt)
 
@@ -346,6 +347,6 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
             candidate = tuple(smp_alg(capped, budget, derive_seed(seed, index, i)))
             if capped.eval(candidate) >= run.target - TOL:
                 winners.append(candidate)
-        return (True, min(winners, key=len)) if winners else (False, candidate)
+        return (Status.SOLVED, min(winners, key=len)) if winners else (None, candidate)
 
     return _budget_sweep(run, alpha, initial_budget, attempt)

@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .monotone import (_budget_schedule, _check_alpha, _check_budget, _check_finite,
+from .monotone import (_budget_sweep, _check_alpha, _check_budget, _check_finite,
                        _check_unit_interval, _outside_gains, _size_limit, derive_seed)
 from .oracles import TOL, InputError, _threshold_scan
 from .results import Run, Status
@@ -304,7 +304,9 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     the pass a maximization subroutine runs over the stored elements with
     budget equal to the cap; its output is accepted once it reaches the
     subroutine's approximation ratio (1 for ex and fex, 1/2 for dg, 1/e for
-    rg) times (1 - eps) * tau.  Buckets are reset between guesses.
+    rg) times (1 - eps) * tau.  Buckets are reset between guesses.  A timeout
+    ends the run BudgetExhausted, and a schedule with no accepted output
+    InfeasibleDetected, both with the best set any pass found.
 
     An optional on_event(kind, fields) hook gets a "store" event for every
     stored element (see _fill_buckets) and, after each subroutine run, a
@@ -323,7 +325,9 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
         return run.finish((), Status.SOLVED)
     num_buckets = math.ceil(2.0 / eps)
     best_members, best_value = (), 0.0
-    for pass_index, g in enumerate(_budget_schedule(oracle.n, alpha, initial_guess)):
+
+    def attempt(pass_index, g):
+        nonlocal best_members, best_value
         cap = math.ceil(2.0 * g / eps)
         threshold = eps * tau / (2.0 * g)
         buckets = _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event)
@@ -336,7 +340,9 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
         if on_event is not None:
             on_event("pass", {"g": g, "cap": cap, "stored": tuple(ground), "smp_value": value})
         if timed_out:
-            return run.finish(best_members, Status.BUDGET_EXHAUSTED)
+            return Status.BUDGET_EXHAUSTED, best_members
         if value >= run.target - TOL:
-            return run.finish(solution, Status.SOLVED)
-    return run.finish(best_members, Status.INFEASIBLE)
+            return Status.SOLVED, solution
+        return None, best_members
+
+    return _budget_sweep(run, alpha, initial_guess, attempt)

@@ -411,7 +411,8 @@ class _CoverageState(SolutionState):
     only OR the bitmask until then, and later queries read or update the
     counts of x's tags with one array operation each.
     ``_vec`` (every element's gain, float64) exists once a batch of gains
-    spans every element outside the solution: it is exact for the covered
+    is as long as the elements outside the solution (on distinct non-member
+    ids, a batch naming every one of them): it is exact for the covered
     mask ``_vec_covered`` and is brought up to date at the next batch, the
     holders of newly covered tags losing one and those of uncovered tags
     gaining one.  States without it (sampled scans) count the candidates'
@@ -438,7 +439,8 @@ class _CoverageState(SolutionState):
 
     def _gains(self, cands):
         if self._vec is None:
-            if not self._spans_outside(cands):
+            outside = self.oracle.n - len(self.members)
+            if not outside or len(cands) < outside:
                 return self._scan(cands)
             self._vec, self._vec_covered = self._scan(np.arange(self.oracle.n)), self._covered
         elif self._vec_covered != self._covered:
@@ -450,16 +452,6 @@ class _CoverageState(SolutionState):
                 self._vec += self.oracle._holder_counts(lost)
             self._vec_covered = self._covered
         return self._vec[cands]
-
-    def _spans_outside(self, cands):
-        """Whether the (checked, non-member) candidate ids include every
-        element outside the solution; duplicates do not count twice."""
-        outside = self.oracle.n - len(self.members)
-        if not outside or len(cands) < outside:
-            return False
-        seen = np.zeros(self.oracle.n, dtype=bool)
-        seen[cands] = True
-        return int(np.count_nonzero(seen)) == outside
 
     def _scan(self, cands):
         oracle = self.oracle

@@ -94,7 +94,8 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
 
     def attempt(index, budget):
         chosen = tuple(reg_alg(dataclasses.replace(scaled, kappa=budget)))
-        return oracle.eval(chosen) - scale * inst.cost(chosen) >= run.target - TOL, chosen
+        hit = oracle.eval(chosen) - scale * inst.cost(chosen) >= run.target - TOL
+        return Status.SOLVED if hit else None, chosen
 
     return _budget_sweep(run, alpha, None, attempt)
 

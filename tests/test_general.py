@@ -2,6 +2,7 @@
 behind them."""
 
 import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -155,6 +156,23 @@ class TestStreamCover:
         schedule = list(_budget_schedule(6, 0.5, 1.3))
         assert guesses and guesses == schedule[:len(guesses)]
         assert (res.status == Status.INFEASIBLE) == (guesses == schedule)
+
+    def test_infeasible_run_returns_a_better_earlier_pass(self):
+        """The first pass finds {0, 2} (value 2) and every later one {0}
+        (value 1); no pass reaches the target, and the run returns the first
+        pass's set, not the last one's."""
+        oracle = GraphCutOracle(6, [(0, 1), (2, 3), (4, 5)])
+        searches = itertools.chain([nonmonotone.SmpSearch((0, 2), 2.0)],
+                                   itertools.repeat(nonmonotone.SmpSearch((0,), 1.0)))
+        values = []
+        with mock.patch.object(nonmonotone, "exact_max_search", side_effect=searches):
+            res = stream_cover(
+                CoverInstance(oracle, 50.0), 0.5, 0.5, smp_subroutine("ex"),
+                on_event=lambda kind, p: values.append(p["smp_value"]) if kind == "pass" else None,
+            )
+        assert values == [2.0] + [1.0] * (len(list(_budget_schedule(6, 0.5))) - 1)
+        assert res.status == Status.INFEASIBLE
+        assert res.solution == (0, 2) and res.f_value == 2.0
 
 
 class TestSmpSubroutineNames:
@@ -617,6 +635,20 @@ class TestTimeouts:
         rerun = stream_cover(CoverInstance(oracle.clone(), 48.0), 0.5, 0.5,
                              smp_subroutine(kind), initial_guess=4)
         assert rerun.status == Status.INFEASIBLE
+
+    @pytest.mark.parametrize("second, best", [((0,), (0, 2)), ((0, 2, 4), (0, 2, 4))])
+    def test_timeout_at_the_second_pass_returns_the_best_of_both(self, second, best):
+        """The first pass ends in time with {0, 2} (value 2); the second times
+        out with a worse or a better set.  The run ends there, BudgetExhausted,
+        with the better of the two."""
+        oracle = GraphCutOracle(6, [(0, 1), (2, 3), (4, 5)])
+        searches = [nonmonotone.SmpSearch((0, 2), 2.0),
+                    nonmonotone.SmpSearch(second, float(len(second)), True)]
+        with mock.patch.object(nonmonotone, "exact_max_search", side_effect=searches) as search:
+            res = stream_cover(CoverInstance(oracle, 50.0), 0.5, 0.5, smp_subroutine("ex"))
+        assert search.call_count == 2
+        assert res.status == Status.BUDGET_EXHAUSTED
+        assert res.solution == best and res.f_value == oracle.peek(best)
 
 
 class TestClassifyMonotone:

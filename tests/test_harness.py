@@ -159,6 +159,15 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="job"):
             small_grid("tags.txt", jobs=jobs)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", 2.0, "delta must lie in"), ("alpha", "0.1", "alpha must hold real numbers"),
+        ("alpha", -1.0, "1 \\+ alpha > 1"), ("alpha", math.nan, "1 \\+ alpha > 1"),
+        ("ref_seed", -3, "non-negative"), ("ref_seed", 1.5, "seed must be an integer"),
+    ])
+    def test_bad_alpha_delta_or_reference_seed_rejected(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            small_grid("tags.txt", **{field: value})
+
     def test_integral_float_jobs_is_that_integer(self):
         grid = small_grid("tags.txt", jobs=np.float64(2.0))
         assert grid.jobs == 2 and type(grid.jobs) is int

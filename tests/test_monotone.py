@@ -400,6 +400,50 @@ class TestBudgetSchedule:
         assert res.status == Status.INFEASIBLE
         assert budgets == list(_budget_schedule(5, 0.5, 1.2))
 
+    @pytest.mark.parametrize("initial", [None, 0.3, 1.2, 2.9, 9.0])
+    def test_stream_cover_passes_take_the_convert_cover_budgets(self, initial):
+        budgets, guesses = [], []
+
+        def recording(oracle, kappa, seed):
+            budgets.append(kappa)
+            return ()
+
+        oracle = CoverageOracle([{i} for i in range(7)])
+        res = convert_cover(recording, CoverInstance(oracle.clone(), 50.0), alpha=0.5,
+                            gamma=1.0, initial_budget=initial)
+        assert res.status == Status.INFEASIBLE
+        res = stream_cover(
+            CoverInstance(oracle.clone(), 50.0), 0.5, 0.5, smp_subroutine("dg"),
+            initial_guess=initial,
+            on_event=lambda kind, p: guesses.append(p["g"]) if kind == "pass" else None,
+        )
+        assert res.status == Status.INFEASIBLE
+        assert guesses == budgets == list(_budget_schedule(7, 0.5, initial))
+
+    @pytest.mark.parametrize("initial, alpha", [
+        (None, 0.5), (0.5, 0.1), (1.0, 1e-3), (3.7, 2.0), (1e6, 0.5),
+    ])
+    def test_stochastic_greedy_sample_sizes_follow_the_schedule(self, initial, alpha):
+        """Every iteration samples min(n, ceil(n ln(3/eps) / g)) ids, g
+        taking the _budget_schedule guesses in order, the next one after
+        iteration r - 1 once r > ln(3/eps) g, and staying at n at the end."""
+        n, eps = 30, 0.3
+        oracle = CoverageOracle([{i} for i in range(n)])
+        with mock.patch.object(monotone, "_sampled_step", wraps=monotone._sampled_step) as step:
+            res = stochastic_greedy_cover(CoverInstance(oracle, 2.0 * n), eps, 0.5, alpha,
+                                          seed=1, initial_guess=initial)
+        assert res.status == Status.INFEASIBLE  # one repetition: one step per iteration
+        sizes = [call.args[3] for call in step.call_args_list]
+        lead = math.log(3 / eps)
+        guesses = _budget_schedule(n, alpha, initial)
+        g, expected = next(guesses), []
+        for r in range(2, len(sizes) + 2):
+            expected.append(min(n, math.ceil(n * lead / g)))
+            if r > lead * g:
+                g = next(guesses, g)
+        assert sizes == expected
+        assert next(guesses, None) is None and sizes[-1] == math.ceil(lead)
+
     def test_tiny_alpha_returns_promptly(self):
         # the whole schedule at n = 2000, alpha = 1e-6 has ~7.6M budgets;
         # the first one already solves this instance

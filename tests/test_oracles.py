@@ -543,23 +543,27 @@ class TestCoverageStateBookkeeping:
         assert state.gains([1, 2, 3]).tolist() == [1.0, 2.0, 1.0]
         assert state.removal_gain(0) == -2.0
 
-    def test_duplicate_batch_does_not_build_the_gain_vector(self):
-        """A batch as long as the non-members but missing one of them (ids
-        repeat) keeps the word scan; only a batch naming every non-member
-        switches the state to the gain vector."""
+    def test_gain_vector_is_chosen_by_batch_length(self):
+        """The gain vector is chosen by count: a batch at least as long as the
+        non-members builds it, even one whose ids repeat and miss a
+        non-member; a shorter batch keeps the word scan.  Values and charges
+        are the same either way."""
         oracle = CoverageOracle([{0}, {1, 3}, {0}, {0, 3}])
         state = oracle.state([0])
         before = oracle.query_count
         assert state.gains([1, 1, 3]).tolist() == [2.0, 2.0, 1.0]
-        assert state._vec is None
+        assert state._vec is not None
         # 33 ids: the threshold scan's window over positions 15-30 is a batch
         assert list(_threshold_scan(np.array([3, 3, 1] * 11), [state], 3.0)) == []
-        assert state._vec is None
+        assert state._vec is not None
         assert state.gains([3, 2, 1, 2]).tolist() == [1.0, 0.0, 2.0, 0.0]
         assert state._vec is not None
         state.add(3, 1.0)
         assert state.gains([2, 1]).tolist() == [0.0, 1.0]
         assert oracle.query_count - before == 3 + 33 + 4 + 2
+        short = oracle.state([0])
+        assert short.gains([1, 3]).tolist() == [2.0, 1.0]
+        assert short._vec is None
 
 
 class TestBatchedGains:
