@@ -260,7 +260,6 @@ def run_experiment(grid, out_path, stable_output=False):
     else:
         context = _build_context(grid)
         rows = [run_cell(context, grid, cell, stable_output=stable_output) for cell in cells]
-    rows.sort(key=lambda r: r.run_id)
     write_results_csv(rows, out_path)
     return rows
 

@@ -212,11 +212,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
         if g >= n:
             stalled += 1
     winners = [st for st in states if st.value >= run.target - TOL]
-    if winners:
-        chosen = min(winners, key=lambda st: len(st.members)).members
-    else:
-        chosen = min(states, key=lambda st: len(st.members)).members
-    return run.finish(chosen, status)
+    return run.finish(min(winners or states, key=lambda st: len(st.members)).members, status)
 
 
 def stochastic_max_subroutine(eps):

@@ -114,8 +114,12 @@ class SetFunctionOracle:
         return SolutionState(self, members)
 
     def clone(self):
-        """Structural copy with an independent query counter."""
-        raise NotImplementedError
+        """A copy of this oracle's class with a fresh query counter; it shares
+        every other attribute, as the structures of an oracle are read-only."""
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
+        dup._counter = QueryCounter()
+        return dup
 
 
 class SolutionState:
@@ -364,12 +368,6 @@ class CoverageOracle(SetFunctionOracle):
         return np.bincount(self._holders[_row_positions(self._holder_ptr, tags)],
                            minlength=self.n)
 
-    def clone(self):
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)  # shares the CSRs, masks and words
-        SetFunctionOracle.__init__(dup, self.n, name=self.name)
-        return dup
-
 
 def _int_ids(values, what):
     """The ids in the list values as int64.  Each must be an integer, or an
@@ -518,11 +516,8 @@ class GraphCutOracle(SetFunctionOracle):
             ends.append(u)
             ends.append(v)
             weights.append(w)
-        ends = _int_ids(ends, "edge endpoint")
+        ends = self._check_ids(_int_ids(ends, "edge endpoint"))
         weights = np.array(weights, dtype=float)
-        bad = np.flatnonzero((ends < 0) | (ends >= self.n))
-        if bad.size:
-            self._check_element(ends[bad[0]])  # raises the usual message
         bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
         if bad.size:
             w = weights[bad[0]]
@@ -594,12 +589,6 @@ class GraphCutOracle(SetFunctionOracle):
 
     def edge_count(self):
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def clone(self):
-        dup = object.__new__(GraphCutOracle)
-        dup.__dict__.update(self.__dict__)  # shares the CSR arrays
-        SetFunctionOracle.__init__(dup, self.n, name=self.name)
-        return dup
 
 
 class _GraphCutState(SolutionState):

@@ -22,7 +22,7 @@ class BicriteriaResult:
 
     ``f_value`` is a fresh, uncounted re-evaluation of ``solution``.
     ``target`` is the objective level the run aimed for; Solved implies
-    f_value >= target - 1e-9.  Maximization runs carry target 0.
+    f_value >= target - 1e-9.
     """
 
     solution: tuple
@@ -31,7 +31,7 @@ class BicriteriaResult:
     queries: int
     status: Status
     wall_ms: float
-    target: float = 0.0
+    target: float
 
 
 class Run:

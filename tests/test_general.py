@@ -39,6 +39,7 @@ from subcover.oracles import TOL, SetFunctionOracle
 
 from util import (
     FallbackCoverage,
+    SignedCut,
     brute_max_all,
     brute_max_subsets,
     random_coverage,
@@ -213,12 +214,6 @@ class TestStreamCoverNonFiniteParameters:
         kwargs = {"alpha": 0.5, name: value}
         with pytest.raises(InputError, match=name):
             stream_cover(CoverInstance(four_cycle(), 4.0), 0.5, sub=smp_subroutine("ex"), **kwargs)
-
-
-class SignedCut(GraphCutOracle):
-    """A cut oracle that does not vouch for non-negative values."""
-
-    nonnegative = False
 
 
 @pytest.mark.parametrize("kind", ["ex", "dg"])

@@ -215,6 +215,23 @@ class TestStochasticGreedyCover:
         iterations = res.size  # one add per iteration for the single solution
         assert res.queries <= 1 + (iterations + 1) * sample_size
 
+    @pytest.mark.parametrize("tau, status", [(2.0, Status.SOLVED), (3.0, Status.INFEASIBLE)])
+    def test_returns_the_smallest_solution_of_the_pool(self, tau, status):
+        """The smallest solution that reaches the target, or the smallest of
+        all when none does, not the first: the steps of the two solutions are
+        scripted, and the second skips its first step and ends smaller."""
+        oracle = CoverageOracle([{0, 1}, {0}, {1}, set()])
+        moves = iter([1, None, 2, 0, 3])  # the two solutions step in turn, then stop
+
+        def step(state, inside, rng, size):
+            x = next(moves, None)
+            if x is not None:
+                state.add(x)
+
+        with mock.patch.object(monotone, "_sampled_step", side_effect=step):
+            res = stochastic_greedy_cover(CoverInstance(oracle, tau), 0.01, 0.25, 0.5, seed=0)
+        assert (res.solution, res.status) == ((0,), status)
+
     def test_solved_runs_meet_threshold(self):
         rng = np.random.default_rng(201)
         for _ in range(20):

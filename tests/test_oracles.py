@@ -23,13 +23,15 @@ from subcover import (
     greedy_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
+    smp_subroutine,
+    stream_cover,
     threshold_greedy_cover,
     truncate,
 )
 
 from subcover.oracles import _threshold_scan
 
-from util import (FallbackCoverage, brute_max_subsets, edge_list_cut, random_coverage,
+from util import (FallbackCoverage, SignedCut, brute_max_subsets, edge_list_cut, random_coverage,
                   random_edges, random_graph, reference_tightness_slices)
 
 
@@ -260,6 +262,21 @@ class TestGraphCutStorage:
         dup = oracle.clone()
         assert dup.adjacency is oracle.adjacency
         assert dup.edge_weights is oracle.edge_weights
+        view = oracle.restrict([1, 2, 4])  # charges the parent's counter; its clone does not
+        view.eval([0])
+        dup = view.clone()
+        assert dup.n == view.n == 3 and dup._cols is view._cols
+        assert dup.query_count == 0
+        dup.eval([1])
+        assert (oracle.query_count, view.query_count, dup.query_count) == (1, 1, 1)
+
+    def test_clone_keeps_the_subclass(self):
+        oracle = SignedCut(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        dup = oracle.clone()
+        assert type(dup) is SignedCut and dup.nonnegative is False
+        with pytest.raises(InputError, match="requires a non-negative oracle"):
+            stream_cover(CoverInstance(dup, 4.0), 0.5, 0.5, smp_subroutine("dg"))
+        assert dup.query_count == 0
 
     def test_empty_ground_set(self):
         oracle = GraphCutOracle(0, [])
@@ -626,6 +643,14 @@ class TestGenericDefaults:
         oracle = OnePlusSize(3)
         res = solve(CoverInstance(oracle, 1.0), 0.2)
         assert (res.solution, res.status, res.queries) == ((), Status.SOLVED, 1)
+
+    def test_clone_has_its_own_counter(self):
+        oracle = OnePlusSize(4)
+        oracle.eval([0])
+        dup = oracle.clone()
+        assert type(dup) is OnePlusSize and (dup.n, dup.query_count) == (4, 0)
+        assert dup.eval([1, 2]) == 3.0
+        assert (oracle.query_count, dup.query_count) == (1, 1)
 
     def test_exact_search_matches_enumeration(self):
         oracle = OnePlusSize(4)

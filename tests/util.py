@@ -41,6 +41,12 @@ class FallbackCoverage(CoverageOracle):
         return SolutionState(self, members)
 
 
+class SignedCut(GraphCutOracle):
+    """A cut oracle that does not vouch for non-negative values."""
+
+    nonnegative = False
+
+
 def random_edges(rng, n, p, weighted=False):
     """Erdos-Renyi style edge list; optional uniform random weights."""
     edges = []
