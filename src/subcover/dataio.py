@@ -44,7 +44,7 @@ def parse_edge_list(path):
     original = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
     index = {node: i for i, node in enumerate(original)}
     edges = [(index[u], index[v], w) for u, v, w in raw_edges]
-    oracle = GraphCutOracle(len(original), edges, name="edge-list")
+    oracle = GraphCutOracle(len(original), edges)
     oracle.original_ids = tuple(original)
     return oracle
 
@@ -71,7 +71,7 @@ def parse_tag_assignments(path):
     original_tags = sorted({t for tags in per_element.values() for t in tags})
     tag_index = {t: i for i, t in enumerate(original_tags)}
     tag_sets = [[tag_index[t] for t in per_element[e]] for e in original_elems]
-    oracle = CoverageOracle(tag_sets, name="tag-file")
+    oracle = CoverageOracle(tag_sets)
     oracle.original_ids = tuple(original_elems)
     oracle.original_tags = tuple(original_tags)
     return oracle

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monotone import _check_budget
-from .oracles import TOL, InputError
+from .monotone import _check_budget, _size_limit
+from .oracles import TOL, InputError, _int_ids
 
 
 class GuardError(InputError):
@@ -14,7 +14,7 @@ class GuardError(InputError):
 
 
 def _check_guard(count, max_n):
-    limit = 20 if max_n is None else _check_budget(max_n, integral=True, name="max_n")
+    limit = 20 if max_n is None else _int_ids([max_n], "max_n").item()
     if count > limit:
         raise GuardError(f"brute force over {count} elements exceeds the guard {limit} (pass max_n)")
 
@@ -59,15 +59,15 @@ def exact_min_cover(instance, max_n=None):
 
 
 def exact_max_cardinality(oracle, kappa, max_n=None):
-    """Exact maximum of f over subsets of size <= kappa (one query at 0)."""
-    kappa = _check_budget(kappa, integral=True)
+    """Exact maximum of f over subsets of size <= kappa rounded up (one query at 0)."""
+    kappa = _size_limit(_check_budget(kappa))
     _check_guard(oracle.n, max_n)
     return _enumerate(range(oracle.n), kappa, oracle.eval)
 
 
 def exact_max_regularized(inst, kappa, max_n=None):
-    """Exact maximum of g - c over subsets of size <= kappa."""
-    kappa = _check_budget(kappa, integral=True)
+    """Exact maximum of g - c over subsets of size <= kappa rounded up."""
+    kappa = _size_limit(_check_budget(kappa))
     n = inst.oracle.n
     _check_guard(n, max_n)
     return _enumerate(range(n), kappa, lambda X: inst.oracle.eval(X) - inst.cost(X))

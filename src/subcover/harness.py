@@ -31,6 +31,7 @@ from .nonmonotone import double_greedy_max, smp_subroutine, stream_cover
 from .oracles import (
     CoverInstance,
     InputError,
+    _check_seed,
     _int_ids,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
@@ -103,12 +104,8 @@ class ExperimentGrid:
                 raise InputError(f"eps must lie in (0, 1), got {eps}")
         _check_alpha(self.alpha, 1)  # the guess-count limit depends on each cell's n
         _check_unit_interval("delta", self.delta)
-        seeds = tuple(_int_ids(self.seeds, "seed").tolist())
-        (ref_seed,) = _int_ids([self.ref_seed], "seed").tolist()
-        if min(seeds + (ref_seed,)) < 0:
-            raise InputError(f"seeds must be non-negative, got {min(seeds + (ref_seed,))}")
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "ref_seed", ref_seed)
+        object.__setattr__(self, "seeds", tuple(map(_check_seed, self.seeds)))
+        object.__setattr__(self, "ref_seed", _check_seed(self.ref_seed))
         for frac in self.tau_fractions:
             if not (math.isfinite(frac) and frac >= 0):
                 raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
@@ -151,15 +148,15 @@ def _parse_params(text, defaults):
     return {**defaults, **given}
 
 
-def _parse_number(key, value, integral):
+def _parse_number(key, value, integer):
     """A dataset parameter's value: a float, or for an integer parameter an
     int in the int64 range.  An integer literal is read exactly, however
     many digits it has; "60.0" is 60; 60.7, nan and inf raise."""
-    if integral:
+    if integer:
         try:
             exact = int(value)
         except ValueError:
-            pass  # not an integer literal, maybe an integral float
+            pass  # not an integer literal, maybe a whole float
         else:
             return int(_int_ids([exact], f"{key} value")[0])
     try:
@@ -167,7 +164,7 @@ def _parse_number(key, value, integral):
     except ValueError:
         raise InputError(f"dataset parameter {key} must be a number, "
                          f"got {value.strip()!r}") from None
-    return int(_int_ids([number], f"{key} value")[0]) if integral else number
+    return int(_int_ids([number], f"{key} value")[0]) if integer else number
 
 
 def load_dataset(kind, dataset):

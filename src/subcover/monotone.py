@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .oracles import TOL, InputError, _threshold_scan, truncate
+from .oracles import TOL, InputError, _check_seed, _threshold_scan, truncate
 from .results import Run, Status
 
 
@@ -50,17 +50,15 @@ def _check_finite(name, value):
         raise InputError(f"{name} must be finite, got {value}")
 
 
-def _check_budget(kappa, integral=False, name="budget"):
-    """A budget or size limit called name, checked before any query: a non-
-    negative finite number, and with integral an integer (returned as an int)."""
+def _check_budget(kappa):
+    """A budget, checked before any query: a non-negative finite number."""
     try:
-        valid = 0 <= kappa < math.inf and (not integral or kappa == int(kappa))
+        valid = 0 <= kappa < math.inf
     except TypeError:  # not a number
         valid = False
     if not valid:
-        raise InputError(f"{name} must be a non-negative {'integer' if integral else 'finite number'}, "
-                         f"got {kappa}")
-    return int(kappa) if integral else kappa
+        raise InputError(f"budget must be a non-negative finite number, got {kappa}")
+    return kappa
 
 
 def _require_monotone(oracle):
@@ -181,6 +179,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_guess", initial_guess)
     _require_monotone(instance.oracle)
+    seed = _check_seed(seed)
     oracle = instance.oracle
     tau = instance.tau
     run = Run(oracle, (1.0 - eps) * tau)
@@ -227,6 +226,7 @@ def stochastic_max_subroutine(eps):
     lead = math.log(3.0 / (2.0 * eps))
 
     def run(oracle, kappa, seed):
+        seed = _check_seed(seed)
         if not _check_budget(kappa):
             return ()
         rng = np.random.default_rng(seed)
@@ -301,6 +301,7 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_budget", initial_budget)
     _check_gamma(gamma)
+    seed = _check_seed(seed)
     oracle = instance.oracle
     run = Run(oracle, gamma * instance.tau)
     if oracle.eval(()) >= run.target - TOL:
@@ -329,6 +330,7 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_budget", initial_budget)
     _check_unit_interval("eps", eps)
+    seed = _check_seed(seed)
     reps = convert_rand_repetitions(delta)
     oracle = instance.oracle
     tau = instance.tau

@@ -13,7 +13,7 @@ import numpy as np
 
 from .monotone import (_budget_sweep, _check_alpha, _check_budget, _check_finite,
                        _check_unit_interval, _outside_gains, _size_limit, derive_seed)
-from .oracles import TOL, InputError, _threshold_scan
+from .oracles import TOL, InputError, _check_seed, _threshold_scan
 from .results import Run, Status
 
 
@@ -206,10 +206,11 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     (one batch of gains, ties to the lower id), pads the top-kappa pool with
     zero-gain dummies, and adds a uniformly random pool entry (a dummy pick
     adds nothing).  An optional target value stops the run early once
-    reached.  Budget 0 costs no query.  Given a ground, runs on
-    ``oracle.restrict(ground)``.
+    reached.  kappa is rounded up as in greedy_max; budget 0 costs no
+    query.  Given a ground, runs on ``oracle.restrict(ground)``.
     """
-    kappa = _check_budget(kappa, integral=True)
+    kappa = _size_limit(_check_budget(kappa))
+    seed = _check_seed(seed)
     return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
         view, kappa, seed, ids, target))
 
@@ -240,6 +241,7 @@ def _random_greedy(oracle, kappa, seed, pool, target):
 def double_greedy_max(oracle, seed, ground=None):
     """Randomized double greedy for unconstrained maximization (1/2 in
     expectation).  Given a ground, runs on ``oracle.restrict(ground)``."""
+    seed = _check_seed(seed)
     return _on_ground(oracle, ground, lambda view, ids: _double_greedy(view, seed, ids))
 
 
@@ -315,6 +317,7 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     _check_unit_interval("eps", eps)
     _check_alpha(alpha, instance.oracle.n)
     _check_finite("initial_guess", initial_guess)
+    seed = _check_seed(seed)
     ratio = _approx_ratio(sub.kind)
     if not instance.oracle.nonnegative:
         raise InputError("stream cover requires a non-negative oracle")

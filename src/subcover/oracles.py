@@ -40,11 +40,10 @@ class SetFunctionOracle:
     monotone = False
     nonnegative = True
 
-    def __init__(self, n, name="f", counter=None):
+    def __init__(self, n, counter=None):
         if n < 0:
             raise InputError(f"ground set size must be non-negative, got {n}")
         self.n = int(n)
-        self.name = name
         self._counter = counter if counter is not None else QueryCounter()
 
     # subclasses implement the raw set function
@@ -55,7 +54,7 @@ class SetFunctionOracle:
         try:
             x = operator.index(x)
         except TypeError:
-            x = int(_int_ids([x], "element id")[0])  # an integral float, or InputError
+            x = int(_int_ids([x], "element id")[0])  # a whole float, or InputError
         if not 0 <= x < self.n:
             raise InputError(f"element {x} outside ground set of size {self.n}")
         return x
@@ -67,7 +66,7 @@ class SetFunctionOracle:
             raise InputError("element ids must form a one-dimensional array")
         if ids.dtype.kind in "iu":
             ids = ids.astype(np.int64, copy=False)
-        else:  # floats (an empty list too), strings, objects: integral values only
+        else:  # floats (an empty list too), strings, objects: whole values only
             ids = _int_ids(ids.tolist(), "element id")
         outside = ids.view(np.uint64) >= self.n  # negative ids wrap to huge ones
         if outside.any():
@@ -316,9 +315,9 @@ class CoverageOracle(SetFunctionOracle):
     monotone = True
     nonnegative = True
 
-    def __init__(self, tag_sets, name="coverage"):
+    def __init__(self, tag_sets):
         rows = list(tag_sets)
-        super().__init__(len(rows), name=name)
+        super().__init__(len(rows))
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=self.n)
         keys = _int_ids(list(itertools.chain.from_iterable(rows)), "tag id")  # tag ids, for now
         if keys.size and keys.min() < 0:
@@ -370,9 +369,9 @@ class CoverageOracle(SetFunctionOracle):
 
 
 def _int_ids(values, what):
-    """The ids in the list values as int64.  Each must be an integer, or an
-    integral float, in the int64 range: 1.5, nan, inf, 2**70 or "3" raise."""
-    for to_int in (operator.index, _integral):  # the first pass refuses all floats
+    """The ids in the list values as int64.  Each must be an integer, or a
+    whole float, in the int64 range: 1.5, nan, inf, 2**70 or "3" raise."""
+    for to_int in (operator.index, _whole):  # the first pass refuses all floats
         try:
             return np.fromiter(map(to_int, values), dtype=np.int64, count=len(values))
         except (TypeError, OverflowError):
@@ -380,8 +379,17 @@ def _int_ids(values, what):
     raise InputError(f"every {what} must be an integer in the int64 range")
 
 
-def _integral(v):
+def _whole(v):
     return int(v) if isinstance(v, (float, np.floating)) and float(v).is_integer() else operator.index(v)
+
+
+def _check_seed(seed):
+    """A random seed as an int, checked before any query: an integer, or a
+    whole float, in the int64 range and not negative."""
+    (seed,) = _int_ids([seed], "seed").tolist()
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _row_pointers(rows, size):
@@ -502,8 +510,8 @@ class GraphCutOracle(SetFunctionOracle):
     monotone = False
     nonnegative = True
 
-    def __init__(self, n, edges, name="cut"):
-        super().__init__(n, name=name)
+    def __init__(self, n, edges):
+        super().__init__(n)
         ends, weights = [], []
         for edge in edges:
             if len(edge) == 2:
@@ -567,8 +575,8 @@ class GraphCutOracle(SetFunctionOracle):
         lens = self._indptr[ids + 1] - self._indptr[ids]
         cols = local[self._cols[at]]
         inside = cols >= 0
-        view = object.__new__(GraphCutOracle)
-        SetFunctionOracle.__init__(view, ids.size, name=self.name, counter=self._counter)
+        view = object.__new__(type(self))  # a subclass view keeps its class
+        SetFunctionOracle.__init__(view, ids.size, counter=self._counter)
         view._set_csr(np.repeat(np.arange(ids.size), lens)[inside], cols[inside],
                       self._weights[at][inside], self.weighted_degree[ids])
         return view
@@ -632,7 +640,7 @@ class TruncatedOracle(SetFunctionOracle):
     def __init__(self, inner, tau):
         if not math.isfinite(tau) or tau < 0:
             raise InputError(f"truncation threshold must be finite and non-negative, got {tau}")
-        super().__init__(inner.n, name=f"min({inner.name},{tau:g})", counter=inner._counter)
+        super().__init__(inner.n, counter=inner._counter)
         self.inner = inner
         self.tau = float(tau)
         self.monotone = inner.monotone
@@ -714,6 +722,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     fixed seed.
     """
     m, n, head_size = _int_ids([m, n, head_size], "size (m, n, head_size)").tolist()
+    seed = _check_seed(seed)
     if m < 0 or n < 0:
         raise InputError(f"sizes m and n must be non-negative, got m={m}, n={n}")
     if not (0 <= p_head <= 1 and 0 <= p_tail <= 1):
@@ -724,7 +733,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     probs = np.full(m, p_tail)
     probs[:head_size] = p_head
     tag_sets = [np.flatnonzero(rng.random(m) < probs).tolist() for _ in range(n)]
-    return CoverageOracle(tag_sets, name="synthetic")
+    return CoverageOracle(tag_sets)
 
 
 @dataclass(frozen=True)
@@ -768,7 +777,7 @@ def make_greedy_tightness_instance(k, l):
         slices.append(order[start:start + take])
         start += take
     groups = [list(range(i * l, (i + 1) * l)) for i in range(k)]
-    oracle = CoverageOracle(slices + groups, name="tightness")
+    oracle = CoverageOracle(slices + groups)
     m = len(slices)
     return TightnessInstance(
         oracle=oracle,
@@ -782,14 +791,11 @@ def make_greedy_tightness_instance(k, l):
 
 @dataclass(frozen=True)
 class RegularizedInstance:
-    """Monotone objective g minus a modular non-negative cost c.
-
-    Carries a budget (for maximization) or a threshold (for cover), or both.
-    """
+    """Monotone objective g minus a modular non-negative cost c, with the
+    threshold tau of a cover; a maximizer takes its budget as an argument."""
 
     oracle: SetFunctionOracle
     costs: np.ndarray
-    kappa: int = None
     tau: float = None
 
     def __post_init__(self):
@@ -801,10 +807,9 @@ class RegularizedInstance:
         if (costs < 0).any():
             raise InputError("costs must be non-negative")
         object.__setattr__(self, "costs", costs)
-        if self.kappa is not None and not 1 <= self.kappa < math.inf:
-            raise InputError(f"budget must be finite and at least 1, got {self.kappa}")
         if self.tau is not None and not math.isfinite(self.tau):
             raise InputError(f"tau must be finite, got {self.tau}")
 
     def cost(self, S):
-        return float(sum(self.costs[x] for x in S))
+        """c(S), summed in increasing id order; the ids are checked as by a query."""
+        return float(sum(self.costs[x] for x in sorted(self.oracle._check_members(S))))

@@ -7,19 +7,15 @@ import math
 
 import numpy as np
 
-from .monotone import (_budget_sweep, _check_alpha, _check_gamma, _check_positive,
-                       _check_unit_interval, _outside_gains)
+from .monotone import (_budget_sweep, _check_alpha, _check_budget, _check_gamma,
+                       _check_positive, _check_unit_interval, _outside_gains)
 from .oracles import TOL, InputError
 from .results import Run, Status
 
 
-def _check_instance(inst, need_kappa=False, need_tau=False):
+def _check_instance(inst):
     if not inst.oracle.monotone:
         raise InputError("regularized objectives require a monotone gain oracle")
-    if need_kappa and inst.kappa is None:
-        raise InputError("instance carries no budget")
-    if need_tau and inst.tau is None:
-        raise InputError("instance carries no cover threshold")
 
 
 def distortion_horizon(eps, kappa):
@@ -28,10 +24,12 @@ def distortion_horizon(eps, kappa):
     return math.ceil(math.log(1.0 / eps) * kappa)
 
 
-def distorted_potential(inst, eps, i, X):
-    """(1 - 1/kappa)^(t - i) * g(X) - c(X) with t the distortion horizon."""
-    _check_instance(inst, need_kappa=True)
-    kappa = inst.kappa
+def distorted_potential(inst, kappa, eps, i, X):
+    """(1 - 1/kappa)^(t - i) * g(X) - c(X) with t the distortion horizon;
+    kappa must be at least 1."""
+    _check_instance(inst)
+    if not _check_budget(kappa) >= 1:
+        raise InputError(f"budget must be at least 1, got {kappa}")
     t = distortion_horizon(eps, kappa)
     if not 0 <= i <= t:
         raise InputError(f"step index {i} outside [0, {t}]")
@@ -39,19 +37,24 @@ def distorted_potential(inst, eps, i, X):
     return factor * inst.oracle.eval(X) - inst.cost(X)
 
 
-def distorted_greedy_max(inst, eps, on_event=None):
+def distorted_greedy_max(inst, kappa, eps, on_event=None):
     """Greedy on the distorted objective with a positive-gain gate.
 
     At step i the element maximizing
     (1 - 1/kappa)^(t - i) * dg(S, x) - c_x is added, provided that quantity
     is positive; otherwise the run stops early.  At most t elements are
-    chosen.  An optional on_event(kind, fields) hook gets a "step" event
-    {step, element, score} for every element added.
+    chosen.  The real budget kappa is 0, which costs no query, or at least
+    1, since below 1 the factor 1 - 1/kappa is negative.  An optional
+    on_event(kind, fields) hook gets a "step" event {step, element, score}
+    for every element added.
     """
-    _check_instance(inst, need_kappa=True)
+    _check_instance(inst)
+    t = distortion_horizon(eps, _check_budget(kappa))
+    if not kappa:
+        return ()
+    if kappa < 1:
+        raise InputError(f"budget must be 0 or at least 1, got {kappa}")
     oracle = inst.oracle
-    kappa = inst.kappa
-    t = distortion_horizon(eps, kappa)
     state = oracle.state(())
     ground = np.arange(oracle.n)
     inside = np.zeros(oracle.n, dtype=bool)
@@ -77,11 +80,14 @@ def distorted_greedy_max(inst, eps, on_event=None):
 def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     """Budget sweep turning a regularized maximizer into a cover routine.
 
-    Runs reg_alg on the cost-scaled objective g - (gamma/beta) * c with
-    geometrically growing budgets until g(S) - (gamma/beta) * c(S) reaches
-    gamma * tau.  ``f_value`` of the result reports that checked quantity.
+    Runs reg_alg(scaled, budget) on the cost-scaled objective
+    g - (gamma/beta) * c with geometrically growing budgets until
+    g(S) - (gamma/beta) * c(S) reaches gamma * tau.  ``f_value`` of the
+    result reports that checked quantity.
     """
-    _check_instance(inst, need_tau=True)
+    _check_instance(inst)
+    if inst.tau is None:
+        raise InputError("instance carries no cover threshold")
     _check_alpha(alpha, inst.oracle.n)
     _check_positive("beta", beta)
     _check_gamma(gamma)
@@ -93,7 +99,7 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     scaled = dataclasses.replace(inst, costs=inst.costs * scale)
 
     def attempt(index, budget):
-        chosen = tuple(reg_alg(dataclasses.replace(scaled, kappa=budget)))
+        chosen = tuple(reg_alg(scaled, budget))
         hit = oracle.eval(chosen) - scale * inst.cost(chosen) >= run.target - TOL
         return Status.SOLVED if hit else None, chosen
 
@@ -105,6 +111,6 @@ def distorted_cover(inst, eps, alpha):
     _check_unit_interval("eps", eps)
     gamma = 1.0 - eps
     beta = math.log(1.0 / eps)
-    return convert_regularized(lambda scaled: distorted_greedy_max(scaled, eps),
+    return convert_regularized(lambda scaled, budget: distorted_greedy_max(scaled, budget, eps),
                                inst, alpha, gamma, beta)
 

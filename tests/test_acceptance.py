@@ -272,8 +272,8 @@ def test_ac7_distorted_greedy_guarantee():
         oracle = random_coverage(rng, n)
         costs = rng.uniform(0.0, 0.3, size=n)
         kappa = int(rng.integers(2, 4))
-        inst = RegularizedInstance(oracle, costs, kappa=kappa)
-        sol = distorted_greedy_max(inst, eps)
+        inst = RegularizedInstance(oracle, costs)
+        sol = distorted_greedy_max(inst, kappa, eps)
         achieved = oracle.peek(sol) - inst.cost(sol)
         for size in range(kappa + 1):
             for X in itertools.combinations(range(n), size):

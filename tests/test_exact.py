@@ -59,7 +59,7 @@ class TestExactMinCover:
     @pytest.mark.parametrize("max_n", [math.inf, math.nan, "x", 2.5])
     def test_bad_guard_rejected_before_any_enumeration(self, max_n):
         oracle = CoverageOracle([{0}, {1}])
-        with pytest.raises(InputError, match="max_n must be a non-negative integer") as raised:
+        with pytest.raises(InputError, match="every max_n must be an integer") as raised:
             exact_min_cover(CoverInstance(oracle, 1.0), max_n=max_n)
         assert not isinstance(raised.value, GuardError)
         assert oracle.query_count == 0

@@ -20,6 +20,8 @@ from subcover import (
     SmpSubroutine,
     Status,
     classify_monotone_elements,
+    convert_cover,
+    distorted_greedy_max,
     double_greedy_max,
     exact_max_cardinality,
     exact_max_search,
@@ -254,6 +256,8 @@ MAXIMIZERS = {
     "exact": lambda o, kappa: exact_max_search(o, range(o.n), kappa).solution,
     "fast-exact": lambda o, kappa: fast_exact_max_search(o, range(o.n), kappa).solution,
     "brute": lambda o, kappa: exact_max_cardinality(o, kappa).optimum_set,
+    "distorted": lambda o, kappa: distorted_greedy_max(
+        RegularizedInstance(o, np.zeros(o.n)), kappa, 0.2),
 }
 
 
@@ -268,33 +272,36 @@ class TestMaximizerBudgets:
             MAXIMIZERS[name](oracle, kappa)
         assert oracle.query_count == 0
 
-    @pytest.mark.parametrize("name", ["random", "brute"])
-    def test_integer_budget_required(self, name):
-        oracle = CoverageOracle([{0}, {1, 2}, {2}])
-        with pytest.raises(InputError, match="budget"):
-            MAXIMIZERS[name](oracle, 2.5)
-        assert oracle.query_count == 0
-        assert MAXIMIZERS[name](oracle, 2.0) == MAXIMIZERS[name](oracle.clone(), 2)
+    @pytest.mark.parametrize("kappa", [2.5, 3 - 1e-13])
+    @pytest.mark.parametrize("name", ["greedy", "random", "exact", "fast-exact", "brute"])
+    def test_real_budget_runs_as_rounded_up_integer(self, name, kappa):
+        # one rounding rule: up, less 1e-12 of float slack
+        oracle, reference = (CoverageOracle([{0}, {1, 2}, {2}, {3}]) for _ in range(2))
+        assert MAXIMIZERS[name](oracle, kappa) == MAXIMIZERS[name](reference, 3)
+        assert oracle.query_count == reference.query_count
+        slack = MAXIMIZERS[name](oracle.clone(), 2.0 + 1e-13)
+        assert slack == MAXIMIZERS[name](reference.clone(), 2)
 
     @pytest.mark.parametrize("name", list(MAXIMIZERS))
     def test_zero_budget_chooses_nothing(self, name):
+        # distorted greedy too, although in (0, 1) its budget raises
         oracle = CoverageOracle([{0}, {1, 2}, {2}])
         assert MAXIMIZERS[name](oracle, 0) == ()
         # the exact maximizers report the empty set's value, and that costs one query
         assert oracle.query_count == (name in ("exact", "fast-exact", "brute"))
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
-    def test_instance_budget_rejected(self, kappa):
-        # distorted_greedy_max takes its budget from an instance
-        oracle = CoverageOracle([{0}, {1, 2}, {2}])
-        with pytest.raises(InputError, match="budget"):
-            RegularizedInstance(oracle, np.zeros(3), kappa=kappa)
 
     def test_real_valued_budget_accepted(self):
         # convert_cover hands its maximizer real-valued budget guesses
         oracle = CoverageOracle([{0}, {1, 2}, {3}])
         assert greedy_max(oracle, 1.5) == (0, 1)
         assert set(stochastic_max_subroutine(0.2)(oracle, 1.5, 0)) <= {0, 1, 2}
+        assert MAXIMIZERS["distorted"](oracle, 1.5) == (0, 1, 2)
+
+    def test_random_greedy_runs_in_the_conversion(self):
+        # its first guess is 1 + alpha = 1.1, rounded up to 2
+        inst = CoverInstance(CoverageOracle([{0}, {1, 2}, {3}, {4, 5}]), 6.0)
+        res = convert_cover(random_greedy_max, inst, 0.1, 0.5, seed=0)
+        assert res.status == Status.SOLVED and res.f_value >= 3.0
 
     @pytest.mark.parametrize("kappa,size", [(2.5, 3), (3.5, 4)])
     @pytest.mark.parametrize("name", ["greedy", "exact", "fast-exact"])

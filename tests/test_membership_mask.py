@@ -143,7 +143,7 @@ SOLVERS = {
     "stochastic_max_subroutine": (False, _maximize(
         lambda oracle, rng: stochastic_max_subroutine(0.2)(oracle, 5, 7))),
     "distorted_greedy_max": (True, _maximize(lambda oracle, rng: distorted_greedy_max(
-        RegularizedInstance(oracle, rng.uniform(0.0, 1.0, size=oracle.n), kappa=6), 0.2))),
+        RegularizedInstance(oracle, rng.uniform(0.0, 1.0, size=oracle.n)), 6, 0.2))),
     "random_greedy_max": (False, _maximize(lambda oracle, rng: random_greedy_max(
         oracle, 4, 11, ground=range(0, oracle.n, 2)))),
 }

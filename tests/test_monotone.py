@@ -26,6 +26,7 @@ from subcover import (
     greedy_max,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
+    random_greedy_max,
     smp_subroutine,
     stochastic_greedy_cover,
     stochastic_max_subroutine,
@@ -667,3 +668,32 @@ def test_input_checks_raise_before_any_query(case):
     with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
             pytest.raises(InputError, match=message):
         run()
+
+
+SEEDED = {
+    "stoch": lambda seed: stochastic_greedy_cover(_cover(), 0.2, 0.1, 0.1, seed),
+    "convert": lambda seed: convert_cover(
+        stochastic_max_subroutine(0.2), _cover(), 0.1, 0.8, seed=seed),
+    "convert-rand": lambda seed: convert_cover_randomized(
+        stochastic_max_subroutine(0.2), _cover(), 0.1, 0.1, 0.2, seed=seed),
+    "stream": lambda seed: stream_cover(_cover(_path()), 0.2, 0.1, smp_subroutine("rg"), seed=seed),
+    "sampled-max": lambda seed: stochastic_max_subroutine(0.2)(_cover().oracle, 2, seed),
+    "random-greedy": lambda seed: random_greedy_max(_path(), 2, seed),
+    "double-greedy": lambda seed: double_greedy_max(_path(), seed),
+    "synthetic": lambda seed: make_synthetic_summarization(10, 5, 0.4, 0.1, 2, seed).tag_sets,
+}
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
+                                           (1.5, "seed must be an integer")])
+@pytest.mark.parametrize("name", SEEDED)
+def test_seed_checked_before_any_query(name, seed, message):
+    with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
+            pytest.raises(InputError, match=message):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_whole_float_seed_runs_as_that_integer(name):
+    first, second = SEEDED[name](2.0), SEEDED[name](2)
+    assert getattr(first, "solution", first) == getattr(second, "solution", second)

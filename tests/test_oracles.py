@@ -440,7 +440,11 @@ class TestRestrict:
         assert [a.tolist() for a in view.adjacency] == [[1], [0], []]
         assert [w.tolist() for w in view.edge_weights] == [[1.0], [1.0], []]
         assert view.weighted_degree.tolist() == [2.5, 3.0, 2.0]
-        assert view.edge_count() == 1 and view.name == oracle.name
+        assert view.edge_count() == 1
+
+    def test_cut_view_keeps_the_subclass(self):
+        view = SignedCut(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).restrict([0, 1, 2])
+        assert type(view) is SignedCut and view.nonnegative is False
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):

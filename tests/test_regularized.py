@@ -23,45 +23,48 @@ from subcover import (
 from util import brute_max_regularized, random_coverage
 
 
-def instance(rng, n, cost_high=0.3, kappa=None, tau=None):
+def instance(rng, n, cost_high=0.3, tau=None):
     oracle = random_coverage(rng, n)
     costs = rng.uniform(0.0, cost_high, size=n)
-    return RegularizedInstance(oracle, costs, kappa=kappa, tau=tau)
+    return RegularizedInstance(oracle, costs, tau=tau)
 
 
 class TestDistortedPotential:
     def test_final_step_is_plain_difference(self):
         rng = np.random.default_rng(51)
-        inst = instance(rng, 6, kappa=3)
+        inst = instance(rng, 6)
         t = distortion_horizon(0.2, 3)
         for _ in range(10):
             X = [int(x) for x in rng.permutation(6)[: rng.integers(0, 7)]]
             plain = inst.oracle.peek(X) - inst.cost(X)
-            assert distorted_potential(inst, 0.2, t, X) == pytest.approx(plain, abs=1e-12)
+            assert distorted_potential(inst, 3, 0.2, t, X) == pytest.approx(plain, abs=1e-12)
 
     def test_empty_set_keeps_scaled_base(self):
         rng = np.random.default_rng(52)
-        inst = instance(rng, 5, kappa=2)
-        value = distorted_potential(inst, 0.2, 0, ())
+        inst = instance(rng, 5)
+        value = distorted_potential(inst, 2, 0.2, 0, ())
         assert value == pytest.approx(0.0)  # coverage of empty set is 0
 
     def test_kappa_one_zeroes_gain_term(self):
         rng = np.random.default_rng(53)
-        inst = instance(rng, 5, kappa=1)
+        inst = instance(rng, 5)
         t = distortion_horizon(0.2, 1)
         if t > 1:
-            assert distorted_potential(inst, 0.2, 0, [0]) == pytest.approx(-inst.cost([0]))
+            assert distorted_potential(inst, 1, 0.2, 0, [0]) == pytest.approx(-inst.cost([0]))
 
     def test_step_bounds_checked(self):
         rng = np.random.default_rng(54)
-        inst = instance(rng, 5, kappa=2)
+        inst = instance(rng, 5)
         with pytest.raises(InputError):
-            distorted_potential(inst, 0.2, distortion_horizon(0.2, 2) + 1, ())
+            distorted_potential(inst, 2, 0.2, distortion_horizon(0.2, 2) + 1, ())
 
     def test_zero_budget_rejected(self):
+        # the factor 1 - 1/kappa is undefined at 0: the potential needs kappa >= 1
         rng = np.random.default_rng(54)
-        with pytest.raises(InputError):
-            instance(rng, 5, kappa=0)
+        inst = instance(rng, 5)
+        with pytest.raises(InputError, match="budget must be at least 1"):
+            distorted_potential(inst, 0, 0.2, 0, ())
+        assert inst.oracle.query_count == 0
 
 
 class TestDistortedGreedyMax:
@@ -71,29 +74,29 @@ class TestDistortedGreedyMax:
         for _ in range(10):
             oracle = random_coverage(rng, 8)
             kappa = int(rng.integers(2, 4))
-            inst = RegularizedInstance(oracle.clone(), np.zeros(8), kappa=kappa)
+            inst = RegularizedInstance(oracle.clone(), np.zeros(8))
             t = distortion_horizon(0.2, kappa)
-            assert distorted_greedy_max(inst, 0.2) == greedy_max(oracle.clone(), t)
+            assert distorted_greedy_max(inst, kappa, 0.2) == greedy_max(oracle.clone(), t)
 
     def test_dominating_costs_give_empty(self):
         # modular objective with every cost above the element value
         oracle = CoverageOracle([{0}, {1}, {2}])
-        inst = RegularizedInstance(oracle, np.array([1.5, 1.5, 1.5]), kappa=1)
-        assert distorted_greedy_max(inst, 0.2) == ()
+        inst = RegularizedInstance(oracle, np.array([1.5, 1.5, 1.5]))
+        assert distorted_greedy_max(inst, 1, 0.2) == ()
 
     def test_size_within_horizon(self):
         rng = np.random.default_rng(56)
         for _ in range(10):
-            inst = instance(rng, 9, kappa=int(rng.integers(1, 4)))
-            sol = distorted_greedy_max(inst, 0.2)
-            assert len(sol) <= distortion_horizon(0.2, inst.kappa)
+            inst, kappa = instance(rng, 9), int(rng.integers(1, 4))
+            sol = distorted_greedy_max(inst, kappa, 0.2)
+            assert len(sol) <= distortion_horizon(0.2, kappa)
 
     def test_value_guarantee_by_enumeration(self):
         rng = np.random.default_rng(57)
         eps = 0.2
         for _ in range(15):
-            inst = instance(rng, 8, kappa=3)
-            sol = distorted_greedy_max(inst, eps)
+            inst = instance(rng, 8)
+            sol = distorted_greedy_max(inst, 3, eps)
             achieved = inst.oracle.peek(sol) - inst.cost(sol)
             for size in range(4):
                 for X in itertools.combinations(range(8), size):
@@ -103,8 +106,8 @@ class TestDistortedGreedyMax:
     def test_gate_never_accepts_nonpositive_distorted_gain(self):
         rng = np.random.default_rng(58)
         events = []
-        inst = instance(rng, 9, kappa=3)
-        sol = distorted_greedy_max(inst, 0.2, on_event=lambda *event: events.append(event))
+        inst = instance(rng, 9)
+        sol = distorted_greedy_max(inst, 3, 0.2, on_event=lambda *event: events.append(event))
         # one "step" event per added element, numbered from 1
         assert [kind for kind, _ in events] == ["step"] * len(sol)
         assert [fields["step"] for _, fields in events] == list(range(1, len(sol) + 1))
@@ -116,20 +119,19 @@ class TestDistortedGreedyMax:
         rng = np.random.default_rng(59)
         eps = 0.25
         for _ in range(10):
-            inst = instance(rng, 8, cost_high=0.2, kappa=3)
-            kappa = inst.kappa
+            inst, kappa = instance(rng, 8, cost_high=0.2), 3
             t = distortion_horizon(eps, kappa)
             picks = []
             distorted_greedy_max(
-                inst, eps, on_event=lambda kind, fields: picks.append(fields["element"]))
+                inst, kappa, eps, on_event=lambda kind, fields: picks.append(fields["element"]))
             _, x_star = brute_max_regularized(inst, kappa)
             g_star = inst.oracle.peek(x_star)
             c_star = inst.cost(x_star)
             prefix = []
             for i in range(1, len(picks) + 1):
-                before = distorted_potential(inst, eps, i - 1, prefix)
+                before = distorted_potential(inst, kappa, eps, i - 1, prefix)
                 prefix.append(picks[i - 1])
-                after = distorted_potential(inst, eps, i, prefix)
+                after = distorted_potential(inst, kappa, eps, i, prefix)
                 floor = (1 / kappa) * (1 - 1 / kappa) ** (t - i) * g_star - c_star / kappa
                 assert after - before >= floor - 1e-9
 
@@ -195,6 +197,14 @@ class TestCostModularityContract:
             a, b = [int(x) for x in ids[:cut]], [int(x) for x in ids[cut:]]
             assert inst.cost(a) + inst.cost(b) == pytest.approx(inst.cost(list(ids)))
 
+    @pytest.mark.parametrize("ids, message", [([-1], "outside ground set"),
+                                              ([5], "outside ground set"),
+                                              ([0, 0], "duplicate ids")])
+    def test_ids_checked(self, ids, message):
+        inst = RegularizedInstance(CoverageOracle([{0}] * 5), np.arange(5.0))
+        with pytest.raises(InputError, match=message):
+            inst.cost(ids)
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("tau, costs", [
@@ -222,7 +232,7 @@ class TestNonFiniteSweepParameters:
     def test_convert_regularized(self, name, value):
         kwargs = {"alpha": 0.5, "beta": 1.5, name: value}
         with pytest.raises(InputError, match=name):
-            convert_regularized(lambda scaled: (), self.inst(), gamma=0.8, **kwargs)
+            convert_regularized(lambda scaled, budget: (), self.inst(), gamma=0.8, **kwargs)
 
 
 def _reg(oracle=None, **kw):
@@ -232,11 +242,13 @@ def _reg(oracle=None, **kw):
 
 INSTANCE_CHECKS = {
     "max-on-cut": (lambda: distorted_greedy_max(
-        _reg(GraphCutOracle(3, [(0, 1), (1, 2)]), kappa=2), 0.2), "monotone gain oracle"),
-    "max-without-budget": (lambda: distorted_greedy_max(_reg(tau=1.0), 0.2), "no budget"),
-    "potential-without-budget": (lambda: distorted_potential(_reg(tau=1.0), 0.2, 0, ()),
-                                 "no budget"),
-    "cover-without-threshold": (lambda: distorted_cover(_reg(kappa=2), 0.2, 0.1),
+        _reg(GraphCutOracle(3, [(0, 1), (1, 2)])), 2, 0.2), "monotone gain oracle"),
+    # in (0, 1) the distortion factor 1 - 1/kappa is negative
+    "max-budget-below-one": (lambda: distorted_greedy_max(_reg(), 0.5, 0.2),
+                             "budget must be 0 or at least 1"),
+    "potential-budget-below-one": (lambda: distorted_potential(_reg(), 0.5, 0.2, 0, ()),
+                                   "budget must be at least 1"),
+    "cover-without-threshold": (lambda: distorted_cover(_reg(), 0.2, 0.1),
                                 "no cover threshold"),
 }
 

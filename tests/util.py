@@ -96,7 +96,7 @@ def preferential_attachment_graph(n, attach, seed):
             edges.append((u, v))
             repeated.append(u)
             repeated.append(v)
-    return GraphCutOracle(n, edges, name="pa-proxy")
+    return GraphCutOracle(n, edges)
 
 
 def brute_min_cover(oracle, tau, tol=1e-9):
