@@ -11,8 +11,10 @@ from .results import Run, Status
 
 
 def derive_seed(seed, *key):
-    """Deterministic child seed for stream (seed, key...)."""
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)).generate_state(1)[0])
+    """Deterministic child seed for stream (seed, key...); the seed is
+    checked as every solver's is."""
+    sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(key))
+    return int(sequence.generate_state(1)[0])
 
 
 def _check_unit_interval(name, value):

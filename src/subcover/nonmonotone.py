@@ -78,6 +78,15 @@ def classify_monotone_elements(oracle, T):
     return tuple(mono), tuple(nonmono)
 
 
+def _root_window_sum(seeded, budget):
+    """The sum of the positive gains in ``seeded[:budget]`` when every root
+    gain is an integral float and that sum is below 2**52, else None."""
+    if not all(isinstance(neg, float) and neg.is_integer() for neg, _ in seeded):
+        return None
+    total = math.fsum(-neg for neg, _ in seeded[:budget] if neg < 0)
+    return total if total < 2.0 ** 52 else None
+
+
 def _branch_search(base_state, candidates, budget, target, deadline):
     """Depth-first search over subsets of candidates (size <= budget) on top
     of base_state; the one search body of both exact searches.
@@ -86,56 +95,90 @@ def _branch_search(base_state, candidates, budget, target, deadline):
     batch of gains on base_state.  Cached gains from ancestor states stay
     valid upper bounds by submodularity and are refreshed lazily, just
     before an element is branched on, so the first descent is the lazy
-    greedy (Minoux, 1978).  A frame's bound is its value plus the positive
-    cached gains among its next ``remaining`` entries: a bisect finds where
-    the positive gains end and ``math.fsum`` adds them, exactly rounded and
-    so independent of the Python version and of the summation order (on
-    integer gains it equals a left-to-right fold).  Branches whose bound
-    cannot beat the incumbent or reach the target are pruned.
+    greedy (Minoux, 1978).  A frame's bound is its value plus the sum of the
+    positive cached gains in its window ``ordered[pos:pos+remaining]``;
+    branches whose bound cannot beat the incumbent or reach the target are
+    pruned.  The frame keeps that sum as a running total, updated as a
+    refresh or a branch moves entries through the window, and a child
+    starts from its parent's total less the chosen cached gain.  While
+    every gain in it is an integral float and the root window's sum is
+    below 2**52 (unit or integer cuts, coverage, integer truncation), each
+    update is exact, so the total is the ``math.fsum`` of the window.  A
+    frame whose refresh meets a non-integral gain, its descendants, and
+    every frame of a search with a non-integral root gain take that fsum
+    over the slice of positive gains instead.  Either way the bound is
+    exactly rounded, and so independent of the Python version and of the
+    summation order.
 
-    Every child gets its own state copy and its own list ``ordered[pos+1:]``:
-    the gains a child refreshes are bounds for the child only, not for its
-    parent's later siblings, so the lists cannot be shared, and undoing an
-    add in place of the copy saves nothing on a compact graph view while it
-    makes a coverage state build its per-tag counts.  Returns base_state's
-    own set when it reaches the target, the budget is 0 or there are no
-    candidates; else the first set reaching the target, else the best set
-    found.
+    The ids come from the candidate list, valid and outside each frame's
+    state by construction: a refreshed gain is one counter tick and an
+    unchecked read, a child a state copy, an unchecked add and the fresh
+    gain.  Every child gets its own state copy and its own list
+    ``ordered[pos+1:]``: the gains a child refreshes are bounds for the
+    child only, not for its parent's later siblings, so the lists cannot be
+    shared, and undoing an add in place of the copy saves nothing on a
+    compact graph view while it makes a coverage state build its per-tag
+    counts.  Returns base_state's own set when it reaches the target, the
+    budget is 0 or there are no candidates; else the first set reaching
+    the target, else the best set found.
     """
     best_set, best_val = tuple(sorted(base_state.members)), base_state.value
     if (target is not None and best_val >= target - TOL) or budget <= 0 or not candidates:
         return SmpSearch(best_set, best_val)
     seeded = sorted(zip((-base_state.gains(candidates)).tolist(), candidates))
-    frames = [[base_state, seeded, 0, budget]]
+    # a frame: [state, ordered, pos, remaining, running total or None]
+    frames = [[base_state, seeded, 0, budget, _root_window_sum(seeded, budget)]]
+    tick, clock = base_state.oracle._counter.tick, time.perf_counter
     while frames:
-        if deadline is not None and time.perf_counter() > deadline:
+        if deadline is not None and clock() > deadline:
             return SmpSearch(best_set, best_val, True)
         frame = frames[-1]
-        state, ordered, pos, remaining = frame
-        if pos >= len(ordered) or remaining == 0:
+        state, ordered, pos, remaining, window = frame
+        if pos >= len(ordered):
             frames.pop()
             continue
-        stop = bisect.bisect_left(ordered, (0.0,), pos, min(pos + remaining, len(ordered)))
-        upper = state.value - math.fsum(map(itemgetter(0), ordered[pos:stop]))
+        end = pos + remaining
+        if window is None:
+            stop = bisect.bisect_left(ordered, (0.0,), pos, min(end, len(ordered)))
+            upper = state.value - math.fsum(map(itemgetter(0), ordered[pos:stop]))
+        else:
+            upper = state.value + window
         if upper <= best_val + 1e-12 and (target is None or upper < target - TOL):
             frames.pop()
             continue
+        # past the prune test the head's gain is positive: with none, the
+        # bound would be the frame's own value, which was already no better
         neg, chosen = ordered[pos]
-        fresh = state.gain(chosen)
+        tick()
+        fresh = state._gain(chosen)
         if fresh < -neg - 1e-12:
             # stale entry: refresh and keep the tail in decreasing-gain order
             del ordered[pos]
-            bisect.insort(ordered, (-fresh, chosen), lo=pos)
+            at = bisect.bisect_right(ordered, (-fresh, chosen), pos)
+            ordered.insert(at, (-fresh, chosen))
+            if window is None or not (isinstance(fresh, float) and fresh.is_integer()):
+                frame[4] = None
+                continue
+            # the head leaves the window; the fresh gain or the entry now at
+            # the window's end comes in
+            last = -fresh if at < end else ordered[end - 1][0]
+            frame[4] = window + neg - last if last < 0 else window + neg
             continue
         frame[2] = pos + 1
         child = state.copy()
-        child.add(chosen, fresh)
+        child._apply_add(chosen)
+        child.value += fresh
         if child.value > best_val + 1e-12:
             best_set, best_val = tuple(sorted(child.members)), child.value
         if target is not None and child.value >= target - TOL:
             return SmpSearch(tuple(sorted(child.members)), best_val)
+        if window is not None:
+            # the head leaves both windows; the parent's takes in the entry at its end
+            window += neg
+            last = ordered[end][0] if end < len(ordered) else 0.0
+            frame[4] = window - last if last < 0 else window
         if remaining > 1 and pos + 1 < len(ordered):
-            frames.append([child, ordered[pos + 1:], 0, remaining - 1])
+            frames.append([child, ordered[pos + 1:], 0, remaining - 1, window])
     return SmpSearch(best_set, best_val)
 
 
@@ -207,9 +250,14 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     zero-gain dummies, and adds a uniformly random pool entry (a dummy pick
     adds nothing).  An optional target value stops the run early once
     reached.  kappa is rounded up as in greedy_max; budget 0 costs no
-    query.  Given a ground, runs on ``oracle.restrict(ground)``.
+    query.  The draw is among kappa slots, so a rounded kappa above 2**63
+    (numpy's int64 draw range) raises InputError.  Given a ground, runs on
+    ``oracle.restrict(ground)``.
     """
     kappa = _size_limit(_check_budget(kappa))
+    if kappa > 2**63:
+        raise InputError("random greedy draws among kappa slots, so kappa must be at most "
+                         f"2**63, got {kappa}")
     seed = _check_seed(seed)
     return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
         view, kappa, seed, ids, target))

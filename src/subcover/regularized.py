@@ -19,9 +19,13 @@ def _check_instance(inst):
 
 
 def distortion_horizon(eps, kappa):
-    """Number of distorted steps: ceil(ln(1/eps) * kappa)."""
+    """Number of distorted steps: ceil(ln(1/eps) * kappa); a budget whose
+    horizon overflows a float raises InputError."""
     _check_unit_interval("eps", eps)
-    return math.ceil(math.log(1.0 / eps) * kappa)
+    horizon = math.log(1.0 / eps) * kappa
+    if horizon == math.inf:
+        raise InputError(f"budget {kappa} too large: ln(1/eps) * kappa overflows")
+    return math.ceil(horizon)
 
 
 def distorted_potential(inst, kappa, eps, i, X):

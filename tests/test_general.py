@@ -303,6 +303,20 @@ class TestMaximizerBudgets:
         res = convert_cover(random_greedy_max, inst, 0.1, 0.5, seed=0)
         assert res.status == Status.SOLVED and res.f_value >= 3.0
 
+    def test_random_greedy_budget_beyond_its_draw_range_rejected(self):
+        # a draw among 10**19 slots is outside numpy's int64 range
+        oracle = CoverageOracle([[0], [1], [2]])
+        with pytest.raises(InputError, match="kappa must be at most 2\\*\\*63"):
+            random_greedy_max(oracle, 1e19, 0)
+        assert oracle.query_count == 0
+
+    def test_distorted_greedy_budget_with_an_overflowing_horizon_rejected(self):
+        # ln(1/0.1) * 1e308 is inf, so the horizon has no integer value
+        oracle = CoverageOracle([[0], [1], [2]])
+        with pytest.raises(InputError, match="budget .* too large"):
+            distorted_greedy_max(RegularizedInstance(oracle, np.zeros(3)), 1e308, 0.1)
+        assert oracle.query_count == 0
+
     @pytest.mark.parametrize("kappa,size", [(2.5, 3), (3.5, 4)])
     @pytest.mark.parametrize("name", ["greedy", "exact", "fast-exact"])
     def test_real_budget_rounded_up_alike(self, name, kappa, size):
@@ -462,6 +476,44 @@ def test_exact_searches_match_the_reference(inst, data):
         assert found.value >= target - TOL
     else:
         assert abs(found.value - ref.value) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(12, 24), data=st.data())
+def test_exact_searches_match_the_reference_at_search_scale(n, data):
+    """On unit and integer cut graphs of up to 24 vertices with kappa well
+    below the ground, windows end inside the list, so refreshes and
+    branching shift entries in at a window's end: the running bound must
+    give the reference's solution, value and query count."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    edges = random_edges(rng, n, data.draw(st.sampled_from([0.15, 0.3, 0.5])))
+    if data.draw(st.booleans()):
+        edges = [(u, v, float(rng.integers(1, 6))) for u, v, _ in edges]
+    oracle = GraphCutOracle(n, edges)
+    ground = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=n // 2)))
+    kappa = data.draw(st.integers(1, max(1, len(ground) // 3)))
+    target = data.draw(st.none() | st.integers(0, 4 * n).map(float))
+    for search in (exact_max_search, fast_exact_max_search):
+        ours, theirs = oracle.clone(), oracle.clone()
+        found = search(ours, ground, kappa, target=target)
+        assert found == reference_exact_max_search(theirs, ground, kappa, target)
+        assert ours.query_count == theirs.query_count
+
+
+@pytest.mark.parametrize("tau, integral", [(3.0, True), (2.5, False)])
+def test_non_integral_gain_switches_the_bound_to_fsum(tau, integral):
+    # root gains are 2, 2, 2; once one set is in, a second one gains
+    # min(2 + 2, tau) - 2, which is 0.5 at tau 2.5: the first refresh in the
+    # child meets a non-integral gain and bounds with fsum from then on
+    base = CoverageOracle([[0, 1], [2, 3], [4, 5]])
+    ours, theirs = truncate(base, tau), truncate(base.clone(), tau)
+    with mock.patch.object(nonmonotone.math, "fsum", wraps=math.fsum) as fsum:
+        found = exact_max_search(ours, range(3), 2)
+    assert found == reference_exact_max_search(theirs, range(3), 2)
+    assert found.solution == (0, 1) and found.value == tau
+    assert ours.query_count == theirs.query_count
+    # one fsum is the root window's sum; the running bound needs no other
+    assert (fsum.call_count == 1) == integral
 
 
 class UnrestrictedCut(GraphCutOracle):

@@ -18,6 +18,7 @@ from subcover import (
     convert_cover,
     convert_cover_randomized,
     convert_rand_repetitions,
+    derive_seed,
     distorted_cover,
     double_greedy_max,
     exact_max_cardinality,
@@ -681,6 +682,7 @@ SEEDED = {
     "random-greedy": lambda seed: random_greedy_max(_path(), 2, seed),
     "double-greedy": lambda seed: double_greedy_max(_path(), seed),
     "synthetic": lambda seed: make_synthetic_summarization(10, 5, 0.4, 0.1, 2, seed).tag_sets,
+    "derive-seed": lambda seed: derive_seed(seed, 0),
 }
 
 
