@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import MISSING, fields
 
-from .harness import ALGORITHMS, GUESS_MODES, ExperimentGrid, emit_plot_data, run_experiment
+from .harness import ALGORITHMS, GUESS_MODES, KINDS, ExperimentGrid, emit_plot_data, run_experiment
 from .nonmonotone import _APPROX_RATIOS
 
 _METRICS = {"f": "f_value", "size": "size", "queries": "queries"}
@@ -34,8 +34,7 @@ def build_parser():
     run_p = commands.add_parser("run", help="execute a sweep and write a results CSV")
     run_p.add_argument("--dataset", required=True,
                        help="file path (tags/edges) or key=value string (synthetic/tightness)")
-    run_p.add_argument("--kind", required=True,
-                       choices=("tags", "edges", "synthetic", "tightness"))
+    run_p.add_argument("--kind", required=True, choices=KINDS)
     run_p.add_argument("--alg", dest="algorithms", required=True, type=_names,
                        help=f"comma list from: {', '.join(ALGORITHMS)}")
     run_p.add_argument("--eps", dest="eps_values", required=True, type=_floats,

@@ -4,8 +4,6 @@ parameters, with CSV output and plot-ready aggregation."""
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +17,6 @@ from .dataio import (
 )
 from .monotone import (
     _check_alpha,
-    _check_unit_interval,
     convert_cover,
     convert_cover_randomized,
     greedy_cover,
@@ -31,6 +28,7 @@ from .nonmonotone import double_greedy_max, smp_subroutine, stream_cover
 from .oracles import (
     CoverInstance,
     InputError,
+    _check_real,
     _check_seed,
     _int_ids,
     make_greedy_tightness_instance,
@@ -59,8 +57,9 @@ ALGORITHMS = tuple(_SOLVERS)
 # singleton value, or the geometric budget schedule's default 1 + alpha
 GUESS_MODES = ("tau-ratio", "geometric")
 
+# each generator's dataset parameters, in the order of its arguments
 _SYNTHETIC_DEFAULTS = {
-    "m": 4000, "n": 2000, "head": 250, "p_head": 0.4, "p_tail": 0.002, "seed": 0,
+    "m": 4000, "n": 2000, "p_head": 0.4, "p_tail": 0.002, "head": 250, "seed": 0,
 }
 _TIGHTNESS_DEFAULTS = {"k": 10, "l": 1000}
 
@@ -84,31 +83,23 @@ class ExperimentGrid:
     sub_timeout_ms: float = 300000.0
 
     def __post_init__(self):
-        # an empty axis, an unknown algorithm, a bad eps, tau fraction, alpha,
-        # delta, seed, reference seed, job count, subroutine, timeout or guess
-        # mode fails here, not in every cell
+        # an empty axis, an unknown dataset kind or algorithm, a bad eps, tau
+        # fraction, alpha, delta, seed, reference seed, job count, subroutine,
+        # timeout or guess mode fails here, not in every cell
         for name in ("algorithms", "eps_values", "tau_fractions", "seeds"):
             if not len(getattr(self, name)):
                 raise InputError(f"{name} must not be empty")
+        _check_choice("dataset kind", self.kind, KINDS)
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise InputError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
-        reals = {"eps_values": self.eps_values, "tau_fractions": self.tau_fractions,
-                 "alpha": (self.alpha,), "delta": (self.delta,)}
-        for name, values in reals.items():
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise InputError(f"{name} must hold real numbers, got {value!r}")
+            _check_choice("algorithm", alg, ALGORITHMS)
         for eps in self.eps_values:
-            if not 0 < eps < 1:
-                raise InputError(f"eps must lie in (0, 1), got {eps}")
+            _check_real("eps", eps, "(0, 1)")
+        for frac in self.tau_fractions:
+            _check_real("tau fraction", frac, "[0, inf)")
         _check_alpha(self.alpha, 1)  # the guess-count limit depends on each cell's n
-        _check_unit_interval("delta", self.delta)
+        _check_real("delta", self.delta, "(0, 1)")
         object.__setattr__(self, "seeds", tuple(map(_check_seed, self.seeds)))
         object.__setattr__(self, "ref_seed", _check_seed(self.ref_seed))
-        for frac in self.tau_fractions:
-            if not (math.isfinite(frac) and frac >= 0):
-                raise InputError(f"tau fractions must be finite and non-negative, got {frac}")
         if isinstance(self.jobs, bool):
             raise InputError(f"jobs must be an integer, got {self.jobs}")
         (jobs,) = _int_ids([self.jobs], "job count").tolist()
@@ -116,9 +107,7 @@ class ExperimentGrid:
             raise InputError(f"jobs must be at least 1, got {jobs}")
         object.__setattr__(self, "jobs", jobs)
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
-        if self.guess_mode not in GUESS_MODES:
-            raise InputError(f"unknown guess mode {self.guess_mode!r}; "
-                             f"choose from {', '.join(GUESS_MODES)}")
+        _check_choice("guess mode", self.guess_mode, GUESS_MODES)
 
     def cells(self):
         axes = (self.algorithms, self.eps_values, self.tau_fractions, self.seeds)
@@ -167,21 +156,27 @@ def _parse_number(key, value, integer):
     return int(_int_ids([number], f"{key} value")[0]) if integer else number
 
 
+# each --kind name's loader; the loaders too are looked up at call time
+_LOADERS = {
+    "tags": lambda dataset: parse_tag_assignments(dataset),
+    "edges": lambda dataset: parse_edge_list(dataset),
+    "synthetic": lambda dataset: make_synthetic_summarization(
+        *_parse_params(dataset, _SYNTHETIC_DEFAULTS).values()),
+    "tightness": lambda dataset: make_greedy_tightness_instance(
+        *_parse_params(dataset, _TIGHTNESS_DEFAULTS).values()).oracle,
+}
+KINDS = tuple(_LOADERS)
+
+
+def _check_choice(what, value, choices):
+    if value not in choices:
+        raise InputError(f"unknown {what} {value!r}; choose from {', '.join(choices)}")
+
+
 def load_dataset(kind, dataset):
     """Materialize the base oracle for a grid's dataset reference."""
-    if kind == "tags":
-        return parse_tag_assignments(dataset)
-    if kind == "edges":
-        return parse_edge_list(dataset)
-    if kind == "synthetic":
-        p = _parse_params(dataset, _SYNTHETIC_DEFAULTS)
-        return make_synthetic_summarization(
-            p["m"], p["n"], p["p_head"], p["p_tail"], p["head"], p["seed"]
-        )
-    if kind == "tightness":
-        p = _parse_params(dataset, _TIGHTNESS_DEFAULTS)
-        return make_greedy_tightness_instance(p["k"], p["l"]).oracle
-    raise InputError(f"unknown dataset kind {kind!r}")
+    _check_choice("dataset kind", kind, KINDS)
+    return _LOADERS[kind](dataset)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .oracles import TOL, InputError, _check_seed, _threshold_scan, truncate
+from .oracles import TOL, InputError, _check_real, _check_seed, _threshold_scan, truncate
 from .results import Run, Status
 
 
@@ -17,50 +17,24 @@ def derive_seed(seed, *key):
     return int(sequence.generate_state(1)[0])
 
 
-def _check_unit_interval(name, value):
-    if not 0.0 < value < 1.0:
-        raise InputError(f"{name} must lie in (0, 1), got {value}")
-
-
-def _check_gamma(gamma):
-    if not 0.0 < gamma <= 1.0:
-        raise InputError(f"gamma must lie in (0, 1], got {gamma}")
-
-
-def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be positive and finite, got {value}")
-
-
 # the most guesses a geometric schedule may take to grow from 1 to n
 MAX_GUESSES = 10**8
 
 
 def _check_alpha(alpha, n):
-    """A guess grows by the factor 1 + alpha, which must be finite and above 1
-    in float, and reach n within MAX_GUESSES guesses."""
-    if not (math.isfinite(alpha) and 1.0 + alpha > 1.0):
-        raise InputError(f"alpha must be finite with 1 + alpha > 1, got {alpha}")
+    """A guess grows by the factor 1 + alpha, which must be above 1 in float,
+    and reach n within MAX_GUESSES guesses."""
+    if not 1.0 + _check_real("alpha", alpha, "(-inf, inf)") > 1.0:
+        raise InputError(f"alpha must have 1 + alpha > 1 in float, got {alpha!r}")
     length = math.log(n) / math.log1p(alpha) if n > 1 else 0.0
     if length > MAX_GUESSES:
         raise InputError(f"alpha = {alpha} takes about {length:.3g} guesses to reach n = {n}, "
                          f"above the limit of {MAX_GUESSES:.0e}")
 
 
-def _check_finite(name, value):
-    if value is not None and not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value}")
-
-
 def _check_budget(kappa):
-    """A budget, checked before any query: a non-negative finite number."""
-    try:
-        valid = 0 <= kappa < math.inf
-    except TypeError:  # not a number
-        valid = False
-    if not valid:
-        raise InputError(f"budget must be a non-negative finite number, got {kappa}")
-    return kappa
+    """A budget, checked before any query."""
+    return _check_real("budget", kappa, "[0, inf)")
 
 
 def _require_monotone(oracle):
@@ -114,7 +88,7 @@ def _sampled_step(state, inside, rng, size):
 
 def greedy_cover(instance, eps):
     """Plain greedy: add the best element until f reaches (1 - eps) * tau."""
-    _check_unit_interval("eps", eps)
+    _check_real("eps", eps, "(0, 1)")
     _require_monotone(instance.oracle)
     oracle = instance.oracle
     run = Run(oracle, (1.0 - eps) * instance.tau)
@@ -133,7 +107,7 @@ def threshold_greedy_cover(instance, eps):
     pass.  The run stops as soon as f reaches (1 - eps) * tau, or reports
     InfeasibleDetected once w sinks below eps * max_single / n.
     """
-    _check_unit_interval("eps", eps)
+    _check_real("eps", eps, "(0, 1)")
     _require_monotone(instance.oracle)
     oracle = instance.oracle
     run = Run(oracle, (1.0 - eps) * instance.tau)
@@ -176,10 +150,11 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     Gains are taken against the truncated objective min(f, tau).  Stops once
     some solution reaches (1 - eps) * tau and returns the smallest one.
     """
-    _check_unit_interval("eps", eps)
-    _check_unit_interval("delta", delta)
+    _check_real("eps", eps, "(0, 1)")
+    _check_real("delta", delta, "(0, 1)")
     _check_alpha(alpha, instance.oracle.n)
-    _check_finite("initial_guess", initial_guess)
+    if initial_guess is not None:
+        _check_real("initial_guess", initial_guess, "(-inf, inf)")
     _require_monotone(instance.oracle)
     seed = _check_seed(seed)
     oracle = instance.oracle
@@ -224,7 +199,7 @@ def stochastic_max_subroutine(eps):
     stops early once every element is selected.  Over budget by that log
     factor, with expected value near the optimum of size kappa.
     """
-    _check_unit_interval("eps", eps)
+    _check_real("eps", eps, "(0, 1)")
     lead = math.log(3.0 / (2.0 * eps))
 
     def run(oracle, kappa, seed):
@@ -301,8 +276,9 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     gamma * tau.
     """
     _check_alpha(alpha, instance.oracle.n)
-    _check_finite("initial_budget", initial_budget)
-    _check_gamma(gamma)
+    if initial_budget is not None:
+        _check_real("initial_budget", initial_budget, "(-inf, inf)")
+    _check_real("gamma", gamma, "(0, 1]")
     seed = _check_seed(seed)
     oracle = instance.oracle
     run = Run(oracle, gamma * instance.tau)
@@ -318,7 +294,7 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
 
 def convert_rand_repetitions(delta):
     """How many runs per budget guess the randomized conversion performs."""
-    _check_unit_interval("delta", delta)
+    _check_real("delta", delta, "(0, 1)")
     return max(1, math.ceil(math.log(1.0 / delta) / math.log(2.0)))
 
 
@@ -330,8 +306,9 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     (1 - eps) * tau and returns the smallest successful solution.
     """
     _check_alpha(alpha, instance.oracle.n)
-    _check_finite("initial_budget", initial_budget)
-    _check_unit_interval("eps", eps)
+    if initial_budget is not None:
+        _check_real("initial_budget", initial_budget, "(-inf, inf)")
+    _check_real("eps", eps, "(0, 1)")
     seed = _check_seed(seed)
     reps = convert_rand_repetitions(delta)
     oracle = instance.oracle

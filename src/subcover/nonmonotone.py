@@ -11,9 +11,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .monotone import (_budget_sweep, _check_alpha, _check_budget, _check_finite,
-                       _check_unit_interval, _outside_gains, _size_limit, derive_seed)
-from .oracles import TOL, InputError, _check_seed, _threshold_scan
+from .monotone import _budget_sweep, _check_alpha, _check_budget, _outside_gains, _size_limit, derive_seed
+from .oracles import TOL, InputError, _check_real, _check_seed, _threshold_scan
 from .results import Run, Status
 
 
@@ -51,15 +50,11 @@ class SmpSubroutine:
 
     def __post_init__(self):
         _approx_ratio(self.kind)
-        _check_timeout(self.timeout_ms)
+        if self.timeout_ms is not None:
+            _check_real("timeout_ms", self.timeout_ms, "[0, inf]")
 
 
 smp_subroutine = SmpSubroutine
-
-
-def _check_timeout(timeout_ms):
-    if timeout_ms is not None and not timeout_ms >= 0:  # NaN fails the comparison
-        raise InputError(f"timeout_ms must be None or non-negative, got {timeout_ms}")
 
 
 def classify_monotone_elements(oracle, T):
@@ -205,8 +200,9 @@ def _on_ground(oracle, ground, run):
 def _deadline(timeout_ms):
     """The perf_counter time a search must stop at, or None; timeout_ms is
     checked here, before any query."""
-    _check_timeout(timeout_ms)
-    return None if timeout_ms is None else time.perf_counter() + timeout_ms / 1000.0
+    if timeout_ms is None:
+        return None
+    return time.perf_counter() + _check_real("timeout_ms", timeout_ms, "[0, inf]") / 1000.0
 
 
 def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
@@ -362,11 +358,14 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     stored element (see _fill_buckets) and, after each subroutine run, a
     "pass" event {g, cap, stored, smp_value}.
     """
-    _check_unit_interval("eps", eps)
+    _check_real("eps", eps, "(0, 1)")
     _check_alpha(alpha, instance.oracle.n)
-    _check_finite("initial_guess", initial_guess)
+    if initial_guess is not None:
+        _check_real("initial_guess", initial_guess, "(-inf, inf)")
     seed = _check_seed(seed)
-    ratio = _approx_ratio(sub.kind)
+    # a hand-made descriptor, or none, gets the descriptor's own checks
+    sub = SmpSubroutine(getattr(sub, "kind", None), getattr(sub, "timeout_ms", None))
+    ratio = _APPROX_RATIOS[sub.kind]
     if not instance.oracle.nonnegative:
         raise InputError("stream cover requires a non-negative oracle")
     oracle = instance.oracle

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +43,10 @@ class SetFunctionOracle:
     nonnegative = True
 
     def __init__(self, n, counter=None):
+        (n,) = _int_ids([n], "ground set size").tolist()
         if n < 0:
             raise InputError(f"ground set size must be non-negative, got {n}")
-        self.n = int(n)
+        self.n = n
         self._counter = counter if counter is not None else QueryCounter()
 
     # subclasses implement the raw set function
@@ -392,6 +395,41 @@ def _check_seed(seed):
     return seed
 
 
+def _check_real(name, value, interval):
+    """value, unchanged, when it is a real number (not a bool) in interval,
+    written as text such as "(0, 1)", "(0, 1]", "[0, inf)" or "[0, inf]";
+    else InputError naming that interval.  NaN, and an int beyond float
+    range, lie in none."""
+    low, high = interval[1:-1].split(", ")
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.nan
+    above = x > float(low) or (interval[0] == "[" and x == float(low))
+    below = x < float(high) or (interval[-1] == "]" and x == float(high))
+    if not (above and below):
+        try:
+            got = reprlib.repr(value)  # long ints and strings shortened
+        except ValueError:  # an int past the digit limit of int to str
+            got = f"an int of {value.bit_length()} bits"
+        raise InputError(f"{name} must lie in {interval}, got {got}")
+    return value
+
+
+def _nonnegative_array(values, what):
+    """values as a float64 array.  numpy must read them as integers or
+    floats, so a str, bool or object entry raises InputError, as does the
+    first entry outside [0, inf)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise InputError(f"each {what} must be a real number, got dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    bad = np.flatnonzero(~(np.isfinite(array) & (array >= 0)))
+    if bad.size:
+        _check_real(what, array.item(bad[0]), "[0, inf)")
+    return array
+
+
 def _row_pointers(rows, size):
     """CSR pointers (int64, length size + 1) of entries sorted by row id."""
     ptr = np.zeros(size + 1, dtype=np.int64)
@@ -525,13 +563,7 @@ class GraphCutOracle(SetFunctionOracle):
             ends.append(v)
             weights.append(w)
         ends = self._check_ids(_int_ids(ends, "edge endpoint"))
-        weights = np.array(weights, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
-        if bad.size:
-            w = weights[bad[0]]
-            if not math.isfinite(w):
-                raise InputError(f"edge weight must be finite, got {w}")
-            raise InputError(f"negative edge weight {w}")
+        weights = _nonnegative_array(weights, "edge weight")
         ends = ends.reshape(-1, 2)
         keep = ends[:, 0] != ends[:, 1]  # self-loops contribute nothing
         ends, weights = ends[keep], weights[keep]
@@ -638,8 +670,7 @@ class TruncatedOracle(SetFunctionOracle):
     """min(f, tau) wrapper; shares the inner oracle's query counter."""
 
     def __init__(self, inner, tau):
-        if not math.isfinite(tau) or tau < 0:
-            raise InputError(f"truncation threshold must be finite and non-negative, got {tau}")
+        _check_real("truncation threshold", tau, "[0, inf)")
         super().__init__(inner.n, counter=inner._counter)
         self.inner = inner
         self.tau = float(tau)
@@ -704,8 +735,7 @@ class CoverInstance:
     tau: float
 
     def __post_init__(self):
-        if not math.isfinite(self.tau) or self.tau < 0:
-            raise InputError(f"tau must be finite and non-negative, got {self.tau}")
+        _check_real("tau", self.tau, "[0, inf)")
 
     def feasible(self):
         """Whether f(U) >= tau; only meaningful for monotone objectives."""
@@ -725,8 +755,8 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     seed = _check_seed(seed)
     if m < 0 or n < 0:
         raise InputError(f"sizes m and n must be non-negative, got m={m}, n={n}")
-    if not (0 <= p_head <= 1 and 0 <= p_tail <= 1):
-        raise InputError("tag probabilities must lie in [0, 1]")
+    _check_real("p_head", p_head, "[0, 1]")
+    _check_real("p_tail", p_tail, "[0, 1]")
     if head_size > m or head_size < 0:
         raise InputError("head_size must lie in [0, m]")
     rng = np.random.default_rng(seed)
@@ -799,16 +829,12 @@ class RegularizedInstance:
     tau: float = None
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
+        costs = _nonnegative_array(self.costs, "cost")
         if costs.shape != (self.oracle.n,):
             raise InputError("cost vector length must match the ground set size")
-        if not np.isfinite(costs).all():
-            raise InputError("costs must be finite")
-        if (costs < 0).any():
-            raise InputError("costs must be non-negative")
         object.__setattr__(self, "costs", costs)
-        if self.tau is not None and not math.isfinite(self.tau):
-            raise InputError(f"tau must be finite, got {self.tau}")
+        if self.tau is not None:
+            _check_real("tau", self.tau, "(-inf, inf)")
 
     def cost(self, S):
         """c(S), summed in increasing id order; the ids are checked as by a query."""

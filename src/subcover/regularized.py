@@ -7,9 +7,8 @@ import math
 
 import numpy as np
 
-from .monotone import (_budget_sweep, _check_alpha, _check_budget, _check_gamma,
-                       _check_positive, _check_unit_interval, _outside_gains)
-from .oracles import TOL, InputError
+from .monotone import _budget_sweep, _check_alpha, _check_budget, _outside_gains
+from .oracles import TOL, InputError, _check_real
 from .results import Run, Status
 
 
@@ -21,8 +20,7 @@ def _check_instance(inst):
 def distortion_horizon(eps, kappa):
     """Number of distorted steps: ceil(ln(1/eps) * kappa); a budget whose
     horizon overflows a float raises InputError."""
-    _check_unit_interval("eps", eps)
-    horizon = math.log(1.0 / eps) * kappa
+    horizon = math.log(1.0 / _check_real("eps", eps, "(0, 1)")) * _check_budget(kappa)
     if horizon == math.inf:
         raise InputError(f"budget {kappa} too large: ln(1/eps) * kappa overflows")
     return math.ceil(horizon)
@@ -32,11 +30,9 @@ def distorted_potential(inst, kappa, eps, i, X):
     """(1 - 1/kappa)^(t - i) * g(X) - c(X) with t the distortion horizon;
     kappa must be at least 1."""
     _check_instance(inst)
-    if not _check_budget(kappa) >= 1:
-        raise InputError(f"budget must be at least 1, got {kappa}")
+    _check_real("budget", kappa, "[1, inf)")
     t = distortion_horizon(eps, kappa)
-    if not 0 <= i <= t:
-        raise InputError(f"step index {i} outside [0, {t}]")
+    _check_real("step index", i, f"[0, {t}]")
     factor = (1.0 - 1.0 / kappa) ** (t - i)
     return factor * inst.oracle.eval(X) - inst.cost(X)
 
@@ -53,7 +49,7 @@ def distorted_greedy_max(inst, kappa, eps, on_event=None):
     for every element added.
     """
     _check_instance(inst)
-    t = distortion_horizon(eps, _check_budget(kappa))
+    t = distortion_horizon(eps, kappa)
     if not kappa:
         return ()
     if kappa < 1:
@@ -93,8 +89,8 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     if inst.tau is None:
         raise InputError("instance carries no cover threshold")
     _check_alpha(alpha, inst.oracle.n)
-    _check_positive("beta", beta)
-    _check_gamma(gamma)
+    _check_real("beta", beta, "(0, inf)")
+    _check_real("gamma", gamma, "(0, 1]")
     oracle = inst.oracle
     scale = gamma / beta
     run = Run(oracle, gamma * inst.tau, value=lambda S: oracle.peek(S) - scale * inst.cost(S))
@@ -112,7 +108,7 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
 
 def distorted_cover(inst, eps, alpha):
     """Cover through the distorted maximizer with its natural constants."""
-    _check_unit_interval("eps", eps)
+    _check_real("eps", eps, "(0, 1)")
     gamma = 1.0 - eps
     beta = math.log(1.0 / eps)
     return convert_regularized(lambda scaled, budget: distorted_greedy_max(scaled, budget, eps),

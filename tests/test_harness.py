@@ -160,8 +160,8 @@ class TestRunExperiment:
             small_grid("tags.txt", jobs=jobs)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("delta", 2.0, "delta must lie in"), ("alpha", "0.1", "alpha must hold real numbers"),
-        ("alpha", -1.0, "1 \\+ alpha > 1"), ("alpha", math.nan, "1 \\+ alpha > 1"),
+        ("delta", 2.0, "delta must lie in"), ("alpha", "0.1", r"alpha must lie in \(-inf, inf\)"),
+        ("alpha", -1.0, "1 \\+ alpha > 1"), ("alpha", math.nan, r"alpha must lie in \(-inf, inf\)"),
         ("ref_seed", -3, "non-negative"), ("ref_seed", 1.5, "seed must be an integer"),
     ])
     def test_bad_alpha_delta_or_reference_seed_rejected(self, field, value, message):
@@ -178,7 +178,9 @@ class TestRunExperiment:
     ])
     def test_non_numeric_eps_or_tau_fraction_rejected(self, field, values):
         axes = {"eps_values": (0.2,), "tau_fractions": (0.6,), field: values}
-        with pytest.raises(InputError, match=f"{field} must hold real numbers"):
+        message = {"eps_values": r"eps must lie in \(0, 1\)",
+                   "tau_fractions": r"tau fraction must lie in \[0, inf\)"}[field]
+        with pytest.raises(InputError, match=message):
             ExperimentGrid(dataset="tags.txt", kind="tags", algorithms=("greedy",), **axes)
 
     @pytest.mark.parametrize("algorithms", [("gredy",), ("greedy", "Stream"), ("greedy", "")])
@@ -202,7 +204,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("fractions", [(math.nan,), (0.5, -0.1), (math.inf,), (0.5, -math.inf)])
     def test_bad_tau_fraction_rejected(self, fractions):
-        with pytest.raises(InputError, match="tau fractions"):
+        with pytest.raises(InputError, match=r"tau fraction must lie in \[0, inf\)"):
             ExperimentGrid(dataset="tags.txt", kind="tags", algorithms=("greedy",),
                            eps_values=(0.2,), tau_fractions=fractions)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 from unittest import mock
 
@@ -11,6 +12,7 @@ import pytest
 from subcover import (
     CoverageOracle,
     CoverInstance,
+    ExperimentGrid,
     GraphCutOracle,
     InputError,
     RegularizedInstance,
@@ -18,11 +20,18 @@ from subcover import (
     convert_cover,
     convert_cover_randomized,
     convert_rand_repetitions,
+    convert_regularized,
     derive_seed,
     distorted_cover,
+    distorted_greedy_max,
+    distorted_potential,
+    distortion_horizon,
     double_greedy_max,
     exact_max_cardinality,
+    exact_max_regularized,
+    exact_max_search,
     exact_min_cover,
+    fast_exact_max_search,
     greedy_cover,
     greedy_max,
     make_greedy_tightness_instance,
@@ -33,6 +42,7 @@ from subcover import (
     stochastic_max_subroutine,
     stream_cover,
     threshold_greedy_cover,
+    truncate,
 )
 
 from subcover import monotone, oracles
@@ -651,6 +661,106 @@ def _path():
     return GraphCutOracle(3, [(0, 1), (1, 2)])
 
 
+def _reg(tau=1.0):
+    return RegularizedInstance(CoverageOracle([{0}, {1}, {0, 1}]), np.zeros(3), tau=tau)
+
+
+def _grid(**field):
+    return ExperimentGrid(**{"dataset": "m=6,n=3,head=2", "kind": "synthetic",
+                             "algorithms": ("greedy",), "eps_values": (0.2,),
+                             "tau_fractions": (0.5,), **field})
+
+
+# (entry point, parameter, its interval, whether None is allowed, the call
+# with that parameter set to a value and every other argument valid)
+REAL_PARAMETERS = [
+    ("greedy", "eps", "(0, 1)", False, lambda v: greedy_cover(_cover(), v)),
+    ("thresh", "eps", "(0, 1)", False, lambda v: threshold_greedy_cover(_cover(), v)),
+    ("stoch", "eps", "(0, 1)", False, lambda v: stochastic_greedy_cover(_cover(), v, 0.1, 0.1, 0)),
+    ("stoch", "delta", "(0, 1)", False,
+     lambda v: stochastic_greedy_cover(_cover(), 0.2, v, 0.1, 0)),
+    ("stoch", "alpha", "(-inf, inf)", False,
+     lambda v: stochastic_greedy_cover(_cover(), 0.2, 0.1, v, 0)),
+    ("stoch", "initial_guess", "(-inf, inf)", True,
+     lambda v: stochastic_greedy_cover(_cover(), 0.2, 0.1, 0.1, 0, initial_guess=v)),
+    ("sampled-max", "eps", "(0, 1)", False, lambda v: stochastic_max_subroutine(v)),
+    ("sampled-max-call", "budget", "[0, inf)", False,
+     lambda v: stochastic_max_subroutine(0.2)(_cover().oracle, v, 0)),
+    ("greedy-max", "budget", "[0, inf)", False, lambda v: greedy_max(_cover().oracle, v)),
+    ("convert", "alpha", "(-inf, inf)", False, lambda v: convert_cover(greedy_max, _cover(), v, 0.8)),
+    ("convert", "gamma", "(0, 1]", False, lambda v: convert_cover(greedy_max, _cover(), 0.1, v)),
+    ("convert", "initial_budget", "(-inf, inf)", True,
+     lambda v: convert_cover(greedy_max, _cover(), 0.1, 0.8, initial_budget=v)),
+    ("repetitions", "delta", "(0, 1)", False, lambda v: convert_rand_repetitions(v)),
+    ("convert-rand", "alpha", "(-inf, inf)", False,
+     lambda v: convert_cover_randomized(greedy_max, _cover(), v, 0.1, 0.2)),
+    ("convert-rand", "delta", "(0, 1)", False,
+     lambda v: convert_cover_randomized(greedy_max, _cover(), 0.1, v, 0.2)),
+    ("convert-rand", "eps", "(0, 1)", False,
+     lambda v: convert_cover_randomized(greedy_max, _cover(), 0.1, 0.1, v)),
+    ("convert-rand", "initial_budget", "(-inf, inf)", True,
+     lambda v: convert_cover_randomized(greedy_max, _cover(), 0.1, 0.1, 0.2, initial_budget=v)),
+    ("stream", "eps", "(0, 1)", False,
+     lambda v: stream_cover(_cover(_path()), v, 0.5, smp_subroutine("dg"))),
+    ("stream", "alpha", "(-inf, inf)", False,
+     lambda v: stream_cover(_cover(_path()), 0.5, v, smp_subroutine("dg"))),
+    ("stream", "initial_guess", "(-inf, inf)", True,
+     lambda v: stream_cover(_cover(_path()), 0.5, 0.5, smp_subroutine("dg"), initial_guess=v)),
+    ("smp-subroutine", "timeout_ms", "[0, inf]", True, lambda v: smp_subroutine("ex", timeout_ms=v)),
+    ("exact", "budget", "[0, inf)", False, lambda v: exact_max_search(_path(), None, v)),
+    ("exact", "timeout_ms", "[0, inf]", True,
+     lambda v: exact_max_search(_path(), None, 2, timeout_ms=v)),
+    ("fast-exact", "budget", "[0, inf)", False, lambda v: fast_exact_max_search(_path(), None, v)),
+    ("fast-exact", "timeout_ms", "[0, inf]", True,
+     lambda v: fast_exact_max_search(_path(), None, 2, timeout_ms=v)),
+    ("random-greedy", "budget", "[0, inf)", False, lambda v: random_greedy_max(_path(), v, 0)),
+    ("horizon", "eps", "(0, 1)", False, lambda v: distortion_horizon(v, 2)),
+    ("horizon", "budget", "[0, inf)", False, lambda v: distortion_horizon(0.2, v)),
+    ("potential", "budget", "[1, inf)", False, lambda v: distorted_potential(_reg(), v, 0.2, 0, ())),
+    # the horizon of budget 2 at eps 0.2 is ceil(2 ln 5) = 4 steps
+    ("potential", "step index", "[0, 4]", False,
+     lambda v: distorted_potential(_reg(), 2, 0.2, v, ())),
+    ("distorted-max", "eps", "(0, 1)", False, lambda v: distorted_greedy_max(_reg(), 2, v)),
+    ("distorted-max", "budget", "[0, inf)", False, lambda v: distorted_greedy_max(_reg(), v, 0.2)),
+    ("convert-reg", "alpha", "(-inf, inf)", False,
+     lambda v: convert_regularized(lambda scaled, budget: (), _reg(), v, 0.8, 1.0)),
+    ("convert-reg", "gamma", "(0, 1]", False,
+     lambda v: convert_regularized(lambda scaled, budget: (), _reg(), 0.1, v, 1.0)),
+    ("convert-reg", "beta", "(0, inf)", False,
+     lambda v: convert_regularized(lambda scaled, budget: (), _reg(), 0.1, 0.8, v)),
+    ("distorted-cover", "eps", "(0, 1)", False, lambda v: distorted_cover(_reg(), v, 0.5)),
+    ("distorted-cover", "alpha", "(-inf, inf)", False, lambda v: distorted_cover(_reg(), 0.2, v)),
+    ("exact-max-cardinality", "budget", "[0, inf)", False,
+     lambda v: exact_max_cardinality(_path(), v)),
+    ("exact-max-regularized", "budget", "[0, inf)", False, lambda v: exact_max_regularized(_reg(), v)),
+    ("truncate", "truncation threshold", "[0, inf)", False, lambda v: truncate(_path(), v)),
+    ("cover-instance", "tau", "[0, inf)", False, lambda v: CoverInstance(_path(), v)),
+    ("regularized-instance", "tau", "(-inf, inf)", True, lambda v: _reg(tau=v)),
+    ("synthetic", "p_head", "[0, 1]", False,
+     lambda v: make_synthetic_summarization(10, 5, v, 0.1, 2, seed=0)),
+    ("synthetic", "p_tail", "[0, 1]", False,
+     lambda v: make_synthetic_summarization(10, 5, 0.4, v, 2, seed=0)),
+    ("grid", "eps", "(0, 1)", False, lambda v: _grid(eps_values=(0.2, v))),
+    ("grid", "tau fraction", "[0, inf)", False, lambda v: _grid(tau_fractions=(v,))),
+    ("grid", "alpha", "(-inf, inf)", False, lambda v: _grid(alpha=v)),
+    ("grid", "delta", "(0, 1)", False, lambda v: _grid(delta=v)),
+    ("grid", "timeout_ms", "[0, inf]", True, lambda v: _grid(sub_timeout_ms=v)),
+]
+
+
+def _bad_values(param, interval, optional):
+    """A str; True where 1 would be accepted (0 and 1 both lie outside (0, 1),
+    so there a bool always failed); None where None is not allowed; and for
+    a budget an int beyond float range."""
+    yield "str", "0.5"
+    if interval != "(0, 1)":
+        yield "bool", True
+    if not optional:
+        yield "None", None
+    if param == "budget":
+        yield "10**400", 10**400
+
+
 INPUT_CHECKS = {
     "gamma-zero": (lambda: convert_cover(greedy_max, _cover(), 0.1, 0.0), "gamma must lie in"),
     "gamma-above-one": (lambda: convert_cover(greedy_max, _cover(), 0.1, 1.5), "gamma must lie in"),
@@ -660,6 +770,28 @@ INPUT_CHECKS = {
                       "requires a monotone oracle"),
     "stoch-on-cut": (lambda: stochastic_greedy_cover(_cover(_path()), 0.2, 0.1, 0.1, seed=0),
                      "requires a monotone oracle"),
+    **{f"{entry}-{param}-{label}": (lambda call=call, value=value: call(value),
+                                    f"{param} must lie in {re.escape(interval)}, got ")
+       for entry, param, interval, optional, call in REAL_PARAMETERS
+       for label, value in _bad_values(param, interval, optional)},
+    # past the 4300-digit limit of int to str, the message gives the int's size
+    "greedy-max-budget-10**5000": (lambda: greedy_max(_cover().oracle, 10**5000),
+                                   r"budget must lie in \[0, inf\), got an int of 16610 bits"),
+    "stream-without-sub": (lambda: stream_cover(_cover(_path()), 0.5, 0.5, None),
+                           "unknown SMP subroutine kind None"),
+    "cut-fractional-size": (lambda: GraphCutOracle(2.5, [(0, 1)]),
+                            "ground set size must be an integer"),
+    "cut-str-size": (lambda: GraphCutOracle("3", [(0, 1)]), "ground set size must be an integer"),
+    "cut-str-weight": (lambda: GraphCutOracle(3, [(0, 1, "2.5")]),
+                       "each edge weight must be a real number"),
+    "cut-bool-weight": (lambda: GraphCutOracle(3, [(0, 1, True)]),
+                        "each edge weight must be a real number"),
+    "str-costs": (lambda: RegularizedInstance(CoverageOracle([{0}, {1}]), ["0.1", "x"]),
+                  "each cost must be a real number"),
+    "bool-costs": (lambda: RegularizedInstance(CoverageOracle([{0}, {1}]), [True, False]),
+                   "each cost must be a real number"),
+    "grid-unknown-kind": (lambda: _grid(kind="bogus"), "unknown dataset kind 'bogus'"),
+    "grid-unhashable-kind": (lambda: _grid(kind=["tags"]), "unknown dataset kind"),
 }
 
 

@@ -969,7 +969,7 @@ CONSTRUCTOR_CHECKS = {
     "cost-length": (lambda: RegularizedInstance(two_element_coverage(), [0.5], tau=1.0),
                     "cost vector length"),
     "negative-cost": (lambda: RegularizedInstance(two_element_coverage(), [0.5, -0.1], tau=1.0),
-                      "costs must be non-negative"),
+                      r"cost must lie in \[0, inf\), got -0.1"),
 }
 
 

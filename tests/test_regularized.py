@@ -62,7 +62,7 @@ class TestDistortedPotential:
         # the factor 1 - 1/kappa is undefined at 0: the potential needs kappa >= 1
         rng = np.random.default_rng(54)
         inst = instance(rng, 5)
-        with pytest.raises(InputError, match="budget must be at least 1"):
+        with pytest.raises(InputError, match=r"budget must lie in \[1, inf\)"):
             distorted_potential(inst, 0, 0.2, 0, ())
         assert inst.oracle.query_count == 0
 
@@ -247,7 +247,7 @@ INSTANCE_CHECKS = {
     "max-budget-below-one": (lambda: distorted_greedy_max(_reg(), 0.5, 0.2),
                              "budget must be 0 or at least 1"),
     "potential-budget-below-one": (lambda: distorted_potential(_reg(), 0.5, 0.2, 0, ()),
-                                   "budget must be at least 1"),
+                                   r"budget must lie in \[1, inf\)"),
     "cover-without-threshold": (lambda: distorted_cover(_reg(), 0.2, 0.1),
                                 "no cover threshold"),
 }
