@@ -28,9 +28,9 @@ from .nonmonotone import double_greedy_max, smp_subroutine, stream_cover
 from .oracles import (
     CoverInstance,
     InputError,
+    _check_int,
     _check_real,
     _check_seed,
-    _int_ids,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
 )
@@ -100,12 +100,7 @@ class ExperimentGrid:
         _check_real("delta", self.delta, "(0, 1)")
         object.__setattr__(self, "seeds", tuple(map(_check_seed, self.seeds)))
         object.__setattr__(self, "ref_seed", _check_seed(self.ref_seed))
-        if isinstance(self.jobs, bool):
-            raise InputError(f"jobs must be an integer, got {self.jobs}")
-        (jobs,) = _int_ids([self.jobs], "job count").tolist()
-        if jobs < 1:
-            raise InputError(f"jobs must be at least 1, got {jobs}")
-        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "jobs", _check_int("jobs", self.jobs, "[1, inf)"))
         smp_subroutine(self.subroutine, timeout_ms=self.sub_timeout_ms)
         _check_choice("guess mode", self.guess_mode, GUESS_MODES)
 
@@ -139,21 +134,18 @@ def _parse_params(text, defaults):
 
 def _parse_number(key, value, integer):
     """A dataset parameter's value: a float, or for an integer parameter an
-    int in the int64 range.  An integer literal is read exactly, however
-    many digits it has; "60.0" is 60; 60.7, nan and inf raise."""
+    integer literal read exactly, however many digits it has.  The
+    generator checks it, so "60.0" is 60 and 60.7, nan and inf raise."""
     if integer:
         try:
-            exact = int(value)
+            return int(value)
         except ValueError:
             pass  # not an integer literal, maybe a whole float
-        else:
-            return int(_int_ids([exact], f"{key} value")[0])
     try:
-        number = float(value)
+        return float(value)
     except ValueError:
         raise InputError(f"dataset parameter {key} must be a number, "
                          f"got {value.strip()!r}") from None
-    return int(_int_ids([number], f"{key} value")[0]) if integer else number
 
 
 # each --kind name's loader; the loaders too are looked up at call time

@@ -216,9 +216,30 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     it reports.  Runs on ``oracle.restrict(ground)``.
     """
     budget = _size_limit(_check_budget(kappa))
+    if target is not None:
+        _check_real("target", target, "(-inf, inf)")
     deadline = _deadline(timeout_ms)
     return _on_ground(oracle, ground, lambda view, ids: _branch_search(
         view.state(()), list(ids), budget, target, deadline))
+
+
+def exact_min_cover(instance):
+    """A smallest set with f >= tau - 1e-9, as the SmpSearch that found it,
+    or None when no set reaches tau.
+
+    Runs exact_max_search with target tau at budgets 0, 1, .., n and
+    returns the first search that reaches it.  Every smaller budget's search
+    ran to completion without reaching tau, so the size is minimal.  A
+    monotone instance with f(U) < tau returns None without a query.
+    """
+    oracle, tau = instance.oracle, instance.tau
+    if oracle.monotone and not instance.feasible():
+        return None
+    for k in range(oracle.n + 1):
+        found = exact_max_search(oracle, None, k, target=tau)
+        if found.value >= tau - TOL:
+            return found
+    return None
 
 
 def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
@@ -230,6 +251,8 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     otherwise.  Runs on ``oracle.restrict(ground)``.
     """
     budget = _size_limit(_check_budget(kappa))
+    if target is not None:
+        _check_real("target", target, "(-inf, inf)")
     deadline = _deadline(timeout_ms)
 
     def search(view, ids):
@@ -255,6 +278,8 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
         raise InputError("random greedy draws among kappa slots, so kappa must be at most "
                          f"2**63, got {kappa}")
     seed = _check_seed(seed)
+    if target is not None:
+        _check_real("target", target, "(-inf, inf)")
     return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
         view, kappa, seed, ids, target))
 

@@ -43,10 +43,7 @@ class SetFunctionOracle:
     nonnegative = True
 
     def __init__(self, n, counter=None):
-        (n,) = _int_ids([n], "ground set size").tolist()
-        if n < 0:
-            raise InputError(f"ground set size must be non-negative, got {n}")
-        self.n = n
+        self.n = _check_int("ground set size", n, "[0, inf)")
         self._counter = counter if counter is not None else QueryCounter()
 
     # subclasses implement the raw set function
@@ -388,8 +385,8 @@ def _whole(v):
 
 def _check_seed(seed):
     """A random seed as an int, checked before any query: an integer, or a
-    whole float, in the int64 range and not negative."""
-    (seed,) = _int_ids([seed], "seed").tolist()
+    whole float, in the int64 range and not negative; not a bool."""
+    seed = _check_int("seed", seed, "(-inf, inf)")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return seed
@@ -400,20 +397,42 @@ def _check_real(name, value, interval):
     written as text such as "(0, 1)", "(0, 1]", "[0, inf)" or "[0, inf]";
     else InputError naming that interval.  NaN, and an int beyond float
     range, lie in none."""
-    low, high = interval[1:-1].split(", ")
     try:
         x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:
         x = math.nan
+    if not _inside(x, interval):
+        raise InputError(f"{name} must lie in {interval}, got {_shown(value)}")
+    return value
+
+
+def _check_int(name, value, interval):
+    """value as an int when it is an integer or a whole float (not a bool),
+    as _int_ids reads one, in the int64 range and in interval, written as
+    for _check_real; else InputError naming that interval."""
+    try:
+        x = None if isinstance(value, bool) else _whole(value)
+    except TypeError:
+        x = None
+    if x is not None and not -2**63 <= x < 2**63:
+        raise InputError(f"{name} must be an integer in the int64 range, got {_shown(value)}")
+    if x is None or not _inside(x, interval):
+        raise InputError(f"{name} must be an integer in {interval}, got {_shown(value)}")
+    return x
+
+
+def _inside(x, interval):
+    low, high = interval[1:-1].split(", ")
     above = x > float(low) or (interval[0] == "[" and x == float(low))
     below = x < float(high) or (interval[-1] == "]" and x == float(high))
-    if not (above and below):
-        try:
-            got = reprlib.repr(value)  # long ints and strings shortened
-        except ValueError:  # an int past the digit limit of int to str
-            got = f"an int of {value.bit_length()} bits"
-        raise InputError(f"{name} must lie in {interval}, got {got}")
-    return value
+    return above and below
+
+
+def _shown(value):
+    try:
+        return reprlib.repr(value)  # long ints and strings shortened
+    except ValueError:  # an int past the digit limit of int to str
+        return f"an int of {value.bit_length()} bits"
 
 
 def _nonnegative_array(values, what):
@@ -751,14 +770,11 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     p_head and every later tag with probability p_tail.  Deterministic for a
     fixed seed.
     """
-    m, n, head_size = _int_ids([m, n, head_size], "size (m, n, head_size)").tolist()
+    m, n = _check_int("m", m, "[0, inf)"), _check_int("n", n, "[0, inf)")
+    head_size = _check_int("head_size", head_size, f"[0, {m}]")
     seed = _check_seed(seed)
-    if m < 0 or n < 0:
-        raise InputError(f"sizes m and n must be non-negative, got m={m}, n={n}")
     _check_real("p_head", p_head, "[0, 1]")
     _check_real("p_tail", p_tail, "[0, 1]")
-    if head_size > m or head_size < 0:
-        raise InputError("head_size must lie in [0, m]")
     rng = np.random.default_rng(seed)
     probs = np.full(m, p_tail)
     probs[:head_size] = p_head
@@ -793,11 +809,7 @@ def make_greedy_tightness_instance(k, l):
     Taking from the fullest group, lowest index first, visits the groups
     round robin: the t-th tag taken is tag t // k of group t % k.
     """
-    k, l = _int_ids([k, l], "size (k, l)").tolist()
-    if k < 2:
-        raise InputError(f"k must be at least 2, got {k}")
-    if l < 1:
-        raise InputError(f"l must be positive, got {l}")
+    k, l = _check_int("k", k, "[2, inf)"), _check_int("l", l, "[1, inf)")
     if l % k:
         l += k - (l % k)
     order = [(t % k) * l + t // k for t in range(k * l)]

@@ -18,9 +18,7 @@ from subcover import (
     distorted_cover,
     distorted_greedy_max,
     double_greedy_max,
-    exact_max_cardinality,
     exact_min_cover,
-    exact_min_cover_regularized,
     greedy_cover,
     make_greedy_tightness_instance,
     make_synthetic_summarization,
@@ -35,6 +33,8 @@ from subcover import (
 
 from util import (
     brute_max_all,
+    brute_max_subsets,
+    brute_min_cover_regularized,
     preferential_attachment_graph,
     random_coverage,
     random_graph,
@@ -49,12 +49,14 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def monotone_corpus(seed, count):
+def monotone_corpus(seed, count, sizes=(5, 14), **coverage):
+    """count coverage instances of sizes[0]-sizes[1] elements, at a random
+    tau fraction of f(U); coverage holds random_coverage's tag settings."""
     rng = np.random.default_rng(seed)
     corpus = []
     while len(corpus) < count:
-        n = int(rng.integers(5, 15))
-        oracle = random_coverage(rng, n)
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
+        oracle = random_coverage(rng, n, **coverage)
         total = oracle.peek(range(n))
         if total == 0:
             continue
@@ -69,7 +71,7 @@ def test_ac1_bicriteria_corpus():
     failures = 0
     checked = 0
     for inst in monotone_corpus(2027, 200):
-        opt = len(exact_min_cover(CoverInstance(inst.oracle.clone(), inst.tau)).optimum_set)
+        opt = len(exact_min_cover(CoverInstance(inst.oracle.clone(), inst.tau)).solution)
         for eps in (0.05, 0.2, 0.5):
             g = greedy_cover(inst, eps)
             t = threshold_greedy_cover(inst, eps)
@@ -199,7 +201,7 @@ def test_ac5_stream_cover_guarantee():
             continue
         tau = 0.8 * best
         opt = exact_min_cover(CoverInstance(oracle.clone(), tau))
-        if opt is None or not opt.optimum_set:
+        if opt is None or not opt.solution:
             continue
         done += 1
         res = stream_cover(
@@ -209,7 +211,7 @@ def test_ac5_stream_cover_guarantee():
         if not (
             res.status == Status.SOLVED
             and res.f_value >= (1 - eps) * tau - TOL
-            and res.size <= (1 + alpha) * (2 / eps + 1) * len(opt.optimum_set)
+            and res.size <= (1 + alpha) * (2 / eps + 1) * len(opt.solution)
         ):
             failures += 1
     elapsed = time.perf_counter() - started
@@ -315,13 +317,13 @@ def test_ac8_regularized_cover_conversion():
             continue
         tau = float(rng.uniform(0.4, 0.75)) * best
         inst = RegularizedInstance(oracle, costs, tau=tau)
-        opt = exact_min_cover_regularized(inst)
-        if opt is None or len(opt.optimum_set) < 2:
+        opt = brute_min_cover_regularized(inst)
+        if opt is None or len(opt) < 2:
             continue
         solved += 1
         res = distorted_cover(inst, eps, alpha)
         value = oracle.peek(res.solution) - scale * inst.cost(res.solution)
-        size_bound = math.ceil((1 + alpha) * math.log(1 / eps) * len(opt.optimum_set) + TOL)
+        size_bound = math.ceil((1 + alpha) * math.log(1 / eps) * len(opt) + TOL)
         if not (
             res.status == Status.SOLVED
             and value >= (1 - eps) * tau - TOL
@@ -342,7 +344,7 @@ def test_ac9_expectation_guarantees():
     stoch_ok = []
     for _ in range(3):
         oracle = random_coverage(rng, 15, max_tags=20)
-        opt = exact_max_cardinality(oracle.clone(), kappa).optimum_value
+        opt, _ = brute_max_subsets(oracle, kappa)
         if opt == 0:
             continue
         mean = np.mean([
@@ -353,7 +355,7 @@ def test_ac9_expectation_guarantees():
     rg_ok, dg_ok = [], []
     for _ in range(3):
         oracle = random_graph(rng, int(rng.integers(5, 11)), 0.5)
-        cap_opt = exact_max_cardinality(oracle.clone(), 2).optimum_value
+        cap_opt, _ = brute_max_subsets(oracle, 2)
         full_opt, _ = brute_max_all(oracle)
         if cap_opt > 0:
             mean = np.mean([
@@ -461,4 +463,43 @@ def test_ac10_invariant_suites():
         ok,
         f"exhaustive={exhaustive_ok}, random={random_ok}, cut-nonmonotone={nonmono_ok}, "
         f"buckets={bucket_ok}, disjoint-part bound={claim_ok}",
+    )
+
+
+def test_ac12_bicriteria_with_proven_optima():
+    """Greedy, threshold-greedy and stochastic-greedy bounds (those of AC1 and
+    AC2) on 40 instances of 25-40 elements, against the optimum size that
+    exact_min_cover proves."""
+    started = time.perf_counter()
+    delta, alpha = 0.1, 0.1
+    opts = []
+    failures = runs = sized = 0
+    corpus = monotone_corpus(2031, 40, (25, 40), max_tags=60, max_per_element=5)
+    for seed, inst in enumerate(corpus):
+        opt = len(exact_min_cover(CoverInstance(inst.oracle.clone(), inst.tau)).solution)
+        opts.append(opt)
+        for eps in (0.05, 0.2, 0.5):
+            g = greedy_cover(inst, eps)
+            t = threshold_greedy_cover(inst, eps)
+            if not (
+                g.status == Status.SOLVED
+                and g.f_value >= (1 - eps) * inst.tau - TOL
+                and g.size <= math.ceil(math.log(1 / eps) * opt) + 1
+                and t.status == Status.SOLVED
+                and t.f_value >= (1 - eps) * inst.tau - TOL
+                and t.size <= math.ceil((math.log(2 / eps) + 1) * opt) + 1
+            ):
+                failures += 1
+            s = stochastic_greedy_cover(inst, eps, delta, alpha, seed)
+            runs += 1
+            if s.status != Status.SOLVED or s.f_value < (1 - eps) * inst.tau - TOL:
+                failures += 1
+            elif s.size <= (1 + alpha) * math.ceil(math.log(3 / eps)) * opt:
+                sized += 1
+    elapsed = time.perf_counter() - started
+    report(
+        "AC12 bicriteria with proven optima",
+        failures == 0 and sized >= 0.85 * runs and elapsed < 60.0,
+        f"OPT {min(opts)}-{max(opts)}, {failures} bound violations, stoch size-bound "
+        f"fraction={sized / runs:.3f} of {runs}, {elapsed:.1f}s (< 60s)",
     )

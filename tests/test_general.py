@@ -23,7 +23,6 @@ from subcover import (
     convert_cover,
     distorted_greedy_max,
     double_greedy_max,
-    exact_max_cardinality,
     exact_max_search,
     exact_min_cover,
     fast_exact_max_search,
@@ -75,7 +74,7 @@ class TestStreamCover:
         res = stream_cover(CoverInstance(oracle.clone(), tau), 0.5, 0.2, smp_subroutine("ex"))
         assert res.status == Status.SOLVED
         assert res.f_value >= 0.5 * tau - 1e-9
-        assert res.size <= 1.2 * (2 / 0.5 + 1) * len(opt.optimum_set)
+        assert res.size <= 1.2 * (2 / 0.5 + 1) * len(opt.solution)
 
     def test_four_cycle_maxcut_threshold(self):
         res = stream_cover(CoverInstance(four_cycle(), 4.0), 0.5, 0.2, smp_subroutine("ex"))
@@ -255,7 +254,8 @@ MAXIMIZERS = {
     "random": lambda o, kappa: random_greedy_max(o, kappa, 0),
     "exact": lambda o, kappa: exact_max_search(o, range(o.n), kappa).solution,
     "fast-exact": lambda o, kappa: fast_exact_max_search(o, range(o.n), kappa).solution,
-    "brute": lambda o, kappa: exact_max_cardinality(o, kappa).optimum_set,
+    # the exact maximum over the whole ground set: no ground, so no restricted view
+    "brute": lambda o, kappa: exact_max_search(o, None, kappa).solution,
     "distorted": lambda o, kappa: distorted_greedy_max(
         RegularizedInstance(o, np.zeros(o.n)), kappa, 0.2),
 }
@@ -417,7 +417,7 @@ class TestExactMaxSearch:
                  for u, v, _ in random_edges(rng, 9, 0.5)]
         oracle = GraphCutOracle(9, edges)
         kappa = int(rng.integers(1, 10))
-        best = exact_max_cardinality(oracle.clone(), kappa).optimum_value
+        best, _ = brute_max_subsets(oracle, kappa)
         found = exact_max_search(oracle, range(9), kappa, target=best)
         assert not found.timed_out
         assert found.value >= best - TOL
@@ -795,9 +795,9 @@ class TestStoredSetSuffices:
                 continue
             tau = 0.9 * best
             opt = exact_min_cover(CoverInstance(oracle.clone(), tau))
-            if opt is None or not opt.optimum_set:
+            if opt is None or not opt.solution:
                 continue
-            opt_size = len(opt.optimum_set)
+            opt_size = len(opt.solution)
             passes = []
 
             def on_event(kind, payload):

@@ -151,7 +151,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, count", [("jobs", 0), ("jobs", -3)])
     def test_bad_counts_rejected(self, field, count):
-        with pytest.raises(InputError, match=f"{field} must be at least 1"):
+        with pytest.raises(InputError, match=rf"{field} must be an integer in \[1, inf\)"):
             small_grid("tags.txt", **{field: count})
 
     @pytest.mark.parametrize("jobs", [1.5, True, "2", None, math.nan])

@@ -27,8 +27,6 @@ from subcover import (
     distorted_potential,
     distortion_horizon,
     double_greedy_max,
-    exact_max_cardinality,
-    exact_max_regularized,
     exact_max_search,
     exact_min_cover,
     fast_exact_max_search,
@@ -48,7 +46,7 @@ from subcover import (
 from subcover import monotone, oracles
 from subcover.monotone import _budget_schedule
 
-from util import FallbackCoverage, random_coverage, reference_threshold_greedy
+from util import FallbackCoverage, brute_max_subsets, random_coverage, reference_threshold_greedy
 
 
 def cover_corpus(seed, count, n_max=14, n_min=5):
@@ -105,7 +103,7 @@ class TestGreedyCover:
                 res = greedy_cover(inst, eps)
                 assert res.status == Status.SOLVED
                 assert res.f_value >= (1 - eps) * inst.tau - 1e-9
-                assert res.size <= math.ceil(math.log(1 / eps) * len(opt.optimum_set)) + 1
+                assert res.size <= math.ceil(math.log(1 / eps) * len(opt.solution)) + 1
                 # replaying the chosen prefix never decreases f
                 values = [
                     inst.oracle.peek(res.solution[: i + 1])
@@ -178,7 +176,7 @@ class TestThresholdGreedyCover:
                 res = threshold_greedy_cover(inst, eps)
                 assert res.status == Status.SOLVED
                 assert res.f_value >= (1 - eps) * inst.tau - 1e-9
-                bound = math.ceil((math.log(2 / eps) + 1) * len(opt.optimum_set)) + 1
+                bound = math.ceil((math.log(2 / eps) + 1) * len(opt.solution)) + 1
                 assert res.size <= bound
 
 
@@ -297,7 +295,7 @@ class TestStochasticGreedyMax:
         rng = np.random.default_rng(204)
         oracle = random_coverage(rng, 12)
         kappa = 3
-        opt = exact_max_cardinality(oracle.clone(), kappa).optimum_value
+        opt, _ = brute_max_subsets(oracle, kappa)
         values = [
             oracle.peek(stochastic_max_subroutine(0.2)(oracle.clone(), kappa, s))
             for s in range(120)
@@ -714,6 +712,11 @@ REAL_PARAMETERS = [
     ("fast-exact", "timeout_ms", "[0, inf]", True,
      lambda v: fast_exact_max_search(_path(), None, 2, timeout_ms=v)),
     ("random-greedy", "budget", "[0, inf)", False, lambda v: random_greedy_max(_path(), v, 0)),
+    ("exact", "target", "(-inf, inf)", True, lambda v: exact_max_search(_path(), None, 2, target=v)),
+    ("fast-exact", "target", "(-inf, inf)", True,
+     lambda v: fast_exact_max_search(_path(), None, 2, target=v)),
+    ("random-greedy", "target", "(-inf, inf)", True,
+     lambda v: random_greedy_max(_path(), 2, 0, target=v)),
     ("horizon", "eps", "(0, 1)", False, lambda v: distortion_horizon(v, 2)),
     ("horizon", "budget", "[0, inf)", False, lambda v: distortion_horizon(0.2, v)),
     ("potential", "budget", "[1, inf)", False, lambda v: distorted_potential(_reg(), v, 0.2, 0, ())),
@@ -730,9 +733,6 @@ REAL_PARAMETERS = [
      lambda v: convert_regularized(lambda scaled, budget: (), _reg(), 0.1, 0.8, v)),
     ("distorted-cover", "eps", "(0, 1)", False, lambda v: distorted_cover(_reg(), v, 0.5)),
     ("distorted-cover", "alpha", "(-inf, inf)", False, lambda v: distorted_cover(_reg(), 0.2, v)),
-    ("exact-max-cardinality", "budget", "[0, inf)", False,
-     lambda v: exact_max_cardinality(_path(), v)),
-    ("exact-max-regularized", "budget", "[0, inf)", False, lambda v: exact_max_regularized(_reg(), v)),
     ("truncate", "truncation threshold", "[0, inf)", False, lambda v: truncate(_path(), v)),
     ("cover-instance", "tau", "[0, inf)", False, lambda v: CoverInstance(_path(), v)),
     ("regularized-instance", "tau", "(-inf, inf)", True, lambda v: _reg(tau=v)),
@@ -750,8 +750,9 @@ REAL_PARAMETERS = [
 
 def _bad_values(param, interval, optional):
     """A str; True where 1 would be accepted (0 and 1 both lie outside (0, 1),
-    so there a bool always failed); None where None is not allowed; and for
-    a budget an int beyond float range."""
+    so there a bool always failed); None where None is not allowed; for a
+    budget an int beyond float range; and for a search target, under which
+    a NaN would never prune, NaN and inf."""
     yield "str", "0.5"
     if interval != "(0, 1)":
         yield "bool", True
@@ -759,6 +760,9 @@ def _bad_values(param, interval, optional):
         yield "None", None
     if param == "budget":
         yield "10**400", 10**400
+    if param == "target":
+        yield "nan", math.nan
+        yield "inf", math.inf
 
 
 INPUT_CHECKS = {
@@ -782,6 +786,7 @@ INPUT_CHECKS = {
     "cut-fractional-size": (lambda: GraphCutOracle(2.5, [(0, 1)]),
                             "ground set size must be an integer"),
     "cut-str-size": (lambda: GraphCutOracle("3", [(0, 1)]), "ground set size must be an integer"),
+    "cut-bool-size": (lambda: GraphCutOracle(True, []), "ground set size must be an integer"),
     "cut-str-weight": (lambda: GraphCutOracle(3, [(0, 1, "2.5")]),
                        "each edge weight must be a real number"),
     "cut-bool-weight": (lambda: GraphCutOracle(3, [(0, 1, True)]),
@@ -819,7 +824,8 @@ SEEDED = {
 
 
 @pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
-                                           (1.5, "seed must be an integer")])
+                                           (1.5, "seed must be an integer"),
+                                           (True, "seed must be an integer")])
 @pytest.mark.parametrize("name", SEEDED)
 def test_seed_checked_before_any_query(name, seed, message):
     with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \

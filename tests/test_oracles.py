@@ -892,10 +892,11 @@ class TestSyntheticSummarization:
             make_synthetic_summarization(10, 5, 1.5, 0.0, 2, seed=0)
 
     @pytest.mark.parametrize("sizes", [(10.5, 5, 2), (10, 2.5, 2), (10, 5, 2.5), (10, 5, math.nan),
-                                       (math.inf, 5, 2), (10, "5", 2)])
+                                       (math.inf, 5, 2), (10, "5", 2), (True, 5, 0), (10, True, 2),
+                                       (10, 5, True)])
     def test_non_integral_size_rejected(self, sizes):
         m, n, head = sizes
-        with pytest.raises(InputError, match="m, n, head_size"):
+        with pytest.raises(InputError, match="(m|n|head_size) must be an integer in"):
             make_synthetic_summarization(m, n, 0.5, 0.1, head, seed=0)
 
     def test_integral_float_sizes_accepted(self):
@@ -912,23 +913,21 @@ class TestTightnessInstance:
         assert oracle.peek([inst.slice_ids[0]]) == 4.0
         assert oracle.peek(inst.group_ids) == 8.0 == inst.tau
 
-    def test_optimal_cover_is_k(self):
-        inst = make_greedy_tightness_instance(2, 4)
+    @pytest.mark.parametrize("k, l", [(2, 4), (3, 3), (5, 200), (10, 1000), (20, 2000)])
+    def test_k_group_sets_are_optimal(self, k, l):
+        # the exact search proves that no k - 1 sets cover all k * l tags
+        inst = make_greedy_tightness_instance(k, l)
         res = exact_min_cover(CoverInstance(inst.oracle.clone(), inst.tau))
-        assert len(res.optimum_set) == 2
-
-    def test_optimal_cover_is_k_for_3_groups(self):
-        inst = make_greedy_tightness_instance(3, 3)  # pads l to 3 per group
-        res = exact_min_cover(CoverInstance(inst.oracle.clone(), inst.tau))
-        assert len(res.optimum_set) == 3
+        assert len(res.solution) == k
 
     def test_k_below_two_rejected(self):
         with pytest.raises(InputError):
             make_greedy_tightness_instance(1, 4)
 
-    @pytest.mark.parametrize("k, l", [(2.5, 10), (3, 10.5), (math.nan, 10), (3, math.inf), ("3", 9)])
+    @pytest.mark.parametrize("k, l", [(2.5, 10), (3, 10.5), (math.nan, 10), (3, math.inf), ("3", 9),
+                                      (True, 9), (3, True)])
     def test_non_integral_size_rejected(self, k, l):
-        with pytest.raises(InputError, match="k, l"):
+        with pytest.raises(InputError, match="[kl] must be an integer in"):
             make_greedy_tightness_instance(k, l)
 
     def test_integral_float_sizes_accepted(self):
@@ -954,18 +953,20 @@ class TestTightnessInstance:
 
 
 CONSTRUCTOR_CHECKS = {
-    "negative-n": (lambda: GraphCutOracle(-1, []), "ground set size must be non-negative"),
+    "negative-n": (lambda: GraphCutOracle(-1, []),
+                   r"ground set size must be an integer in \[0, inf\), got -1"),
     "gain-of-member": (lambda: two_element_coverage().state([0]).gain(0),
                        "already in the solution"),
     "head-above-m": (lambda: make_synthetic_summarization(10, 5, 0.4, 0.0, 11, seed=0),
-                     "head_size must lie in"),
+                     r"head_size must be an integer in \[0, 10\], got 11"),
     "negative-head": (lambda: make_synthetic_summarization(10, 5, 0.4, 0.0, -1, seed=0),
-                      "head_size must lie in"),
+                      r"head_size must be an integer in \[0, 10\], got -1"),
     "negative-m": (lambda: make_synthetic_summarization(-10, 5, 0.4, 0.0, 0, seed=0),
-                   r"sizes m and n must be non-negative, got m=-10, n=5"),
+                   r"m must be an integer in \[0, inf\), got -10"),
     "negative-synthetic-n": (lambda: make_synthetic_summarization(10, -3, 0.5, 0.1, 2, seed=0),
-                             r"sizes m and n must be non-negative, got m=10, n=-3"),
-    "tightness-l-zero": (lambda: make_greedy_tightness_instance(3, 0), "l must be positive"),
+                             r"n must be an integer in \[0, inf\), got -3"),
+    "tightness-l-zero": (lambda: make_greedy_tightness_instance(3, 0),
+                         r"l must be an integer in \[1, inf\), got 0"),
     "cost-length": (lambda: RegularizedInstance(two_element_coverage(), [0.5], tau=1.0),
                     "cost vector length"),
     "negative-cost": (lambda: RegularizedInstance(two_element_coverage(), [0.5, -0.1], tau=1.0),

@@ -1,7 +1,7 @@
 """Shared instance generators and independent brute-force checkers.
 
-The enumeration helpers here deliberately avoid the package's exact-solver
-module so that tests cross-check two separate implementations.
+The brute_* enumerations here deliberately avoid the package's exact
+search, so that tests cross-check two separate implementations.
 """
 
 from __future__ import annotations
