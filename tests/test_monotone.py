@@ -795,6 +795,19 @@ INPUT_CHECKS = {
                   "each cost must be a real number"),
     "bool-costs": (lambda: RegularizedInstance(CoverageOracle([{0}, {1}]), [True, False]),
                    "each cost must be a real number"),
+    # a bool is no element id, endpoint, tag id, weight or cost, also where
+    # numpy would read its list as numbers
+    "bool-element-eval": (lambda: CoverageOracle([{0}, {1, 2}]).eval([True]),
+                          "every element id must be an integer"),
+    "bool-element-ground": (lambda: exact_max_search(_path(), [True, 0], 2),
+                            "every element id must be an integer"),
+    "cut-bool-endpoint": (lambda: GraphCutOracle(2, [(True, 0)]),
+                          "every edge endpoint must be an integer"),
+    "coverage-bool-tag": (lambda: CoverageOracle([[0, True]]), "every tag id must be an integer"),
+    "cut-bool-among-weights": (lambda: GraphCutOracle(2, [(0, 1, True), (0, 1, 2)]),
+                               "each edge weight must be a real number, got a bool"),
+    "bool-among-costs": (lambda: RegularizedInstance(CoverageOracle([{0}, {1}, {2}]), [1, True, 0.5]),
+                         "each cost must be a real number, got a bool"),
     "grid-unknown-kind": (lambda: _grid(kind="bogus"), "unknown dataset kind 'bogus'"),
     "grid-unhashable-kind": (lambda: _grid(kind=["tags"]), "unknown dataset kind"),
 }

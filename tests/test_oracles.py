@@ -32,7 +32,8 @@ from subcover import (
 from subcover.oracles import _threshold_scan
 
 from util import (FallbackCoverage, SignedCut, brute_max_subsets, edge_list_cut, random_coverage,
-                  random_edges, random_graph, reference_tightness_slices)
+                  random_edges, random_graph, reference_cut_inside, reference_cut_value,
+                  reference_tightness_slices)
 
 
 def two_element_coverage():
@@ -81,12 +82,26 @@ ELEMENT_QUERIES = {
 @pytest.mark.parametrize("make", [two_element_coverage, triangle_cut])
 def test_element_ids_checked_at_query_time(make, query):
     """An element id must be an integer or an integral float: 0.7, 1.5,
-    nan, inf and "1" raise instead of being truncated to an element."""
+    nan, inf and "1" raise instead of being truncated to an element, and
+    True and False instead of standing for 1 and 0."""
     ask = ELEMENT_QUERIES[query]
-    for bad in (0.7, 1.5, np.float64(1.5), math.nan, math.inf, "1"):
+    for bad in (0.7, 1.5, np.float64(1.5), math.nan, math.inf, "1", True, False, np.True_):
         with pytest.raises(InputError):
             ask(make(), bad)
     assert ask(make(), 1.0) == ask(make(), np.float64(1.0)) == ask(make(), 1)
+
+
+@pytest.mark.parametrize("cands", [[True, 0], [0, np.False_], (1, False), np.array([True, False])],
+                         ids=["list", "numpy-bool-in-list", "tuple", "bool-array"])
+@pytest.mark.parametrize("make", [two_element_coverage, triangle_cut])
+def test_bool_candidates_rejected(make, cands):
+    """A bool among a batch's candidates raises, also where numpy would read
+    the list as integers; the refused batch charges nothing."""
+    oracle = make()
+    state = oracle.state(())
+    with pytest.raises(InputError, match="every element id must be an integer"):
+        state.gains(cands)
+    assert oracle.query_count == 1
 
 
 THREE_ELEMENT_ORACLES = {
@@ -278,6 +293,20 @@ class TestGraphCutStorage:
             stream_cover(CoverInstance(dup, 4.0), 0.5, 0.5, smp_subroutine("dg"))
         assert dup.query_count == 0
 
+    def test_value_does_not_depend_on_member_order(self):
+        # the same ten members inserted in two orders iterate in two orders;
+        # the walk, which adds in iteration order, gives two floats for them
+        oracle = random_graph(np.random.default_rng(61), 40, 0.3, weighted=True)
+        order = [30, 19, 1, 33, 7, 2, 15, 24, 9, 23]
+        forward, backward = set(), set()
+        for x in order:
+            forward.add(x)
+        for x in reversed(order):
+            backward.add(x)
+        assert list(forward) != list(backward)
+        assert reference_cut_value(oracle, forward) != reference_cut_value(oracle, backward)
+        assert oracle.peek(forward) == oracle.peek(backward) == oracle.state(backward).value
+
     def test_empty_ground_set(self):
         oracle = GraphCutOracle(0, [])
         assert oracle.peek(()) == 0.0 and oracle.edge_count() == 0
@@ -431,6 +460,52 @@ def test_graph_cut_restrict_matches_parent(graph, data):
         view.state(()).gain(len(ground))
     with pytest.raises(InputError):
         oracle.restrict([n])
+
+
+@st.composite
+def larger_cut_graphs(draw):
+    """(n, edges, weighted) on 8-200 vertices: random_edges with unit,
+    integer (1-999) or real weights."""
+    n = draw(st.integers(8, 200))
+    weights = draw(st.sampled_from(["unit", "integer", "real"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = random_edges(rng, n, draw(st.sampled_from([0.02, 0.1, 0.3])), weighted=weights == "real")
+    if weights == "integer":
+        edges = [(u, v, int(rng.integers(1, 1000))) for u, v, _ in edges]
+    return n, edges, weights == "real"
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=st.one_of(cut_graphs(), larger_cut_graphs()), data=st.data())
+def test_cut_value_and_state_match_the_walk(graph, data):
+    """The gathered cut value against the walk over the members' rows:
+    equal on integer weights, within 1e-12 of the total weight on real ones,
+    and one float for the same members inserted in two orders.  A state's
+    inside weights equal one add per member bit for bit, also on the empty
+    set and on members without edges."""
+    n, edges, weighted = graph
+    oracle = GraphCutOracle(n, edges)
+    # at most 40 members, so that ids beyond a small set's hash table collide
+    # and the two insertion orders iterate differently
+    order = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, min(n, 40)))]
+    forward, backward = set(), set()
+    for x in order:
+        forward.add(x)
+    for x in reversed(order):
+        backward.add(x)
+    value = oracle.peek(forward)
+    assert oracle.peek(backward) == value
+    walk = reference_cut_value(oracle, forward)
+    if weighted:
+        assert abs(value - walk) <= 1e-12 * max(1.0, oracle.weighted_degree.sum())
+    else:
+        assert value == walk == reference_cut_value(oracle, backward)
+    edgeless = {v for v in range(n) if not oracle.adjacency[v].size}
+    for members in (forward, backward, set(), edgeless):
+        state = oracle.state(members)
+        assert state._inside.dtype == np.float64
+        assert np.array_equal(state._inside, reference_cut_inside(oracle, state.members))
+        assert state.value == oracle.peek(members)
 
 
 class TestRestrict:

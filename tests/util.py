@@ -78,6 +78,28 @@ def edge_list_cut(edges, members):
     return total
 
 
+def reference_cut_value(oracle, members):
+    """Cut value of the set members as a walk over each member's adjacency
+    row, adding in the iteration order of members: the weighted degrees less
+    twice each internal edge, one float addition at a time."""
+    total = internal = 0.0
+    for v in members:
+        total += oracle.weighted_degree.item(v)
+        for nbr, w in zip(oracle.adjacency[v].tolist(), oracle.edge_weights[v].tolist()):
+            if nbr > v and nbr in members:
+                internal += w
+    return total - 2.0 * internal
+
+
+def reference_cut_inside(oracle, members):
+    """Each vertex's edge weight into members, as one fancy add per member
+    in the iteration order of members."""
+    inside = np.zeros(oracle.n)
+    for x in members:
+        inside[oracle.adjacency[x]] += oracle.edge_weights[x]
+    return inside
+
+
 def preferential_attachment_graph(n, attach, seed):
     """Hub-heavy random graph with roughly attach * n edges."""
     rng = np.random.default_rng(seed)
