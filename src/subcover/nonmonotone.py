@@ -42,7 +42,8 @@ class SmpSubroutine:
 
     ``kind`` is ex, fex, dg or rg (exact search, fast exact search, double
     greedy, random greedy), checked here, before any query.
-    ``timeout_ms`` bounds each ex or fex search; dg and rg ignore it.
+    ``timeout_ms`` bounds each ex or fex search, whose clock is read at its
+    first step and then every 256 steps; dg and rg ignore it.
     """
 
     kind: str
@@ -107,15 +108,18 @@ def _branch_search(base_state, candidates, budget, target, deadline):
 
     The ids come from the candidate list, valid and outside each frame's
     state by construction: a refreshed gain is one counter tick and an
-    unchecked read, a child a state copy, an unchecked add and the fresh
-    gain.  Every child gets its own state copy and its own list
-    ``ordered[pos+1:]``: the gains a child refreshes are bounds for the
-    child only, not for its parent's later siblings, so the lists cannot be
-    shared, and undoing an add in place of the copy saves nothing on a
+    unchecked read, a child one ``state._child(id, fresh gain)``, a copy of
+    the state with an unchecked add.  Every child gets its own state and its
+    own list ``ordered[pos+1:]``: the gains a child refreshes are bounds for
+    the child only, not for its parent's later siblings, so the lists cannot
+    be shared, and undoing an add in place of the copy saves nothing on a
     compact graph view while it makes a coverage state build its per-tag
-    counts.  Returns base_state's own set when it reaches the target, the
-    budget is 0 or there are no candidates; else the first set reaching
-    the target, else the best set found.
+    counts.  With a deadline, the clock is read at the first step (a
+    refresh, branch, prune or pop) and then every 256 steps, and a search
+    past it returns the best set so far, timed out.  Returns base_state's
+    own set when it reaches the target, the budget is 0 or there are no
+    candidates; else the first set reaching the target, else the best set
+    found.
     """
     best_set, best_val = tuple(sorted(base_state.members)), base_state.value
     if (target is not None and best_val >= target - TOL) or budget <= 0 or not candidates:
@@ -123,57 +127,65 @@ def _branch_search(base_state, candidates, budget, target, deadline):
     seeded = sorted(zip((-base_state.gains(candidates)).tolist(), candidates))
     # a frame: [state, ordered, pos, remaining, running total or None]
     frames = [[base_state, seeded, 0, budget, _root_window_sum(seeded, budget)]]
-    tick, clock = base_state.oracle._counter.tick, time.perf_counter
+    tick, clock, steps = base_state.oracle._counter.tick, time.perf_counter, 0
     while frames:
-        if deadline is not None and clock() > deadline:
-            return SmpSearch(best_set, best_val, True)
         frame = frames[-1]
         state, ordered, pos, remaining, window = frame
-        if pos >= len(ordered):
-            frames.pop()
-            continue
-        end = pos + remaining
-        if window is None:
-            stop = bisect.bisect_left(ordered, (0.0,), pos, min(end, len(ordered)))
-            upper = state.value - math.fsum(map(itemgetter(0), ordered[pos:stop]))
-        else:
-            upper = state.value + window
-        if upper <= best_val + 1e-12 and (target is None or upper < target - TOL):
-            frames.pop()
-            continue
-        # past the prune test the head's gain is positive: with none, the
-        # bound would be the frame's own value, which was already no better
-        neg, chosen = ordered[pos]
-        tick()
-        fresh = state._gain(chosen)
-        if fresh < -neg - 1e-12:
-            # stale entry: refresh and keep the tail in decreasing-gain order
-            del ordered[pos]
-            at = bisect.bisect_right(ordered, (-fresh, chosen), pos)
-            ordered.insert(at, (-fresh, chosen))
-            if window is None or not (isinstance(fresh, float) and fresh.is_integer()):
-                frame[4] = None
+        value, gain, size = state.value, state._gain, len(ordered)
+        # the frame's steps run on locals; the frame is written back only
+        # when it pushes a child, and dropped when it pops
+        while True:
+            if deadline is not None:
+                steps += 1
+                if steps & 255 == 1 and clock() > deadline:
+                    return SmpSearch(best_set, best_val, True)
+            if pos >= size:
+                frames.pop()
+                break
+            end = pos + remaining
+            if window is None:
+                stop = bisect.bisect_left(ordered, (0.0,), pos, min(end, size))
+                upper = value - math.fsum(map(itemgetter(0), ordered[pos:stop]))
+            else:
+                upper = value + window
+            if upper <= best_val + 1e-12 and (target is None or upper < target - TOL):
+                frames.pop()
+                break
+            # past the prune test the head's gain is positive: with none, the
+            # bound would be the frame's own value, which was already no better
+            neg, chosen = ordered[pos]
+            tick()
+            fresh = gain(chosen)
+            if fresh < -neg - 1e-12:
+                # stale entry: refresh and keep the tail in decreasing-gain order
+                del ordered[pos]
+                at = bisect.bisect_right(ordered, (-fresh, chosen), pos)
+                ordered.insert(at, (-fresh, chosen))
+                if window is not None:
+                    if isinstance(fresh, float) and fresh.is_integer():
+                        # the head leaves the window; the fresh gain or the
+                        # entry now at the window's end comes in
+                        last = -fresh if at < end else ordered[end - 1][0]
+                        window = window + neg - last if last < 0 else window + neg
+                    else:
+                        window = None
                 continue
-            # the head leaves the window; the fresh gain or the entry now at
-            # the window's end comes in
-            last = -fresh if at < end else ordered[end - 1][0]
-            frame[4] = window + neg - last if last < 0 else window + neg
-            continue
-        frame[2] = pos + 1
-        child = state.copy()
-        child._apply_add(chosen)
-        child.value += fresh
-        if child.value > best_val + 1e-12:
-            best_set, best_val = tuple(sorted(child.members)), child.value
-        if target is not None and child.value >= target - TOL:
-            return SmpSearch(tuple(sorted(child.members)), best_val)
-        if window is not None:
-            # the head leaves both windows; the parent's takes in the entry at its end
-            window += neg
-            last = ordered[end][0] if end < len(ordered) else 0.0
-            frame[4] = window - last if last < 0 else window
-        if remaining > 1 and pos + 1 < len(ordered):
-            frames.append([child, ordered[pos + 1:], 0, remaining - 1, window])
+            child = state._child(chosen, fresh)
+            if child.value > best_val + 1e-12:
+                best_set, best_val = tuple(sorted(child.members)), child.value
+            if target is not None and child.value >= target - TOL:
+                return SmpSearch(tuple(sorted(child.members)), best_val)
+            pos += 1
+            inherited = window
+            if window is not None:
+                # the head leaves both windows; the parent's takes in the entry at its end
+                inherited += neg
+                last = ordered[end][0] if end < size else 0.0
+                window = inherited - last if last < 0 else inherited
+            if remaining > 1 and pos < size:
+                frame[2], frame[4] = pos, window
+                frames.append([child, ordered[pos:], 0, remaining - 1, inherited])
+                break
     return SmpSearch(best_set, best_val)
 
 
@@ -213,7 +225,10 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     when it does), else the best set found.  Without a target the search
     runs to completion and the result is the exact maximum.  kappa is
     rounded up as in greedy_max; budget 0 charges one query, for the value
-    it reports.  Runs on ``oracle.restrict(ground)``.
+    it reports.  With timeout_ms, a search still running when it has passed
+    returns the best set so far, timed out; the clock is read at the first
+    step and then every 256 steps, so timeout_ms=0 stops before the first
+    refresh or branch.  Runs on ``oracle.restrict(ground)``.
     """
     budget = _size_limit(_check_budget(kappa))
     if target is not None:
@@ -248,7 +263,8 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
 
     Only applicable in the unconstrained case (kappa >= |ground|, kappa
     rounded up); searches from the empty set, as exact_max_search does,
-    otherwise.  Runs on ``oracle.restrict(ground)``.
+    otherwise.  timeout_ms is read as by exact_max_search (the clock every
+    256 steps).  Runs on ``oracle.restrict(ground)``.
     """
     budget = _size_limit(_check_budget(kappa))
     if target is not None:
@@ -267,7 +283,8 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     Each of the kappa rounds ranks the remaining elements by marginal gain
     (one batch of gains, ties to the lower id), pads the top-kappa pool with
     zero-gain dummies, and adds a uniformly random pool entry (a dummy pick
-    adds nothing).  An optional target value stops the run early once
+    adds nothing, and the next round reuses the ranking while charging its
+    batch again).  An optional target value stops the run early once
     reached.  kappa is rounded up as in greedy_max; budget 0 costs no
     query.  The draw is among kappa slots, so a rounded kappa above 2**63
     (numpy's int64 draw range) raises InputError.  Given a ground, runs on
@@ -291,19 +308,27 @@ def _random_greedy(oracle, kappa, seed, pool, target):
     pool = np.asarray(pool, dtype=np.int64)
     state = oracle.state(())
     inside = np.zeros(oracle.n, dtype=bool)
+    tick, changed = oracle._counter.tick, True
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
             break
-        cands, gains = _outside_gains(state, pool, inside)
-        if not cands.size:
-            break
-        top = np.lexsort((cands, -gains))[:kappa]
-        top = top[gains[top] >= -1e-12]
+        if changed:
+            cands, gains = _outside_gains(state, pool, inside)
+            if not cands.size:
+                break
+            top = np.lexsort((cands, -gains))[:kappa]
+            top = top[gains[top] >= -1e-12]
+            changed = False
+        else:
+            # a dummy pick left the state as it was: the round is the last
+            # one, charged as the batch of gains it repeats
+            tick(cands.size)
         pick = int(rng.integers(kappa))
         if pick < top.size:
             x = cands.item(top[pick])
             state.add(x, gains.item(top[pick]))
             inside[x] = True
+            changed = True
     return tuple(sorted(state.members))
 
 

@@ -203,6 +203,14 @@ class SolutionState:
         self._copy_into(dup)
         return dup
 
+    def _child(self, x, gain):
+        """A new state for the solution plus x, x being outside it and gain
+        its marginal gain here; unchecked and uncounted."""
+        child = self.copy()
+        child._apply_add(x)
+        child.value += gain
+        return child
+
     # default implementations fall back to full evaluation
     def _gain(self, x):
         return self.oracle._value(self.members | {x}) - self.value
@@ -295,9 +303,11 @@ class CoverageOracle(SetFunctionOracle):
     """Tag-coverage objective: f(S) is the number of distinct tags on S.
 
     Monotone, submodular, f(empty) = 0.  Each row of tag_sets is a
-    collection of tag ids (repeats are dropped).  Every (element, tag) pair
-    is sorted once as the key element * span + tag, span being the largest
-    tag id + 1, and three structures are built from that one list:
+    collection of tag ids (repeats are dropped).  Rows that are all integer
+    arrays are joined with one concatenate, anything else is read id by id
+    by _int_ids.  Every (element, tag) pair is sorted once as the key
+    element * span + tag, span being the largest tag id + 1, and three
+    structures are built from that one list:
 
     - ``_tags[_tag_ptr[x]:_tag_ptr[x + 1]]``, the tags of x in increasing
       order (an int32 CSR);
@@ -319,7 +329,10 @@ class CoverageOracle(SetFunctionOracle):
         rows = list(tag_sets)
         super().__init__(len(rows))
         sizes = np.fromiter(map(len, rows), dtype=np.int64, count=self.n)
-        keys = _int_ids(list(itertools.chain.from_iterable(rows)), "tag id")  # tag ids, for now
+        if rows and all(map(_int64_row, rows)):
+            keys = np.concatenate(rows, dtype=np.int64)  # tag ids, for now
+        else:  # lists, and rows of bools, floats, uint64 or objects
+            keys = _int_ids(list(itertools.chain.from_iterable(rows)), "tag id")
         if keys.size and keys.min() < 0:
             raise InputError(f"negative tag id {keys.min()}")
         span = int(keys.max()) + 1 if keys.size else 0
@@ -366,6 +379,13 @@ class CoverageOracle(SetFunctionOracle):
         tags = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
         return np.bincount(self._holders[_row_positions(self._holder_ptr, tags)],
                            minlength=self.n)
+
+
+def _int64_row(row):
+    """Whether row is a one-dimensional integer array that int64 holds
+    exactly (not bool, not uint64)."""
+    return (isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype.kind in "iu"
+            and np.can_cast(row.dtype, np.int64))
 
 
 def _int_ids(values, what):
@@ -624,6 +644,7 @@ class GraphCutOracle(SetFunctionOracle):
         self.adjacency = tuple(cols[a:b] for a, b in zip(bounds, bounds[1:]))
         self.edge_weights = tuple(weights[a:b] for a, b in zip(bounds, bounds[1:]))
         self.weighted_degree = weighted_degree
+        self._degrees = weighted_degree.tolist()  # scalar gains index a list faster
 
     def restrict(self, ground):
         """Cut oracle over the sorted ground, re-indexed from 0.
@@ -689,13 +710,13 @@ class _GraphCutState(SolutionState):
                                    minlength=oracle.n).astype(np.float64, copy=False)
 
     def _gain(self, x):
-        return self.oracle.weighted_degree.item(x) - 2.0 * self._inside.item(x)
+        return self.oracle._degrees[x] - 2.0 * self._inside.item(x)
 
     def _gains(self, cands):
         return self.oracle.weighted_degree[cands] - 2.0 * self._inside[cands]
 
     def _removal_gain(self, x):
-        return 2.0 * self._inside.item(x) - self.oracle.weighted_degree.item(x)
+        return 2.0 * self._inside.item(x) - self.oracle._degrees[x]
 
     def _apply_add(self, x):
         self.members.add(x)
@@ -708,6 +729,16 @@ class _GraphCutState(SolutionState):
     def _copy_into(self, dup):
         dup.members = set(self.members)
         dup._inside = self._inside.copy()
+
+    def _child(self, x, gain):
+        # built field by field: the exact search makes one per branch
+        child = object.__new__(type(self))
+        child.oracle = oracle = self.oracle
+        child.members = self.members | {x}
+        child.value = self.value + gain
+        child._inside = inside = self._inside.copy()
+        inside[oracle.adjacency[x]] += oracle.edge_weights[x]
+        return child
 
 
 class TruncatedOracle(SetFunctionOracle):
@@ -803,7 +834,7 @@ def make_synthetic_summarization(m, n, p_head, p_tail, head_size, seed):
     rng = np.random.default_rng(seed)
     probs = np.full(m, p_tail)
     probs[:head_size] = p_head
-    tag_sets = [np.flatnonzero(rng.random(m) < probs).tolist() for _ in range(n)]
+    tag_sets = [np.flatnonzero(rng.random(m) < probs) for _ in range(n)]
     return CoverageOracle(tag_sets)
 
 

@@ -49,6 +49,7 @@ from util import (
     reference_exact_max_search,
     reference_fill_buckets,
     reference_random_greedy,
+    reference_random_greedy_rounds,
     stream_event_faults,
 )
 
@@ -580,6 +581,25 @@ def test_random_greedy_matches_the_per_candidate_loop(oracle, data):
     ours, theirs = oracle.clone(), oracle.clone()
     found = random_greedy_max(ours, kappa, seed, ground=ground, target=target)
     assert found == reference_random_greedy(theirs, kappa, seed, ground=ground, target=target)
+    assert ours.query_count == theirs.query_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle=pass_oracles(max_n=30), data=st.data(), above=st.booleans())
+def test_random_greedy_matches_the_per_round_loop(oracle, data, above):
+    """Reusing the ranking of a round after a dummy pick, against the loop
+    that ranks every round afresh, on cut, coverage and truncated oracles
+    with kappa at most or above the pool: the same solution and the same
+    query count.  Above the pool every round keeps all candidates and most
+    picks are dummies."""
+    ground = data.draw(st.none() | st.sets(st.integers(0, max(oracle.n - 1, 0)), max_size=oracle.n))
+    pool = oracle.n if ground is None else len(ground)
+    kappa = data.draw(st.integers(pool + 1, 4 * pool + 4) if above else st.integers(0, pool))
+    target = data.draw(st.none() | st.integers(0, 12).map(float))
+    seed = data.draw(st.integers(0, 1000))
+    ours, theirs = oracle.clone(), oracle.clone()
+    found = random_greedy_max(ours, kappa, seed, ground=ground, target=target)
+    assert found == reference_random_greedy_rounds(theirs, kappa, seed, ground=ground, target=target)
     assert ours.query_count == theirs.query_count
 
 

@@ -29,7 +29,7 @@ from subcover import (
     truncate,
 )
 
-from subcover.oracles import _threshold_scan
+from subcover.oracles import _CoverageState, _threshold_scan
 
 from util import (FallbackCoverage, SignedCut, brute_max_subsets, edge_list_cut, random_coverage,
                   random_edges, random_graph, reference_cut_inside, reference_cut_value,
@@ -355,6 +355,58 @@ def cut_graphs(draw):
     return n, edges, weighted
 
 
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["unit", "weighted", "view", "coverage", "truncated"]),
+       data=st.data())
+def test_child_is_a_copy_with_the_add(kind, data):
+    """state._child(x, gain) against copy(), _apply_add(x) and value += gain,
+    over a chain of children: the same class, members and value, and equal
+    bookkeeping (a cut state's inside weights; a coverage state's covered
+    mask and its per-tag counts and gain vector once built), with no query
+    charged and the parent left as it was."""
+    n = data.draw(st.integers(1, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind in ("unit", "weighted", "view"):
+        p = data.draw(st.sampled_from([0.1, 0.3, 0.8]))
+        oracle = GraphCutOracle(n, random_edges(rng, n, p, weighted=kind != "unit"))
+        if kind == "view":
+            oracle = oracle.restrict(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    else:
+        oracle = random_coverage(rng, n, max_tags=140, ensure_nonempty=False)
+        if kind == "truncated":
+            oracle = truncate(oracle, data.draw(st.integers(0, 40)) / 2.0)
+    state = oracle.state(data.draw(st.sets(st.integers(0, oracle.n - 1), max_size=oracle.n - 1)))
+    inner = getattr(state, "_inner", state)
+    if isinstance(inner, _CoverageState):
+        if data.draw(st.booleans()):
+            inner._counts()
+        if data.draw(st.booleans()):
+            state.gains([x for x in range(oracle.n) if x not in state.members])
+    while len(state.members) < oracle.n:
+        x = data.draw(st.sampled_from(sorted(set(range(oracle.n)) - state.members)))
+        gain = state.gain(x)
+        before, queries = state.copy(), oracle.query_count
+        child = state._child(x, gain)
+        ref = state.copy()
+        ref._apply_add(x)
+        ref.value += gain
+        assert oracle.query_count == queries
+        for one, other in ((child, ref), (state, before)):
+            assert type(one) is type(other)
+            assert one.members == other.members and one.value == other.value
+            one, other = getattr(one, "_inner", one), getattr(other, "_inner", other)
+            if isinstance(one, _CoverageState):
+                assert one._covered == other._covered
+                for name in ("_count", "_vec"):
+                    a, b = getattr(one, name), getattr(other, name)
+                    assert (a is None and b is None) or np.array_equal(a, b)
+            else:
+                assert np.array_equal(one._inside, other._inside)
+        if data.draw(st.booleans()):
+            break
+        state = child
+
+
 STATE_OPS = st.lists(
     st.tuples(st.sampled_from(["add", "remove", "copy", "gain", "removal_gain"]),
               st.integers(0, 1000)),
@@ -602,6 +654,33 @@ class TestCoverageStorage:
     def test_integral_float_tags_accepted(self):
         oracle = CoverageOracle([[2.0, np.int64(3), 2], (np.float64(0),)])
         assert oracle.tag_sets == (frozenset({2, 3}), frozenset({0}))
+
+    @pytest.mark.parametrize("row, message", [
+        (np.array([False, True]), "int64 range"), (np.array([0.5]), "int64 range"),
+        (np.array([np.nan]), "int64 range"), (np.array([2, -1]), "negative tag id -1"),
+        (np.array([2**63], dtype=np.uint64), "int64 range"), (np.array([[0, 1]]), "int64 range"),
+    ], ids=["bool", "fraction", "nan", "negative", "uint64-beyond-int64", "two-dimensional"])
+    def test_bad_array_rows_rejected(self, row, message):
+        for tag_sets in ([np.array([1, 2]), row], [[1, 2], row]):
+            with pytest.raises(InputError, match=message):
+                CoverageOracle(tag_sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 140), max_size=8), max_size=8),
+       dtype=st.sampled_from([np.int64, np.int32, np.uint8, np.uint32, np.intp]),
+       mixed=st.booleans())
+def test_coverage_array_rows_match_list_rows(rows, dtype, mixed):
+    """Integer array rows, every row or all but the first, build the same
+    structures as the same rows given as lists."""
+    arrays = [np.array(row, dtype=dtype) for row in rows]
+    if mixed and rows:
+        arrays[0] = rows[0]
+    listed, joined = CoverageOracle(rows), CoverageOracle(arrays)
+    for name in ("_tag_ptr", "_tags", "_words", "_holder_ptr", "_holders"):
+        ours, theirs = getattr(joined, name), getattr(listed, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+    assert joined._masks == listed._masks and joined.tag_sets == listed.tag_sets
 
 
 class TestCoverageStateBookkeeping:

@@ -295,6 +295,37 @@ def reference_random_greedy(oracle, kappa, seed, ground=None, target=None):
     return tuple(sorted(state.members))
 
 
+def reference_random_greedy_rounds(oracle, kappa, seed, ground=None, target=None):
+    """random_greedy_max as the per-round loop it was before a round after a
+    dummy pick reused the last ranking, run on the oracle itself: every
+    round takes and charges one batch of gains over the candidates outside
+    the solution, ranks them on (-gain, id) and keeps the top kappa with
+    gains >= -1e-12, then draws one of kappa slots (a pick past the kept
+    entries adds nothing).  Budget 0 returns () without a query."""
+    if kappa == 0:
+        return ()
+    rng = np.random.default_rng(seed)
+    pool = np.array(range(oracle.n) if ground is None else sorted(oracle._check_members(ground)),
+                    dtype=np.int64)
+    state = oracle.state(())
+    inside = np.zeros(oracle.n, dtype=bool)
+    for _ in range(kappa):
+        if target is not None and state.value >= target - TOL:
+            break
+        cands = pool[~inside[pool]]
+        if not cands.size:
+            break
+        gains = state.gains(cands)
+        top = np.lexsort((cands, -gains))[:kappa]
+        top = top[gains[top] >= -1e-12]
+        pick = int(rng.integers(kappa))
+        if pick < top.size:
+            x = cands.item(top[pick])
+            state.add(x, gains.item(top[pick]))
+            inside[x] = True
+    return tuple(sorted(state.members))
+
+
 def stream_event_faults(events, num_buckets):
     """Check a stream_cover event list against the bucket discipline.
 
