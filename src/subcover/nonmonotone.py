@@ -29,13 +29,6 @@ class SmpSearch:
 _APPROX_RATIOS = {"ex": 1.0, "fex": 1.0, "dg": 0.5, "rg": 1.0 / math.e}
 
 
-def _approx_ratio(kind):
-    try:
-        return _APPROX_RATIOS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise InputError(f"unknown SMP subroutine kind {kind!r}") from None
-
-
 @dataclass(frozen=True)
 class SmpSubroutine:
     """Maximization routine run over the stored elements after each pass.
@@ -50,7 +43,9 @@ class SmpSubroutine:
     timeout_ms: float = None
 
     def __post_init__(self):
-        _approx_ratio(self.kind)
+        # a str first: an unhashable kind such as ["ex"] cannot be looked up
+        if not isinstance(self.kind, str) or self.kind not in _APPROX_RATIOS:
+            raise InputError(f"unknown SMP subroutine kind {self.kind!r}")
         if self.timeout_ms is not None:
             _check_real("timeout_ms", self.timeout_ms, "[0, inf]")
 
@@ -209,12 +204,16 @@ def _on_ground(oracle, ground, run):
     return tuple(ground[i] for i in found)
 
 
-def _deadline(timeout_ms):
-    """The perf_counter time a search must stop at, or None; timeout_ms is
-    checked here, before any query."""
+def _limits(kappa, target, timeout_ms=None):
+    """A maximizer's budget rounded up as in greedy_max, and the perf_counter
+    time a search must stop at (None without timeout_ms); the budget, target
+    and timeout_ms are checked here, before any query."""
+    budget = _size_limit(_check_budget(kappa))
+    if target is not None:
+        _check_real("target", target, "(-inf, inf)")
     if timeout_ms is None:
-        return None
-    return time.perf_counter() + _check_real("timeout_ms", timeout_ms, "[0, inf]") / 1000.0
+        return budget, None
+    return budget, time.perf_counter() + _check_real("timeout_ms", timeout_ms, "[0, inf]") / 1000.0
 
 
 def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
@@ -230,10 +229,7 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     step and then every 256 steps, so timeout_ms=0 stops before the first
     refresh or branch.  Runs on ``oracle.restrict(ground)``.
     """
-    budget = _size_limit(_check_budget(kappa))
-    if target is not None:
-        _check_real("target", target, "(-inf, inf)")
-    deadline = _deadline(timeout_ms)
+    budget, deadline = _limits(kappa, target, timeout_ms)
     return _on_ground(oracle, ground, lambda view, ids: _branch_search(
         view.state(()), list(ids), budget, target, deadline))
 
@@ -266,10 +262,7 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     otherwise.  timeout_ms is read as by exact_max_search (the clock every
     256 steps).  Runs on ``oracle.restrict(ground)``.
     """
-    budget = _size_limit(_check_budget(kappa))
-    if target is not None:
-        _check_real("target", target, "(-inf, inf)")
-    deadline = _deadline(timeout_ms)
+    budget, deadline = _limits(kappa, target, timeout_ms)
 
     def search(view, ids):
         pinned, rest = ((), ids) if budget < len(ids) else classify_monotone_elements(view, ids)
@@ -290,13 +283,11 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     (numpy's int64 draw range) raises InputError.  Given a ground, runs on
     ``oracle.restrict(ground)``.
     """
-    kappa = _size_limit(_check_budget(kappa))
+    kappa = _limits(kappa, target)[0]
     if kappa > 2**63:
         raise InputError("random greedy draws among kappa slots, so kappa must be at most "
                          f"2**63, got {kappa}")
     seed = _check_seed(seed)
-    if target is not None:
-        _check_real("target", target, "(-inf, inf)")
     return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
         view, kappa, seed, ids, target))
 

@@ -256,6 +256,15 @@ class TestRunExperiment:
         assert load_dataset("tightness", "k=3.0,l=9").tag_sets == load_dataset(
             "tightness", "k=3,l=9").tag_sets
 
+    @pytest.mark.parametrize("kind, dataset, plain", [
+        ("synthetic", "m=60,,n=30,head=8", "m=60,n=30,head=8"),
+        ("synthetic", "m=60,n=30,head=8,", "m=60,n=30,head=8"),
+        ("tightness", " , k=3,l=9", "k=3,l=9"),
+    ])
+    def test_empty_dataset_chunks_skipped(self, kind, dataset, plain):
+        """An empty chunk, doubled or trailing comma included, is no parameter."""
+        assert load_dataset(kind, dataset).tag_sets == load_dataset(kind, plain).tag_sets
+
     def test_integer_dataset_parameters_read_exactly(self):
         # 2**53 + 1 rounds to 2**53 as a float; the dataset must get it unchanged
         with mock.patch("subcover.harness.make_synthetic_summarization") as make:
@@ -397,6 +406,23 @@ class TestEmitPlotData:
         fields = line.split("\t")
         assert fields[3] == "1.24722" and fields[4] == "3"
         assert fields[2] == f"{queries[0] + 4 / 3:.6g}"
+
+    def test_error_rows_left_out(self, tmp_path):
+        """Error rows, one in a group of solved rows and one in a group of
+        its own, aggregate as if they were absent."""
+        csv_path = self.make_csv(tmp_path)
+        rows = read_results_csv(str(csv_path))
+        failed = [dataclasses.replace(rows[0], f_value=-1.0, size=999, queries=10**9,
+                                      status="Error:ValueError"),
+                  dataclasses.replace(rows[0], algorithm="convert", status="Error:ValueError")]
+        with_errors = tmp_path / "with_errors.csv"
+        write_results_csv(rows[:1] + failed + rows[1:], str(with_errors))
+        for metric in ("f_value", "size", "queries"):
+            for x_axis in ("eps", "tau"):
+                plain, noisy = tmp_path / "plain.tsv", tmp_path / "noisy.tsv"
+                emit_plot_data(str(csv_path), x_axis, metric, str(plain))
+                emit_plot_data(str(with_errors), x_axis, metric, str(noisy))
+                assert noisy.read_text() == plain.read_text()
 
     def test_empty_selection_warning(self, tmp_path):
         csv_path = tmp_path / "empty.csv"

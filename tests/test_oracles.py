@@ -29,7 +29,7 @@ from subcover import (
     truncate,
 )
 
-from subcover.oracles import _CoverageState, _threshold_scan
+from subcover.oracles import _CoverageState, _ranks, _threshold_scan
 
 from util import (FallbackCoverage, SignedCut, brute_max_subsets, edge_list_cut, random_coverage,
                   random_edges, random_graph, reference_cut_inside, reference_cut_value,
@@ -110,6 +110,20 @@ THREE_ELEMENT_ORACLES = {
     "generic": lambda: FallbackCoverage([[0], [1, 2], [3]]),
     "cut": lambda: GraphCutOracle(3, [(0, 1), (1, 2, 2.0)]),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(THREE_ELEMENT_ORACLES))
+def test_uint64_candidates_past_int64_rejected(kind):
+    """A uint64 candidate past the int64 range raises the int64-range error
+    (not that of the negative id it wraps to) and charges nothing; uint64
+    ids that int64 holds are taken."""
+    oracle = THREE_ELEMENT_ORACLES[kind]()
+    state = oracle.state(())
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(InputError, match="int64 range"):
+            state.gains(np.array([big], dtype=np.uint64))
+    assert oracle.query_count == 1
+    assert state.gains(np.arange(3, dtype=np.uint64)).tolist() == state.gains([0, 1, 2]).tolist()
 
 
 @pytest.mark.parametrize("members, change", [
@@ -588,15 +602,21 @@ class TestRestrict:
 
 class TestCoverageStorage:
     def test_words_hold_the_tag_bits(self):
-        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, [64, 5, 64, 0, 5]]
+        """Bit t of row x is set for each tag of x, t being the tag's rank
+        among the 75 tag ids present, so the rows span two words."""
+        tag_sets = [{0, 63, 64}, set(), {1000}, {1, 2, 3}, [64, 5, 64, 0, 5],
+                    list(range(100, 300, 3))]
         oracle = CoverageOracle(tag_sets)
-        assert oracle._words.shape == (5, 3) and oracle._words.dtype == np.uint64
+        ids = sorted(set().union(*tag_sets))
+        assert len(ids) == 75 and oracle._tag_ids.tolist() == ids
+        assert oracle._words.shape == (6, 2) and oracle._words.dtype == np.uint64
         for x, tags in enumerate(tag_sets):
-            bits = {64 * w + b for w in range(3) for b in range(64)
+            bits = {64 * w + b for w in range(2) for b in range(64)
                     if int(oracle._words[x, w]) >> b & 1}
-            assert bits == set(tags) and oracle._masks[x].bit_count() == len(bits)
+            ranks = {ids.index(t) for t in tags}
+            assert bits == ranks and oracle._masks[x].bit_count() == len(bits)
             assert oracle.tag_sets[x] == frozenset(tags)
-            assert oracle._row(x).tolist() == sorted(set(tags))
+            assert oracle._row(x).tolist() == sorted(ranks)
 
     def test_clone_shares_words(self):
         oracle = two_element_coverage()
@@ -618,16 +638,38 @@ class TestCoverageStorage:
         assert oracle.state(()).gains([0, 1]).tolist() == [0.0, 0.0]
 
     def test_holder_lists(self):
-        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}, [2, 129, 2, 2]]
+        """The holders of the tag of rank t, over 74 tag ids present."""
+        tag_sets = [{0, 63, 64}, set(), {129}, {1, 2, 3}, {0, 64, 129}, [2, 129, 2, 2],
+                    list(range(130, 264, 2))]
         oracle = CoverageOracle(tag_sets)
-        assert oracle._holder_ptr.shape == (131,) and oracle._holders.dtype == np.int32
-        for t in range(130):
+        ids = sorted(set().union(*tag_sets))
+        assert len(ids) == 74 and oracle._tag_ids.tolist() == ids
+        assert oracle._holder_ptr.shape == (75,) and oracle._holders.dtype == np.int32
+        for t, tag in enumerate(ids):
             held = oracle._holders[oracle._holder_ptr[t]:oracle._holder_ptr[t + 1]]
-            assert held.tolist() == [x for x, tags in enumerate(tag_sets) if t in tags]
+            assert held.tolist() == [x for x, tags in enumerate(tag_sets) if tag in tags]
         assert oracle.tag_sets[5] == frozenset(tag_sets[5])
         dup = oracle.clone()
         assert dup._holders is oracle._holders and dup._holder_ptr is oracle._holder_ptr
         assert not oracle._holders.flags.writeable and not oracle._holder_ptr.flags.writeable
+
+    @pytest.mark.parametrize("far", [10**7, 2**40, 2**62])
+    def test_sparse_tag_ids(self, far):
+        """Far-apart tag ids build structures sized by the three tags present,
+        and values, gains and removal gains equal those of the same rows
+        written with the ids 0, 1, 2; tag_sets keeps the given ids."""
+        rows = [[far], [0, 1], [1, far], [], [far, 0]]
+        oracle, dense = CoverageOracle(rows), CoverageOracle([[2], [0, 1], [1, 2], [], [2, 0]])
+        assert oracle.tag_sets == tuple(map(frozenset, rows))
+        assert (oracle._words.shape, oracle._holder_ptr.shape) == ((5, 1), (4,))
+        for members in itertools.chain.from_iterable(
+                itertools.combinations(range(5), r) for r in range(6)):
+            assert oracle.peek(members) == dense.peek(members)
+            ours, theirs = oracle.state(members), dense.state(members)
+            outside = [x for x in range(5) if x not in members]
+            assert ours.gains(outside).tolist() == theirs.gains(outside).tolist()
+            assert ([ours.removal_gain(x) for x in members]
+                    == [theirs.removal_gain(x) for x in members])
 
     def test_storage_ignores_total_tags(self):
         """Arrays are sized by the largest tag present; no tag total is kept."""
@@ -681,6 +723,17 @@ def test_coverage_array_rows_match_list_rows(rows, dtype, mixed):
         ours, theirs = getattr(joined, name), getattr(listed, name)
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
     assert joined._masks == listed._masks and joined.tag_sets == listed.tag_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(0, 300), max_size=40), far=st.booleans())
+def test_tag_ranks_match_unique(ids, far):
+    """The ranks of tag ids, from a present-id mask when the ids are dense
+    enough and from np.unique otherwise, are np.unique's."""
+    ids = np.array(ids + [2**50] * far, dtype=np.int64)
+    present, ranks = _ranks(ids)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    assert present.tolist() == distinct.tolist() and ranks.tolist() == inverse.tolist()
 
 
 class TestCoverageStateBookkeeping:
