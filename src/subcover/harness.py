@@ -8,6 +8,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .checks import InputError, _check_alpha, _check_int, _check_real, _check_seed
 from .dataio import (
     ResultRow,
     parse_edge_list,
@@ -16,7 +17,6 @@ from .dataio import (
     write_results_csv,
 )
 from .monotone import (
-    _check_alpha,
     convert_cover,
     convert_cover_randomized,
     greedy_cover,
@@ -25,15 +25,7 @@ from .monotone import (
     threshold_greedy_cover,
 )
 from .nonmonotone import double_greedy_max, smp_subroutine, stream_cover
-from .oracles import (
-    CoverInstance,
-    InputError,
-    _check_int,
-    _check_real,
-    _check_seed,
-    make_greedy_tightness_instance,
-    make_synthetic_summarization,
-)
+from .oracles import CoverInstance, make_greedy_tightness_instance, make_synthetic_summarization
 
 # each --alg name's solver call; every solver is looked up by its module name
 # at call time, so patching harness.<solver> reaches the cell
@@ -108,9 +100,6 @@ class ExperimentGrid:
         axes = (self.algorithms, self.eps_values, self.tau_fractions, self.seeds)
         for run_id, cell in enumerate(itertools.product(*axes)):
             yield (run_id, *cell)
-
-    def total_runs(self):
-        return len(self.algorithms) * len(self.eps_values) * len(self.tau_fractions) * len(self.seeds)
 
 
 def _parse_params(text, defaults):

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .oracles import TOL, InputError, _check_real, _check_seed, _threshold_scan, truncate
+from .checks import _check_alpha, _check_budget, _check_real, _check_seed, _require_monotone, _size_limit
+from .oracles import TOL, _threshold_scan, truncate
 from .results import Run, Status
 
 
@@ -15,31 +16,6 @@ def derive_seed(seed, *key):
     checked as every solver's is."""
     sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(key))
     return int(sequence.generate_state(1)[0])
-
-
-# the most guesses a geometric schedule may take to grow from 1 to n
-MAX_GUESSES = 10**8
-
-
-def _check_alpha(alpha, n):
-    """A guess grows by the factor 1 + alpha, which must be above 1 in float,
-    and reach n within MAX_GUESSES guesses."""
-    if not 1.0 + _check_real("alpha", alpha, "(-inf, inf)") > 1.0:
-        raise InputError(f"alpha must have 1 + alpha > 1 in float, got {alpha!r}")
-    length = math.log(n) / math.log1p(alpha) if n > 1 else 0.0
-    if length > MAX_GUESSES:
-        raise InputError(f"alpha = {alpha} takes about {length:.3g} guesses to reach n = {n}, "
-                         f"above the limit of {MAX_GUESSES:.0e}")
-
-
-def _check_budget(kappa):
-    """A budget, checked before any query."""
-    return _check_real("budget", kappa, "[0, inf)")
-
-
-def _require_monotone(oracle):
-    if not oracle.monotone:
-        raise InputError("this solver requires a monotone oracle")
 
 
 def _outside_gains(state, candidates, inside):
@@ -152,9 +128,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     """
     _check_real("eps", eps, "(0, 1)")
     _check_real("delta", delta, "(0, 1)")
-    _check_alpha(alpha, instance.oracle.n)
-    if initial_guess is not None:
-        _check_real("initial_guess", initial_guess, "(-inf, inf)")
+    _check_alpha(alpha, instance.oracle.n, initial_guess)
     _require_monotone(instance.oracle)
     seed = _check_seed(seed)
     oracle = instance.oracle
@@ -220,18 +194,13 @@ def stochastic_max_subroutine(eps):
     return run
 
 
-def _size_limit(kappa):
-    """A checked real budget rounded up, less 1e-12 of float slack."""
-    return math.ceil(kappa - 1e-12)
-
-
 def greedy_max(oracle, kappa, seed=None):
     """Budgeted greedy maximization; stops early when no positive gain remains.
 
     Deterministic: ``seed`` is ignored; it is there for the (oracle, kappa,
     seed) shape the cover conversions call.  Budget 0 costs no query.
     """
-    limit = _size_limit(_check_budget(kappa))
+    limit = _size_limit(kappa)
     if not limit:
         return ()
     state = oracle.state(())
@@ -275,9 +244,7 @@ def convert_cover(smp_alg, instance, alpha, gamma, seed=0, initial_budget=None):
     however close consecutive guesses are) until f of its output reaches
     gamma * tau.
     """
-    _check_alpha(alpha, instance.oracle.n)
-    if initial_budget is not None:
-        _check_real("initial_budget", initial_budget, "(-inf, inf)")
+    _check_alpha(alpha, instance.oracle.n, initial_budget, "initial_budget")
     _check_real("gamma", gamma, "(0, 1]")
     seed = _check_seed(seed)
     oracle = instance.oracle
@@ -305,9 +272,7 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     truncated objective min(f, tau); stops when any repetition reaches
     (1 - eps) * tau and returns the smallest successful solution.
     """
-    _check_alpha(alpha, instance.oracle.n)
-    if initial_budget is not None:
-        _check_real("initial_budget", initial_budget, "(-inf, inf)")
+    _check_alpha(alpha, instance.oracle.n, initial_budget, "initial_budget")
     _check_real("eps", eps, "(0, 1)")
     seed = _check_seed(seed)
     reps = convert_rand_repetitions(delta)

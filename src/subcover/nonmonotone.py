@@ -11,8 +11,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .monotone import _budget_sweep, _check_alpha, _check_budget, _outside_gains, _size_limit, derive_seed
-from .oracles import TOL, InputError, _check_real, _check_seed, _threshold_scan
+from .checks import InputError, _check_alpha, _check_real, _check_seed, _size_limit
+from .monotone import _budget_sweep, _outside_gains, derive_seed
+from .oracles import TOL, _threshold_scan
 from .results import Run, Status
 
 
@@ -208,7 +209,7 @@ def _limits(kappa, target, timeout_ms=None):
     """A maximizer's budget rounded up as in greedy_max, and the perf_counter
     time a search must stop at (None without timeout_ms); the budget, target
     and timeout_ms are checked here, before any query."""
-    budget = _size_limit(_check_budget(kappa))
+    budget = _size_limit(kappa)
     if target is not None:
         _check_real("target", target, "(-inf, inf)")
     if timeout_ms is None:
@@ -400,9 +401,7 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
     "pass" event {g, cap, stored, smp_value}.
     """
     _check_real("eps", eps, "(0, 1)")
-    _check_alpha(alpha, instance.oracle.n)
-    if initial_guess is not None:
-        _check_real("initial_guess", initial_guess, "(-inf, inf)")
+    _check_alpha(alpha, instance.oracle.n, initial_guess)
     seed = _check_seed(seed)
     # a hand-made descriptor, or none, gets the descriptor's own checks
     sub = SmpSubroutine(getattr(sub, "kind", None), getattr(sub, "timeout_ms", None))

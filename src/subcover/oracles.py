@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import (
+    InputError,
+    _check_int,
+    _check_real,
+    _check_seed,
+    _int64_row,
+    _int_ids,
+    _nonnegative_array,
+    _require_monotone,
+)
+
 TOL = 1e-9
-
-
-class InputError(ValueError):
-    """An argument violates an operation's precondition."""
 
 
 class QueryCounter:
@@ -383,13 +388,6 @@ class CoverageOracle(SetFunctionOracle):
                            minlength=self.n)
 
 
-def _int64_row(row):
-    """Whether row is a one-dimensional integer array that int64 holds
-    exactly (not bool, not uint64)."""
-    return (isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype.kind in "iu"
-            and np.can_cast(row.dtype, np.int64))
-
-
 def _ranks(ids):
     """The distinct ids (non-negative int64) in increasing order, and the
     rank of each id among them.  A mask of the ids present is cheaper than
@@ -401,102 +399,6 @@ def _ranks(ids):
     present = np.zeros(top, dtype=bool)
     present[ids] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
-
-
-def _int_ids(values, what):
-    """The ids in the list values as int64.  Each must be an integer, or a
-    whole float, in the int64 range, and not a bool: 1.5, nan, inf, 2**70,
-    "3" or True raise."""
-    if not _holds_bool(values):
-        for to_int in (operator.index, _whole):  # the first pass refuses all floats
-            try:
-                return np.fromiter(map(to_int, values), dtype=np.int64, count=len(values))
-            except (TypeError, OverflowError):
-                pass
-    raise InputError(f"every {what} must be an integer in the int64 range")
-
-
-_BOOLS = frozenset((bool, np.bool_))
-
-
-def _holds_bool(values):
-    """Whether the sequence values holds a bool (Python's or numpy's); one
-    scan of the entry types at C speed (3.3 ms on 177k entries, 2-vCPU
-    Xeon VM)."""
-    return not _BOOLS.isdisjoint(map(type, values))
-
-
-def _whole(v):
-    return int(v) if isinstance(v, (float, np.floating)) and float(v).is_integer() else operator.index(v)
-
-
-def _check_seed(seed):
-    """A random seed as an int, checked before any query: an integer, or a
-    whole float, in the int64 range and not negative; not a bool."""
-    seed = _check_int("seed", seed, "(-inf, inf)")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _check_real(name, value, interval):
-    """value, unchanged, when it is a real number (not a bool) in interval,
-    written as text such as "(0, 1)", "(0, 1]", "[0, inf)" or "[0, inf]";
-    else InputError naming that interval.  NaN, and an int beyond float
-    range, lie in none."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        x = math.nan
-    if not _inside(x, interval):
-        raise InputError(f"{name} must lie in {interval}, got {_shown(value)}")
-    return value
-
-
-def _check_int(name, value, interval):
-    """value as an int when it is an integer or a whole float (not a bool),
-    as _int_ids reads one, in the int64 range and in interval, written as
-    for _check_real; else InputError naming that interval."""
-    try:
-        x = None if isinstance(value, bool) else _whole(value)
-    except TypeError:
-        x = None
-    if x is not None and not -2**63 <= x < 2**63:
-        raise InputError(f"{name} must be an integer in the int64 range, got {_shown(value)}")
-    if x is None or not _inside(x, interval):
-        raise InputError(f"{name} must be an integer in {interval}, got {_shown(value)}")
-    return x
-
-
-def _inside(x, interval):
-    low, high = interval[1:-1].split(", ")
-    above = x > float(low) or (interval[0] == "[" and x == float(low))
-    below = x < float(high) or (interval[-1] == "]" and x == float(high))
-    return above and below
-
-
-def _shown(value):
-    try:
-        return reprlib.repr(value)  # long ints and strings shortened
-    except ValueError:  # an int past the digit limit of int to str
-        return f"an int of {value.bit_length()} bits"
-
-
-def _nonnegative_array(values, what):
-    """values as a float64 array.  numpy must read them as integers or
-    floats, and a sequence must hold no bool (numpy reads [True, 2] as
-    integers), so a str, bool or object entry raises InputError, as does the
-    first entry outside [0, inf)."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise InputError(f"each {what} must be a real number, got dtype {array.dtype}")
-    if array is not values and _holds_bool(values):
-        raise InputError(f"each {what} must be a real number, got a bool")
-    array = array.astype(float, copy=False)
-    bad = np.flatnonzero(~(np.isfinite(array) & (array >= 0)))
-    if bad.size:
-        _check_real(what, array.item(bad[0]), "[0, inf)")
-    return array
 
 
 def _row_pointers(rows, size):
@@ -700,9 +602,6 @@ class GraphCutOracle(SetFunctionOracle):
     def _make_state(self, members):
         return _GraphCutState(self, members)
 
-    def edge_count(self):
-        return self._cols.size // 2  # each edge stored once per orientation
-
 
 class _GraphCutState(SolutionState):
     """Cut state with ``_inside[v]``, the edge weight from v into the solution.
@@ -829,8 +728,7 @@ class CoverInstance:
 
     def feasible(self):
         """Whether f(U) >= tau; only meaningful for monotone objectives."""
-        if not self.oracle.monotone:
-            raise InputError("feasibility shortcut requires a monotone oracle")
+        _require_monotone(self.oracle, "CoverInstance.feasible")
         return self.oracle.peek(range(self.oracle.n)) >= self.tau - TOL
 
 

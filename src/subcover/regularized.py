@@ -7,14 +7,10 @@ import math
 
 import numpy as np
 
-from .monotone import _budget_sweep, _check_alpha, _check_budget, _outside_gains
-from .oracles import TOL, InputError, _check_real
+from .checks import InputError, _check_alpha, _check_budget, _check_real, _require_monotone
+from .monotone import _budget_sweep, _outside_gains
+from .oracles import TOL
 from .results import Run, Status
-
-
-def _check_instance(inst):
-    if not inst.oracle.monotone:
-        raise InputError("regularized objectives require a monotone gain oracle")
 
 
 def distortion_horizon(eps, kappa):
@@ -24,17 +20,6 @@ def distortion_horizon(eps, kappa):
     if horizon == math.inf:
         raise InputError(f"budget {kappa} too large: ln(1/eps) * kappa overflows")
     return math.ceil(horizon)
-
-
-def distorted_potential(inst, kappa, eps, i, X):
-    """(1 - 1/kappa)^(t - i) * g(X) - c(X) with t the distortion horizon;
-    kappa must be at least 1."""
-    _check_instance(inst)
-    _check_real("budget", kappa, "[1, inf)")
-    t = distortion_horizon(eps, kappa)
-    _check_real("step index", i, f"[0, {t}]")
-    factor = (1.0 - 1.0 / kappa) ** (t - i)
-    return factor * inst.oracle.eval(X) - inst.cost(X)
 
 
 def distorted_greedy_max(inst, kappa, eps, on_event=None):
@@ -48,7 +33,7 @@ def distorted_greedy_max(inst, kappa, eps, on_event=None):
     on_event(kind, fields) hook gets a "step" event {step, element, score}
     for every element added.
     """
-    _check_instance(inst)
+    _require_monotone(inst.oracle)
     t = distortion_horizon(eps, kappa)
     if not kappa:
         return ()
@@ -85,7 +70,7 @@ def convert_regularized(reg_alg, inst, alpha, gamma, beta):
     g(S) - (gamma/beta) * c(S) reaches gamma * tau.  ``f_value`` of the
     result reports that checked quantity.
     """
-    _check_instance(inst)
+    _require_monotone(inst.oracle)
     if inst.tau is None:
         raise InputError("instance carries no cover threshold")
     _check_alpha(alpha, inst.oracle.n)

@@ -86,7 +86,7 @@ class TestRunExperiment:
             tau_fractions=(0.5,), seeds=(0, 1, 2, 3, 4, 5),
         )
         rows = run_experiment(grid, str(tmp_path / "out.csv"))
-        assert len(rows) == grid.total_runs() == 2 * 2 * 1 * 6
+        assert len(rows) == len(list(grid.cells())) == 2 * 2 * 1 * 6
 
     def test_byte_identical_reruns(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -162,7 +162,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field, value, message", [
         ("delta", 2.0, "delta must lie in"), ("alpha", "0.1", r"alpha must lie in \(-inf, inf\)"),
         ("alpha", -1.0, "1 \\+ alpha > 1"), ("alpha", math.nan, r"alpha must lie in \(-inf, inf\)"),
-        ("ref_seed", -3, "non-negative"), ("ref_seed", 1.5, "seed must be an integer"),
+        pytest.param("ref_seed", -3, r"seed must be an integer in \[0, inf\), got -3",
+                     id="ref_seed--3-non-negative"),
+        pytest.param("ref_seed", 1.5, r"seed must be an integer in \[0, inf\), got 1.5",
+                     id="ref_seed-1.5-seed must be an integer"),
     ])
     def test_bad_alpha_delta_or_reference_seed_rejected(self, field, value, message):
         with pytest.raises(InputError, match=message):

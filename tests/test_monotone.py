@@ -24,7 +24,6 @@ from subcover import (
     derive_seed,
     distorted_cover,
     distorted_greedy_max,
-    distorted_potential,
     distortion_horizon,
     double_greedy_max,
     exact_max_search,
@@ -719,10 +718,6 @@ REAL_PARAMETERS = [
      lambda v: random_greedy_max(_path(), 2, 0, target=v)),
     ("horizon", "eps", "(0, 1)", False, lambda v: distortion_horizon(v, 2)),
     ("horizon", "budget", "[0, inf)", False, lambda v: distortion_horizon(0.2, v)),
-    ("potential", "budget", "[1, inf)", False, lambda v: distorted_potential(_reg(), v, 0.2, 0, ())),
-    # the horizon of budget 2 at eps 0.2 is ceil(2 ln 5) = 4 steps
-    ("potential", "step index", "[0, 4]", False,
-     lambda v: distorted_potential(_reg(), 2, 0.2, v, ())),
     ("distorted-max", "eps", "(0, 1)", False, lambda v: distorted_greedy_max(_reg(), 2, v)),
     ("distorted-max", "budget", "[0, inf)", False, lambda v: distorted_greedy_max(_reg(), v, 0.2)),
     ("convert-reg", "alpha", "(-inf, inf)", False,
@@ -836,11 +831,13 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed, message", [(-1, "seed must be non-negative"),
-                                           (1.5, "seed must be an integer"),
-                                           (True, "seed must be an integer")])
+@pytest.mark.parametrize("seed, rule", [(-1, "seed must be non-negative"),
+                                        (1.5, "seed must be an integer"),
+                                        (True, "seed must be an integer")])
 @pytest.mark.parametrize("name", SEEDED)
-def test_seed_checked_before_any_query(name, seed, message):
+def test_seed_checked_before_any_query(name, seed, rule):
+    # every broken rule raises the one message, which names the interval
+    message = re.escape(f"seed must be an integer in [0, inf), got {seed!r}")
     with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
             pytest.raises(InputError, match=message):
         SEEDED[name](seed)

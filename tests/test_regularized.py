@@ -15,12 +15,11 @@ from subcover import (
     convert_regularized,
     distorted_cover,
     distorted_greedy_max,
-    distorted_potential,
     distortion_horizon,
     greedy_max,
 )
 
-from util import brute_max_regularized, random_coverage
+from util import brute_max_regularized, distorted_potential, random_coverage
 
 
 def instance(rng, n, cost_high=0.3, tau=None):
@@ -51,20 +50,6 @@ class TestDistortedPotential:
         t = distortion_horizon(0.2, 1)
         if t > 1:
             assert distorted_potential(inst, 1, 0.2, 0, [0]) == pytest.approx(-inst.cost([0]))
-
-    def test_step_bounds_checked(self):
-        rng = np.random.default_rng(54)
-        inst = instance(rng, 5)
-        with pytest.raises(InputError):
-            distorted_potential(inst, 2, 0.2, distortion_horizon(0.2, 2) + 1, ())
-
-    def test_zero_budget_rejected(self):
-        # the factor 1 - 1/kappa is undefined at 0: the potential needs kappa >= 1
-        rng = np.random.default_rng(54)
-        inst = instance(rng, 5)
-        with pytest.raises(InputError, match=r"budget must lie in \[1, inf\)"):
-            distorted_potential(inst, 0, 0.2, 0, ())
-        assert inst.oracle.query_count == 0
 
 
 class TestDistortedGreedyMax:
@@ -242,12 +227,10 @@ def _reg(oracle=None, **kw):
 
 INSTANCE_CHECKS = {
     "max-on-cut": (lambda: distorted_greedy_max(
-        _reg(GraphCutOracle(3, [(0, 1), (1, 2)])), 2, 0.2), "monotone gain oracle"),
+        _reg(GraphCutOracle(3, [(0, 1), (1, 2)])), 2, 0.2), "requires a monotone oracle"),
     # in (0, 1) the distortion factor 1 - 1/kappa is negative
     "max-budget-below-one": (lambda: distorted_greedy_max(_reg(), 0.5, 0.2),
                              "budget must be 0 or at least 1"),
-    "potential-budget-below-one": (lambda: distorted_potential(_reg(), 0.5, 0.2, 0, ()),
-                                   r"budget must lie in \[1, inf\)"),
     "cover-without-threshold": (lambda: distorted_cover(_reg(), 0.2, 0.1),
                                 "no cover threshold"),
 }

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from subcover import CoverageOracle, GraphCutOracle, SmpSearch, Status, classify_monotone_elements
+from subcover import (
+    CoverageOracle,
+    GraphCutOracle,
+    SmpSearch,
+    Status,
+    classify_monotone_elements,
+    distortion_horizon,
+)
 from subcover.oracles import TOL, SolutionState
 
 
@@ -159,6 +166,14 @@ def brute_max_regularized(inst, kappa):
             if val > best_val + 1e-12:
                 best_val, best_set = val, combo
     return best_val, best_set
+
+
+def distorted_potential(inst, kappa, eps, i, X):
+    """The potential of the distorted greedy analysis after step i,
+    (1 - 1/kappa)^(t - i) * g(X) - c(X) with t the distortion horizon; an
+    unchecked, uncounted reference for kappa >= 1 and 0 <= i <= t."""
+    factor = (1.0 - 1.0 / kappa) ** (distortion_horizon(eps, kappa) - i)
+    return factor * inst.oracle.peek(X) - inst.cost(X)
 
 
 def brute_min_cover_regularized(inst, tol=1e-9):
