@@ -6,16 +6,18 @@ import math
 
 import numpy as np
 
-from .checks import _check_alpha, _check_budget, _check_real, _check_seed, _require_monotone, _size_limit
-from .oracles import TOL, _threshold_scan, truncate
+from .checks import (_check_alpha, _check_budget, _check_int, _check_real, _check_seed,
+                     _require_monotone, _size_limit)
+from .oracles import TOL, TruncatedOracle, _threshold_scan
 from .results import Run, Status
 
 
 def derive_seed(seed, *key):
-    """Deterministic child seed for stream (seed, key...); the seed is
-    checked as every solver's is."""
-    sequence = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(key))
-    return int(sequence.generate_state(1)[0])
+    """Deterministic child seed for stream (seed, key...); the seed and each
+    key part are checked as every solver's seed is."""
+    seed = _check_seed(seed)
+    key = tuple(_check_int("seed key", k, "[0, inf)") for k in key)
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
 def _outside_gains(state, candidates, inside):
@@ -137,7 +139,7 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     if tau <= 0:
         return run.finish((), Status.SOLVED)
     n = oracle.n
-    capped = truncate(oracle, tau)  # shares the query counter
+    capped = TruncatedOracle(oracle, tau)  # shares the query counter
     num_solutions = convert_rand_repetitions(delta)
     states = [capped.state(()) for _ in range(num_solutions)]
     insides = [np.zeros(n, dtype=bool) for _ in range(num_solutions)]
@@ -281,7 +283,7 @@ def convert_cover_randomized(smp_alg, instance, alpha, delta, eps, seed=0, initi
     run = Run(oracle, (1.0 - eps) * tau)
     if tau <= 0:
         return run.finish((), Status.SOLVED)
-    capped = truncate(oracle, tau)
+    capped = TruncatedOracle(oracle, tau)
 
     def attempt(index, budget):
         winners = []

@@ -185,24 +185,22 @@ def _branch_search(base_state, candidates, budget, target, deadline):
     return SmpSearch(best_set, best_val)
 
 
-def _on_ground(oracle, ground, run):
-    """run(view, ids) on oracle.restrict(ground), ids being the ground's ids
-    on the view, with the returned solution mapped back to oracle ids; with
-    no ground, run(oracle, range(oracle.n)).
+def _restricted(oracle, ground):
+    """(view, ids, back): oracle.restrict(ground), the ground's ids on the
+    view, and back(solution), which maps a sorted view solution to sorted
+    oracle ids; with no ground, or a restrict that returns the oracle
+    itself, (oracle, range(n) or the sorted ground, tuple).
 
     View ids keep the order of the ids they stand for, so sorted solutions,
     tie-breaks and random draws are those of a run on the oracle itself.
     """
     if ground is None:
-        return run(oracle, range(oracle.n))
+        return oracle, range(oracle.n), tuple
     ground = tuple(sorted(oracle._check_members(ground)))
     view = oracle.restrict(ground)
     if view is oracle:
-        return run(oracle, ground)
-    found = run(view, tuple(range(len(ground))))
-    if isinstance(found, SmpSearch):
-        return SmpSearch(tuple(ground[i] for i in found.solution), found.value, found.timed_out)
-    return tuple(ground[i] for i in found)
+        return oracle, ground, tuple
+    return view, range(len(ground)), lambda solution: tuple(ground[i] for i in solution)
 
 
 def _limits(kappa, target, timeout_ms=None):
@@ -231,8 +229,9 @@ def exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     refresh or branch.  Runs on ``oracle.restrict(ground)``.
     """
     budget, deadline = _limits(kappa, target, timeout_ms)
-    return _on_ground(oracle, ground, lambda view, ids: _branch_search(
-        view.state(()), list(ids), budget, target, deadline))
+    view, ids, back = _restricted(oracle, ground)
+    found = _branch_search(view.state(()), list(ids), budget, target, deadline)
+    return SmpSearch(back(found.solution), found.value, found.timed_out)
 
 
 def exact_min_cover(instance):
@@ -264,11 +263,10 @@ def fast_exact_max_search(oracle, ground, kappa, target=None, timeout_ms=None):
     256 steps).  Runs on ``oracle.restrict(ground)``.
     """
     budget, deadline = _limits(kappa, target, timeout_ms)
-
-    def search(view, ids):
-        pinned, rest = ((), ids) if budget < len(ids) else classify_monotone_elements(view, ids)
-        return _branch_search(view.state(pinned), list(rest), budget, target, deadline)
-    return _on_ground(oracle, ground, search)
+    view, ids, back = _restricted(oracle, ground)
+    pinned, rest = ((), ids) if budget < len(ids) else classify_monotone_elements(view, ids)
+    found = _branch_search(view.state(pinned), list(rest), budget, target, deadline)
+    return SmpSearch(back(found.solution), found.value, found.timed_out)
 
 
 def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
@@ -289,18 +287,14 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
         raise InputError("random greedy draws among kappa slots, so kappa must be at most "
                          f"2**63, got {kappa}")
     seed = _check_seed(seed)
-    return _on_ground(oracle, ground, lambda view, ids: _random_greedy(
-        view, kappa, seed, ids, target))
-
-
-def _random_greedy(oracle, kappa, seed, pool, target):
+    view, ids, back = _restricted(oracle, ground)
     if not kappa:
         return ()
     rng = np.random.default_rng(seed)
-    pool = np.asarray(pool, dtype=np.int64)
-    state = oracle.state(())
-    inside = np.zeros(oracle.n, dtype=bool)
-    tick, changed = oracle._counter.tick, True
+    pool = np.asarray(ids, dtype=np.int64)
+    state = view.state(())
+    inside = np.zeros(view.n, dtype=bool)
+    tick, changed = view._counter.tick, True
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
             break
@@ -321,21 +315,17 @@ def _random_greedy(oracle, kappa, seed, pool, target):
             state.add(x, gains.item(top[pick]))
             inside[x] = True
             changed = True
-    return tuple(sorted(state.members))
+    return back(sorted(state.members))
 
 
 def double_greedy_max(oracle, seed, ground=None):
     """Randomized double greedy for unconstrained maximization (1/2 in
     expectation).  Given a ground, runs on ``oracle.restrict(ground)``."""
     seed = _check_seed(seed)
-    return _on_ground(oracle, ground, lambda view, ids: _double_greedy(view, seed, ids))
-
-
-def _double_greedy(oracle, seed, pool):
+    view, ids, back = _restricted(oracle, ground)
     rng = np.random.default_rng(seed)
-    grow = oracle.state(())
-    shrink = oracle.state(pool)
-    for u in pool:
+    grow, shrink = view.state(()), view.state(ids)
+    for u in ids:
         a = grow.gain(u)
         b = shrink.removal_gain(u)
         a_pos, b_pos = max(a, 0.0), max(b, 0.0)
@@ -346,7 +336,7 @@ def _double_greedy(oracle, seed, pool):
             grow.add(u, a)
         else:
             shrink.remove(u, b)
-    return tuple(sorted(grow.members))
+    return back(sorted(grow.members))
 
 
 def _run_subroutine(oracle, ground, budget, sub, accept_level, seed):
@@ -372,14 +362,14 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
     before it.
     """
     buckets = [oracle.state(()) for _ in range(num_buckets)]
-    open_buckets = [b for b in buckets if len(b.members) < cap]
+    open_buckets, open_ids = list(buckets), list(range(num_buckets))
     for u, chosen, gain in _threshold_scan(np.arange(oracle.n), open_buckets, threshold - TOL):
         bucket = open_buckets[chosen]
         bucket.add(u, gain)
         if on_event is not None:
-            on_event("store", {"g": g, "element": u, "bucket": buckets.index(bucket)})
+            on_event("store", {"g": g, "element": u, "bucket": open_ids[chosen]})
         if len(bucket.members) >= cap:
-            del open_buckets[chosen]
+            del open_buckets[chosen], open_ids[chosen]
     return buckets
 
 

@@ -80,8 +80,6 @@ class SetFunctionOracle:
         return ids
 
     def _check_members(self, S):
-        if isinstance(S, (set, frozenset)):
-            return {self._check_element(x) for x in S}
         members = [self._check_element(x) for x in S]
         out = set(members)
         if len(out) != len(members):
@@ -656,7 +654,8 @@ class _GraphCutState(SolutionState):
 
 
 class TruncatedOracle(SetFunctionOracle):
-    """min(f, tau) wrapper; shares the inner oracle's query counter."""
+    """min(f, tau), monotone and submodular when f is; shares the inner
+    oracle's query counter."""
 
     def __init__(self, inner, tau):
         _check_real("truncation threshold", tau, "[0, inf)")
@@ -709,11 +708,6 @@ class _TruncatedState(SolutionState):
     def _copy_into(self, dup):
         dup._inner = self._inner.copy()
         dup.members = dup._inner.members
-
-
-def truncate(oracle, tau):
-    """Oracle computing min(f, tau); preserves monotonicity/submodularity."""
-    return TruncatedOracle(oracle, tau)
 
 
 @dataclass(frozen=True)

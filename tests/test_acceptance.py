@@ -13,6 +13,7 @@ from subcover import (
     CoverInstance,
     RegularizedInstance,
     Status,
+    TruncatedOracle,
     classify_monotone_elements,
     convert_cover,
     distorted_cover,
@@ -28,7 +29,6 @@ from subcover import (
     stochastic_max_subroutine,
     stream_cover,
     threshold_greedy_cover,
-    truncate,
 )
 
 from util import (
@@ -393,7 +393,7 @@ def test_ac10_invariant_suites():
     small = [
         random_coverage(rng, 5),
         random_graph(rng, 6, 0.5, weighted=True),
-        truncate(random_coverage(rng, 5), 3.0),
+        TruncatedOracle(random_coverage(rng, 5), 3.0),
     ]
     exhaustive_ok = True
     for oracle in small:
@@ -418,7 +418,7 @@ def test_ac10_invariant_suites():
             else random_graph(rng, n, 0.4, weighted=True)
         )
         if rng.random() < 0.3:
-            oracle = truncate(oracle, float(rng.uniform(1.0, 6.0)))
+            oracle = TruncatedOracle(oracle, float(rng.uniform(1.0, 6.0)))
         ids = rng.permutation(n)
         b = {int(v) for v in ids[: rng.integers(1, n)]}
         a = {int(v) for v in list(b)[: rng.integers(0, len(b) + 1)]}

@@ -19,6 +19,7 @@ from subcover import (
     RegularizedInstance,
     SmpSubroutine,
     Status,
+    TruncatedOracle,
     classify_monotone_elements,
     convert_cover,
     distorted_greedy_max,
@@ -31,7 +32,6 @@ from subcover import (
     smp_subroutine,
     stochastic_max_subroutine,
     stream_cover,
-    truncate,
 )
 
 from subcover import nonmonotone, oracles
@@ -446,7 +446,7 @@ def search_oracles(draw):
             edges = [(u, v, float(rng.integers(1, 6))) for u, v, _ in edges]
         oracle = GraphCutOracle(n, edges)
     if kind.startswith("truncated"):
-        oracle = truncate(oracle, draw(st.integers(1, 10)))
+        oracle = TruncatedOracle(oracle, draw(st.integers(1, 10)))
     return oracle, kind != "float"
 
 
@@ -507,7 +507,7 @@ def test_non_integral_gain_switches_the_bound_to_fsum(tau, integral):
     # min(2 + 2, tau) - 2, which is 0.5 at tau 2.5: the first refresh in the
     # child meets a non-integral gain and bounds with fsum from then on
     base = CoverageOracle([[0, 1], [2, 3], [4, 5]])
-    ours, theirs = truncate(base, tau), truncate(base.clone(), tau)
+    ours, theirs = TruncatedOracle(base, tau), TruncatedOracle(base.clone(), tau)
     with mock.patch.object(nonmonotone.math, "fsum", wraps=math.fsum) as fsum:
         found = exact_max_search(ours, range(3), 2)
     assert found == reference_exact_max_search(theirs, range(3), 2)
@@ -527,12 +527,15 @@ class UnrestrictedCut(GraphCutOracle):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 10), data=st.data())
 def test_subroutines_on_the_view_match_the_oracle(n, data):
-    """Every subroutine given a ground returns the same output and charges
-    the same queries on the restricted view as on the oracle itself
-    (integer weights, so both runs see the same floats)."""
+    """Every subroutine given a ground, as a sorted list, a reversed tuple
+    or a set, returns the same output and charges the same queries on the
+    restricted view as on the oracle itself (integer weights, so both runs
+    see the same floats); each solution is increasing oracle ids inside the
+    ground."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     edges = [(u, v, float(rng.integers(1, 4))) for u, v, _ in random_edges(rng, n, 0.5)]
-    ground = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    drawn = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    ground = data.draw(st.sampled_from([sorted(drawn), tuple(sorted(drawn, reverse=True)), drawn]))
     kappa = data.draw(st.integers(1, len(ground) + 1))
     target = data.draw(st.none() | st.integers(0, 12).map(float))
     seed = data.draw(st.integers(0, 1000))
@@ -544,8 +547,11 @@ def test_subroutines_on_the_view_match_the_oracle(n, data):
     ]
     for run in runs:
         viewed, direct = GraphCutOracle(n, edges), UnrestrictedCut(n, edges)
-        assert run(viewed) == run(direct)
+        found = run(viewed)
+        assert found == run(direct)
         assert viewed.query_count == direct.query_count
+        solution = getattr(found, "solution", found)
+        assert list(solution) == sorted(set(solution)) and set(solution) <= drawn
 
 
 @st.composite
@@ -561,7 +567,7 @@ def pass_oracles(draw, max_n=90):
         return GraphCutOracle(n, random_edges(rng, n, p, weighted=kind == "weighted"))
     oracle = random_coverage(rng, n, max_tags=40, ensure_nonempty=False)
     if kind == "truncated":
-        return truncate(oracle, draw(st.integers(0, 20)) / 2.0)
+        return TruncatedOracle(oracle, draw(st.integers(0, 20)) / 2.0)
     if kind == "generic":
         return FallbackCoverage(oracle.tag_sets)
     return oracle

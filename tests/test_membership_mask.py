@@ -17,6 +17,7 @@ from subcover import (
     CoverageOracle,
     CoverInstance,
     RegularizedInstance,
+    TruncatedOracle,
     convert_cover,
     convert_cover_randomized,
     distorted_greedy_max,
@@ -26,7 +27,6 @@ from subcover import (
     stochastic_greedy_cover,
     stochastic_max_subroutine,
     threshold_greedy_cover,
-    truncate,
 )
 from subcover import monotone, nonmonotone, oracles, regularized
 
@@ -90,7 +90,7 @@ def _truncated(rng):
     fresh = _coverage(rng)
     oracle = fresh()
     tau = 0.7 * oracle.peek(range(oracle.n))
-    return lambda: truncate(fresh(), tau)
+    return lambda: TruncatedOracle(fresh(), tau)
 
 
 def _cut(rng):

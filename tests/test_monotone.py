@@ -17,6 +17,7 @@ from subcover import (
     InputError,
     RegularizedInstance,
     Status,
+    TruncatedOracle,
     convert_cover,
     convert_cover_randomized,
     convert_rand_repetitions,
@@ -39,7 +40,6 @@ from subcover import (
     stochastic_max_subroutine,
     stream_cover,
     threshold_greedy_cover,
-    truncate,
 )
 
 from subcover import monotone, oracles
@@ -728,7 +728,7 @@ REAL_PARAMETERS = [
      lambda v: convert_regularized(lambda scaled, budget: (), _reg(), 0.1, 0.8, v)),
     ("distorted-cover", "eps", "(0, 1)", False, lambda v: distorted_cover(_reg(), v, 0.5)),
     ("distorted-cover", "alpha", "(-inf, inf)", False, lambda v: distorted_cover(_reg(), 0.2, v)),
-    ("truncate", "truncation threshold", "[0, inf)", False, lambda v: truncate(_path(), v)),
+    ("truncate", "truncation threshold", "[0, inf)", False, lambda v: TruncatedOracle(_path(), v)),
     ("cover-instance", "tau", "[0, inf)", False, lambda v: CoverInstance(_path(), v)),
     ("regularized-instance", "tau", "(-inf, inf)", True, lambda v: _reg(tau=v)),
     ("synthetic", "p_head", "[0, 1]", False,
@@ -828,7 +828,10 @@ SEEDED = {
     "double-greedy": lambda seed: double_greedy_max(_path(), seed),
     "synthetic": lambda seed: make_synthetic_summarization(10, 5, 0.4, 0.1, 2, seed).tag_sets,
     "derive-seed": lambda seed: derive_seed(seed, 0),
+    "derive-seed-key": lambda seed: derive_seed(0, 1, seed),
 }
+# the name a message gives the checked value, where it is not "seed"
+SEED_NAMES = {"derive-seed-key": "seed key"}
 
 
 @pytest.mark.parametrize("seed, rule", [(-1, "seed must be non-negative"),
@@ -837,7 +840,8 @@ SEEDED = {
 @pytest.mark.parametrize("name", SEEDED)
 def test_seed_checked_before_any_query(name, seed, rule):
     # every broken rule raises the one message, which names the interval
-    message = re.escape(f"seed must be an integer in [0, inf), got {seed!r}")
+    what = SEED_NAMES.get(name, "seed")
+    message = re.escape(f"{what} must be an integer in [0, inf), got {seed!r}")
     with mock.patch.object(oracles.QueryCounter, "tick", _no_query), \
             pytest.raises(InputError, match=message):
         SEEDED[name](seed)
@@ -847,3 +851,10 @@ def test_seed_checked_before_any_query(name, seed, rule):
 def test_whole_float_seed_runs_as_that_integer(name):
     first, second = SEEDED[name](2.0), SEEDED[name](2)
     assert getattr(first, "solution", first) == getattr(second, "solution", second)
+
+
+@pytest.mark.parametrize("name", ["derive-seed", "derive-seed-key"])
+def test_seed_past_int64_rejected(name):
+    what = SEED_NAMES.get(name, "seed")
+    with pytest.raises(InputError, match=re.escape(f"{what} must be an integer in the int64 range")):
+        SEEDED[name](2**64)

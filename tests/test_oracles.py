@@ -18,6 +18,7 @@ from subcover import (
     SetFunctionOracle,
     TOL,
     Status,
+    TruncatedOracle,
     exact_max_search,
     exact_min_cover,
     greedy_cover,
@@ -26,7 +27,6 @@ from subcover import (
     smp_subroutine,
     stream_cover,
     threshold_greedy_cover,
-    truncate,
 )
 
 from subcover.oracles import _CoverageState, _ranks, _threshold_scan
@@ -106,7 +106,7 @@ def test_bool_candidates_rejected(make, cands):
 
 THREE_ELEMENT_ORACLES = {
     "coverage": lambda: CoverageOracle([[0], [1, 2], [3]]),
-    "truncated": lambda: truncate(CoverageOracle([[0], [1, 2], [3]]), 2.5),
+    "truncated": lambda: TruncatedOracle(CoverageOracle([[0], [1, 2], [3]]), 2.5),
     "generic": lambda: FallbackCoverage([[0], [1, 2], [3]]),
     "cut": lambda: GraphCutOracle(3, [(0, 1), (1, 2, 2.0)]),
 }
@@ -181,34 +181,34 @@ class TestQueryCount:
 class TestTruncation:
     def test_min_semantics(self):
         oracle = two_element_coverage()
-        capped = truncate(oracle, 2.0)
+        capped = TruncatedOracle(oracle, 2.0)
         assert capped.eval([0, 1]) == 2.0
         assert capped.eval([0]) == 2.0
-        assert truncate(oracle, 3.0).eval([0]) == 2.0
+        assert TruncatedOracle(oracle, 3.0).eval([0]) == 2.0
 
     def test_negative_tau_rejected(self):
         with pytest.raises(InputError):
-            truncate(two_element_coverage(), -1.0)
+            TruncatedOracle(two_element_coverage(), -1.0)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(InputError):
-            truncate(two_element_coverage(), tau)
+            TruncatedOracle(two_element_coverage(), tau)
 
     def test_shares_query_counter(self):
         oracle = two_element_coverage()
-        capped = truncate(oracle, 2.0)
+        capped = TruncatedOracle(oracle, 2.0)
         capped.eval([0])
         oracle.eval([1])
         assert oracle.query_count == 2 and capped.query_count == 2
 
     def test_preserves_flags(self):
-        capped = truncate(two_element_coverage(), 1.0)
+        capped = TruncatedOracle(two_element_coverage(), 1.0)
         assert capped.monotone and capped.nonnegative
 
     def test_truncated_state_tracks_values(self):
         oracle = two_element_coverage()
-        capped = truncate(oracle, 2.0)
+        capped = TruncatedOracle(oracle, 2.0)
         state = capped.state(())
         g0 = state.gain(0)
         state.add(0, g0)
@@ -221,7 +221,7 @@ class TestTruncation:
         for _ in range(10):
             oracle = random_coverage(rng, 8)
             cap = 0.6 * oracle.peek(range(8))
-            capped = truncate(oracle, cap)
+            capped = TruncatedOracle(oracle, cap)
             state = capped.state(range(8))
             for x in [int(v) for v in rng.permutation(8)[:4]]:
                 state.remove(x, state.removal_gain(x))
@@ -229,7 +229,7 @@ class TestTruncation:
 
     def test_truncated_clone_independent(self):
         oracle = two_element_coverage()
-        capped = truncate(oracle, 2.0)
+        capped = TruncatedOracle(oracle, 2.0)
         capped.eval([0])
         dup = capped.clone()
         assert dup.query_count == 0
@@ -388,7 +388,7 @@ def test_child_is_a_copy_with_the_add(kind, data):
     else:
         oracle = random_coverage(rng, n, max_tags=140, ensure_nonempty=False)
         if kind == "truncated":
-            oracle = truncate(oracle, data.draw(st.integers(0, 40)) / 2.0)
+            oracle = TruncatedOracle(oracle, data.draw(st.integers(0, 40)) / 2.0)
     state = oracle.state(data.draw(st.sets(st.integers(0, oracle.n - 1), max_size=oracle.n - 1)))
     inner = getattr(state, "_inner", state)
     if isinstance(inner, _CoverageState):
@@ -594,7 +594,7 @@ class TestRestrict:
     def test_default_is_the_oracle_itself(self):
         oracle = two_element_coverage()
         assert oracle.restrict([1]) is oracle
-        capped = truncate(triangle_cut(), 1.0)
+        capped = TruncatedOracle(triangle_cut(), 1.0)
         assert capped.restrict([0, 2]) is capped
         with pytest.raises(InputError):
             oracle.restrict([2])
@@ -812,7 +812,7 @@ class TestBatchedGains:
         assert oracle.query_count == before
 
     def test_truncated_add_with_gain_is_free(self):
-        capped = truncate(CoverageOracle([{0, 1}, {1, 2}, {3}]), 2.5)
+        capped = TruncatedOracle(CoverageOracle([{0, 1}, {1, 2}, {3}]), 2.5)
         state = capped.state(())
         gains = state.gains([0, 1, 2])
         before = capped.query_count
@@ -877,7 +877,7 @@ def test_every_export_resolves():
 @st.composite
 def coverage_oracles(draw):
     """(oracle, view): tag rows over up to three 64-bit words, with repeated
-    tags, empty rows and n = 0 included; view is the oracle or a truncate()
+    tags, empty rows and n = 0 included; view is the oracle or a TruncatedOracle
     of it at a half-integer or integer cap, or at the non-dyadic cap
     0.3 or 0.6 f(U) of the benchmarks."""
     n = draw(st.integers(0, 7))
@@ -886,9 +886,9 @@ def coverage_oracles(draw):
     tag_sets = draw(st.lists(tags, min_size=n, max_size=n))
     oracle = CoverageOracle(tag_sets)
     if draw(st.booleans()):
-        return oracle, truncate(oracle, draw(st.integers(0, 2 * m)) / 2.0)
+        return oracle, TruncatedOracle(oracle, draw(st.integers(0, 2 * m)) / 2.0)
     if draw(st.booleans()):
-        return oracle, truncate(oracle, draw(st.sampled_from([0.3, 0.6])) * oracle.peek(range(n)))
+        return oracle, TruncatedOracle(oracle, draw(st.sampled_from([0.3, 0.6])) * oracle.peek(range(n)))
     return oracle, oracle
 
 
@@ -1047,7 +1047,7 @@ class TestStructuralProperties:
     def test_truncation_preserves_structure(self):
         rng = np.random.default_rng(7)
         oracle = random_coverage(rng, 5)
-        capped = truncate(oracle, oracle.peek(range(5)) * 0.5)
+        capped = TruncatedOracle(oracle, oracle.peek(range(5)) * 0.5)
         universe = range(5)
         for b_size in range(5):
             for b in itertools.combinations(universe, b_size):
