@@ -356,20 +356,38 @@ def _fill_buckets(oracle, num_buckets, g, cap, threshold, on_event):
     each in the first bucket below cap where its gain is at least threshold.
 
     The pass is one _threshold_scan over the open buckets, charged what the
-    one-by-one scan pays.  A hook gets a "store" event {g, element, bucket}
-    at each store, bucket being the index among all num_buckets buckets;
-    the buckets after any element are those after the last store at or
-    before it.
+    one-by-one scan over all num_buckets buckets pays.  Every empty bucket
+    gives an element the same gain, so the first empty bucket stands for
+    the empty ones behind it: only it is built, the rest are charged as
+    built (one query each) and, while the scan runs, as tried for every id
+    passed over.  When it stores its first element, a copy of it taken
+    just before opens the next bucket.  Returns the built buckets, in
+    order; every bucket after them is empty.  A hook gets a "store" event
+    {g, element, bucket} at each store, bucket being the index among all
+    num_buckets buckets; the buckets after any element are those after the
+    last store at or before it.
     """
-    buckets = [oracle.state(()) for _ in range(num_buckets)]
-    open_buckets, open_ids = list(buckets), list(range(num_buckets))
+    buckets, counter = [oracle.state(())], oracle._counter
+    open_buckets, open_ids = list(buckets), [0]
+    # spare: the empty buckets not built; start: the first id not yet charged for them
+    spare, start = num_buckets - 1, 0
+    counter.tick(spare)
     for u, chosen, gain in _threshold_scan(np.arange(oracle.n), open_buckets, threshold - TOL):
-        bucket = open_buckets[chosen]
+        counter.tick(spare * (u - start))
+        start = u + 1
+        bucket, bucket_id = open_buckets[chosen], open_ids[chosen]
+        if spare and bucket_id == len(buckets) - 1:
+            # the empty bucket stores: an empty copy stands for the rest
+            buckets.append(bucket.copy())
+            open_buckets.append(buckets[-1])
+            open_ids.append(bucket_id + 1)
+            spare -= 1
         bucket.add(u, gain)
         if on_event is not None:
-            on_event("store", {"g": g, "element": u, "bucket": open_ids[chosen]})
+            on_event("store", {"g": g, "element": u, "bucket": bucket_id})
         if len(bucket.members) >= cap:
             del open_buckets[chosen], open_ids[chosen]
+    counter.tick(spare * (oracle.n - start))
     return buckets
 
 
@@ -388,9 +406,14 @@ def stream_cover(instance, eps, alpha, sub, seed=0, initial_guess=None, on_event
 
     An optional on_event(kind, fields) hook gets a "store" event for every
     stored element (see _fill_buckets) and, after each subroutine run, a
-    "pass" event {g, cap, stored, smp_value}.
+    "pass" event {g, cap, stored, smp_value}.  An eps so small that the
+    largest cap, 2 max(n, 1) / eps, overflows a float raises InputError
+    before any query.
     """
     _check_real("eps", eps, "(0, 1)")
+    if not math.isfinite(2.0 * max(instance.oracle.n, 1) / eps):
+        raise InputError(f"eps = {eps} makes the largest bucket cap, 2 max(n, 1) / eps, "
+                         "overflow a float")
     _check_alpha(alpha, instance.oracle.n, initial_guess)
     seed = _check_seed(seed)
     # a hand-made descriptor, or none, gets the descriptor's own checks

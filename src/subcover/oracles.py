@@ -244,10 +244,10 @@ def _threshold_scan(ids, states, bar):
     in order, and yield (position, state index, gain) at each first id and
     state whose gain clears bar.
 
-    Before resuming, the caller may change the yielded state and drop states
-    from the list; the scan goes on after the yielded position and ends when
-    the ids or the states run out.  The ids must lie outside every open
-    state; they are not checked.
+    Before resuming, the caller may change the yielded state, drop states
+    from the list and append states to it; the scan goes on after the
+    yielded position and ends when the ids or the states run out.  The ids
+    must lie outside every open state; they are not checked.
 
     The states change only between yields, so the scan runs over windows
     that start at one id after each yield and double after each window with
@@ -511,7 +511,7 @@ class GraphCutOracle(SetFunctionOracle):
     increasing order and ``edge_weights[v]`` the matching edge weights;
     ``weighted_degree`` is a read-only float64 array of each vertex's total
     edge weight.  ``restrict`` builds a compact oracle over a subset of the
-    vertices.
+    vertices.  The total edge weight, doubled, must be finite in float.
     """
 
     monotone = False
@@ -543,8 +543,14 @@ class GraphCutOracle(SetFunctionOracle):
         order = np.argsort(keys, kind="stable")
         keys, weights = keys[order], weights.repeat(2)[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        if starts.size:
-            weights = np.add.reduceat(weights, starts)
+        with np.errstate(over="ignore"):
+            if starts.size:
+                weights = np.add.reduceat(weights, starts)
+            # both orientations: the doubled total, which bounds every
+            # partial sum of a cut value
+            doubled = weights.sum()
+        if not np.isfinite(doubled):
+            raise InputError("the total edge weight, doubled, must be finite in float")
         rows, cols = np.divmod(keys[starts], self.n)
         self._set_csr(rows, cols, weights, np.bincount(rows, weights=weights, minlength=self.n))
 
@@ -586,16 +592,19 @@ class GraphCutOracle(SetFunctionOracle):
     def _value(self, members):
         # one gather over the members' rows, O(volume of members), so peeks
         # of small sets stay cheap on large graphs: the weighted degrees less
-        # both orientations of every internal edge, summed exactly rounded,
-        # so the value does not depend on the order of the members
+        # twice every internal edge, taken once from its lower end (-2 * w
+        # is exact), summed exactly rounded, so the value does not depend on
+        # the order of the members
         if not members:
             return 0.0
         ids = np.fromiter(members, dtype=np.int64, count=len(members))
         inside = np.zeros(self.n, dtype=bool)
         inside[ids] = True
         at = _row_positions(self._indptr, ids)
-        at = at[inside[self._cols[at]]]
-        return math.fsum(np.concatenate((self.weighted_degree[ids], -self._weights[at])).tolist())
+        cols = self._cols[at]
+        rows = np.repeat(ids, self._indptr[ids + 1] - self._indptr[ids])
+        at = at[inside[cols] & (cols > rows)]
+        return math.fsum(np.concatenate((self.weighted_degree[ids], -2.0 * self._weights[at])).tolist())
 
     def _make_state(self, members):
         return _GraphCutState(self, members)

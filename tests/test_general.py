@@ -28,6 +28,7 @@ from subcover import (
     exact_min_cover,
     fast_exact_max_search,
     greedy_max,
+    make_synthetic_summarization,
     random_greedy_max,
     smp_subroutine,
     stochastic_max_subroutine,
@@ -36,7 +37,7 @@ from subcover import (
 
 from subcover import nonmonotone, oracles
 from subcover.monotone import _budget_schedule
-from subcover.oracles import TOL, SetFunctionOracle
+from subcover.oracles import TOL, SetFunctionOracle, SolutionState
 
 from util import (
     FallbackCoverage,
@@ -216,6 +217,24 @@ class TestStreamCoverNonFiniteParameters:
         kwargs = {"alpha": 0.5, name: value}
         with pytest.raises(InputError, match=name):
             stream_cover(CoverInstance(four_cycle(), 4.0), 0.5, sub=smp_subroutine("ex"), **kwargs)
+
+
+@pytest.mark.parametrize("eps", [1e-308, 5e-324])
+def test_stream_cover_rejects_an_eps_whose_largest_cap_overflows(eps):
+    """2 max(n, 1) / eps, the cap of the last guess, is inf: InputError
+    before any query, not an OverflowError from the bucket count."""
+    oracle = four_cycle()
+    with pytest.raises(InputError, match="largest bucket cap"):
+        stream_cover(CoverInstance(oracle, 4.0), eps, 0.5, smp_subroutine("dg"))
+    assert oracle.query_count == 0
+
+
+def test_stream_cover_at_an_eps_just_inside_the_float_range():
+    """eps = 1e-300 on four vertices: 2e300 buckets a pass, all but the
+    ones that store charged without being built."""
+    res = stream_cover(CoverInstance(four_cycle(), 4.0), 1e-300, 0.5, smp_subroutine("dg"))
+    assert res.status == Status.SOLVED and res.f_value == 4.0
+    assert res.queries >= math.ceil(2.0 / 1e-300)
 
 
 @pytest.mark.parametrize("kind", ["ex", "dg"])
@@ -614,7 +633,9 @@ def test_random_greedy_matches_the_per_round_loop(oracle, data, above):
 def test_bucket_pass_matches_the_sequential_scan(oracle, data):
     """The batched pass against the one-by-one scan, with one to eight
     buckets and caps that fill mid-pass: the same buckets, bucket values,
-    query count and "store" events, with and without a hook."""
+    query count and "store" events, with and without a hook.  The pass
+    builds only the buckets up to the first empty one; every bucket of the
+    scan after those is empty, with value f(empty)."""
     num_buckets = data.draw(st.integers(1, 8))
     cap = data.draw(st.integers(1, oracle.n + 1))
     threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-1.0, 6.0))
@@ -627,8 +648,65 @@ def test_bucket_pass_matches_the_sequential_scan(oracle, data):
         runs.append(([sorted(b.members) for b in buckets], [b.value for b in buckets],
                      copy.query_count, events if hooked else None))
     ours, ref, unhooked = runs
-    assert ours == ref
-    assert unhooked[:3] == ref[:3]
+    built = len(ours[0])
+    assert 1 <= built <= num_buckets
+    assert ours[0] == ref[0][:built] and ours[1] == ref[1][:built]
+    assert ref[0][built:] == [[]] * (num_buckets - built)
+    assert ref[1][built:] == [oracle.peek(())] * (num_buckets - built)
+    assert ours[2:] == ref[2:]
+    assert unhooked[:3] == ours[:3]
+
+
+def pass_with_states_built(oracle, num_buckets, cap, threshold):
+    """_fill_buckets on oracle, and the number of solution states it built
+    on oracle: its oracle.state calls and copies of its states."""
+    with mock.patch.object(SetFunctionOracle, "state", autospec=True,
+                           side_effect=SetFunctionOracle.state) as state, \
+            mock.patch.object(SolutionState, "copy", autospec=True,
+                              side_effect=SolutionState.copy) as copy:
+        buckets = nonmonotone._fill_buckets(oracle, num_buckets, 1.5, cap, threshold, None)
+    built = sum(call.args[0] is oracle for call in state.call_args_list)
+    return buckets, built + sum(call.args[0].oracle is oracle for call in copy.call_args_list)
+
+
+def test_a_pass_over_a_billion_buckets_builds_one_state():
+    """10**9 buckets and a threshold above every singleton gain: one state
+    built, and the one-by-one scan's charge, one query per bucket and one
+    per bucket and element."""
+    oracle = random_graph(np.random.default_rng(7), 40, 0.2)
+    threshold = max(oracle.peek([x]) for x in range(oracle.n)) + 1.0
+    buckets, built = pass_with_states_built(oracle, 10**9, 3, threshold)
+    assert built == 1 and [b.members for b in buckets] == [set()]
+    assert oracle.query_count == 10**9 * (oracle.n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle=pass_oracles(), data=st.data())
+def test_bucket_pass_builds_one_state_more_than_it_stores_at_most(oracle, data):
+    """A pass builds one state for each bucket it returns, and returns the
+    buckets that stored plus at most one empty one, however many buckets
+    the pass has."""
+    num_buckets = data.draw(st.integers(1, 8) | st.just(10**9))
+    cap = data.draw(st.integers(1, oracle.n + 1))
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(-1.0, 6.0))
+    buckets, built = pass_with_states_built(oracle, num_buckets, cap, threshold)
+    stored = sum(len(b.members) for b in buckets)
+    assert built == len(buckets) <= min(num_buckets, stored + 1)
+    assert all(b.members for b in buckets[:-1])
+
+
+@pytest.mark.parametrize("kind, solution, queries", [
+    ("dg", (0, 1, 2, 4, 14, 15, 19), 2_000_177),
+    ("ex", (22,), 2_000_147),
+])
+def test_stream_cover_at_eps_1e_6_charges_the_unbuilt_buckets(kind, solution, queries):
+    """eps = 1e-6 makes 2,000,000 buckets a pass; the queries are those of
+    the pass that built every bucket."""
+    oracle = make_synthetic_summarization(60, 30, 0.4, 0.002, 8, seed=0)
+    inst = CoverInstance(oracle, 0.5 * oracle.peek(range(oracle.n)))
+    res = stream_cover(inst, 1e-6, 0.5, smp_subroutine(kind), seed=0)
+    assert res.status == Status.SOLVED
+    assert (res.solution, res.queries) == (solution, queries)
 
 
 def test_bucket_pass_takes_scalar_and_batched_windows():

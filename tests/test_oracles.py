@@ -33,7 +33,7 @@ from subcover.oracles import _CoverageState, _ranks, _threshold_scan
 
 from util import (FallbackCoverage, SignedCut, brute_max_subsets, edge_list_cut, random_coverage,
                   random_edges, random_graph, reference_cut_inside, reference_cut_value,
-                  reference_tightness_slices)
+                  reference_cut_value_fsum, reference_tightness_slices)
 
 
 def two_element_coverage():
@@ -285,6 +285,23 @@ class TestGraphCutStorage:
         for size in range(6):
             for S in itertools.combinations(range(5), size):
                 assert oracle.peek(S) == edge_list_cut(self.EDGES, S)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1e308)],
+        [(0, 1, 6e307), (2, 3, 6e307)],
+        [(0, 1, 1e308), (1, 0, 1e308)],  # the merged weight itself overflows
+    ])
+    def test_doubled_total_weight_past_the_float_range_rejected(self, edges):
+        with pytest.raises(InputError, match="total edge weight, doubled"):
+            GraphCutOracle(4, edges)
+
+    def test_huge_weights_with_a_finite_doubled_total_give_exact_cuts(self):
+        assert GraphCutOracle(2, [(0, 1, 1e307)]).peek((0, 1)) == 0.0
+        # powers of two, so that the weighted degrees are exact
+        oracle = GraphCutOracle(3, [(0, 1, 2.0**1020), (1, 2, 2.0**1021)])
+        assert oracle.peek((0, 1, 2)) == oracle.peek(()) == 0.0
+        assert oracle.peek((0, 1)) == 2.0**1021 and oracle.peek((1,)) == 3 * 2.0**1020
+        assert oracle.state((0, 1)).gain(2) == -(2.0**1021)
 
     def test_clone_shares_graph(self):
         oracle = self.oracle()
@@ -560,7 +577,7 @@ def test_cut_value_and_state_match_the_walk(graph, data):
     for x in reversed(order):
         backward.add(x)
     value = oracle.peek(forward)
-    assert oracle.peek(backward) == value
+    assert oracle.peek(backward) == value == reference_cut_value_fsum(oracle, forward)
     walk = reference_cut_value(oracle, forward)
     if weighted:
         assert abs(value - walk) <= 1e-12 * max(1.0, oracle.weighted_degree.sum())
@@ -572,6 +589,20 @@ def test_cut_value_and_state_match_the_walk(graph, data):
         assert state._inside.dtype == np.float64
         assert np.array_equal(state._inside, reference_cut_inside(oracle, state.members))
         assert state.value == oracle.peek(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_cut_value_matches_the_two_orientation_fsum(n, data):
+    """Internal edges entering the value's fsum once, as -2 * w, against
+    both orientations entering it as -w: the same float, on weights spread
+    over 600 orders of magnitude, duplicates summed."""
+    vertex = st.integers(0, n - 1)
+    weight = st.floats(0.0, 1.0) | st.floats(1e-300, 1e300) | st.sampled_from([0.1, 1.0, 3.0])
+    edges = data.draw(st.lists(st.tuples(vertex, vertex, weight), max_size=4 * n))
+    oracle = GraphCutOracle(n, edges)
+    members = set(data.draw(st.lists(vertex, max_size=n)))
+    assert oracle.peek(members) == reference_cut_value_fsum(oracle, members)
 
 
 class TestRestrict:

@@ -98,6 +98,19 @@ def reference_cut_value(oracle, members):
     return total - 2.0 * internal
 
 
+def reference_cut_value_fsum(oracle, members):
+    """Cut value of the set members as one math.fsum over the members'
+    weighted degrees and the negated weight of both orientations of every
+    internal edge: the gathered value before each internal edge entered
+    the sum once, as -2 * w."""
+    terms = [oracle.weighted_degree.item(v) for v in members]
+    for v in members:
+        for nbr, w in zip(oracle.adjacency[v].tolist(), oracle.edge_weights[v].tolist()):
+            if nbr in members:
+                terms.append(-w)
+    return math.fsum(terms)
+
+
 def reference_cut_inside(oracle, members):
     """Each vertex's edge weight into members, as one fancy add per member
     in the iteration order of members."""
