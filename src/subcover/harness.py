@@ -8,6 +8,8 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checks import InputError, _check_alpha, _check_int, _check_real, _check_seed
 from .dataio import (
     ResultRow,
@@ -179,7 +181,8 @@ def _build_context(grid):
     else:
         basis = base.peek(range(base.n))
         label = grid.dataset
-    max_single = max((base.peek((u,)) for u in range(base.n)), default=0.0)
+    # one batch; it charges the base's counter, which no run reads (cells run on clones)
+    max_single = float(base.state(()).gains(np.arange(base.n)).max(initial=0.0))
     return _Context(base=base, tau_basis=basis, label=label, max_single=max_single)
 
 

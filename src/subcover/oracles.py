@@ -416,20 +416,19 @@ def _row_positions(ptr, ids):
 
 
 class _CoverageState(SolutionState):
-    """Coverage state: the covered tags as an int bitmask, plus two pieces of
-    bookkeeping that only some queries need and so are built on demand.
+    """Coverage state: the covered tags as an int bitmask, plus two caches,
+    each built on demand for one kind of move and dropped by the other.
 
-    ``_count`` (per-tag member counts, an int32 array) is one bincount over
-    the members' CSR rows, made at the first removal gain or removal; adds
-    only OR the bitmask until then, and later queries read or update the
-    counts of x's tags with one array operation each.
-    ``_vec`` (every element's gain, float64) exists once a batch of gains
-    is as long as the elements outside the solution (on distinct non-member
-    ids, a batch naming every one of them): it is exact for the covered
-    mask ``_vec_covered`` and is brought up to date at the next batch, the
-    holders of newly covered tags losing one and those of uncovered tags
-    gaining one.  States without it (sampled scans) count the candidates'
-    bits against the covered words instead.
+    ``_count`` (per-tag member counts, an int32 array) serves removals: the
+    first removal gain or removal builds it with one bincount over the
+    members' CSR rows, and a removal updates the counts of x's tags.  An
+    add drops it.  ``_vec`` (every element's gain, float64) serves batches:
+    a batch at least as long as the elements outside the solution (on
+    distinct non-member ids, one naming every one of them) builds it, exact
+    for the covered mask ``_vec_covered``, and the next batch after adds
+    takes one from each holder of a newly covered tag.  A removal drops it.
+    States without it (sampled scans) count the candidates' bits against
+    the covered words instead.  A copy carries neither cache.
     """
 
     def __init__(self, oracle, members):
@@ -456,13 +455,8 @@ class _CoverageState(SolutionState):
             if not outside or len(cands) < outside:
                 return self._scan(cands)
             self._vec, self._vec_covered = self._scan(np.arange(self.oracle.n)), self._covered
-        elif self._vec_covered != self._covered:
-            gained = self._covered & ~self._vec_covered
-            lost = self._vec_covered & ~self._covered
-            if gained:
-                self._vec -= self.oracle._holder_counts(gained)
-            if lost:
-                self._vec += self.oracle._holder_counts(lost)
+        elif self._vec_covered != self._covered:  # only adds since, as a removal drops it
+            self._vec -= self.oracle._holder_counts(self._covered & ~self._vec_covered)
             self._vec_covered = self._covered
         return self._vec[cands]
 
@@ -479,12 +473,12 @@ class _CoverageState(SolutionState):
 
     def _apply_add(self, x):
         self.members.add(x)
-        if self._count is not None:
-            self._count[self.oracle._row(x)] += 1  # a row holds no repeats
+        self._count = None
         self._covered |= self.oracle._masks[x]
 
     def _apply_remove(self, x):
         count = self._counts()
+        self._vec = None
         self.members.discard(x)
         tags = self.oracle._row(x)
         count[tags] -= 1
@@ -494,10 +488,7 @@ class _CoverageState(SolutionState):
 
     def _copy_into(self, dup):
         dup.members = set(self.members)
-        if self._count is not None:
-            dup._count = self._count.copy()
-        if self._vec is not None:
-            dup._vec = self._vec.copy()
+        dup._count = dup._vec = None
 
 
 class GraphCutOracle(SetFunctionOracle):
@@ -604,7 +595,9 @@ class GraphCutOracle(SetFunctionOracle):
         cols = self._cols[at]
         rows = np.repeat(ids, self._indptr[ids + 1] - self._indptr[ids])
         at = at[inside[cols] & (cols > rows)]
-        return math.fsum(np.concatenate((self.weighted_degree[ids], -2.0 * self._weights[at])).tolist())
+        # the weighted degrees are rounded sums, so a cut of ~0 may read a few
+        # ulps below it; the true cut is >= 0, so the clamp only moves toward it
+        return max(0.0, math.fsum(np.concatenate((self.weighted_degree[ids], -2.0 * self._weights[at])).tolist()))
 
     def _make_state(self, members):
         return _GraphCutState(self, members)

@@ -26,7 +26,7 @@ from subcover import (
     write_results_csv,
 )
 from subcover.cli import build_parser, main
-from subcover.harness import ALGORITHMS
+from subcover.harness import ALGORITHMS, _build_context
 
 
 def write_tag_file(tmp_path, rng, n=20, m=18):
@@ -352,6 +352,34 @@ def test_harness_input_checks(tmp_path, case):
     run, message = HARNESS_CHECKS[case]
     with pytest.raises(InputError, match=message):
         run(str(tmp_path / "missing.csv"))
+
+
+# (kind, the text of a dataset file, or the dataset string itself)
+SINGLETON_DATASETS = {
+    "tags": ("tags", "0 3 5\n1\n2 5 7 9\n3 0\n"),
+    "tags-empty": ("tags", ""),
+    "edges-weighted": ("edges", "0 1 0.7\n1 3 0.1\n1 3 0.2\n3 2 0.7\n4 4 0.3\n"),
+    "edges-empty": ("edges", "# no edges\n"),
+    "synthetic": ("synthetic", "m=60,n=30,head=10,seed=2"),
+    "synthetic-empty": ("synthetic", "n=0"),
+    "tightness": ("tightness", "k=3,l=7"),
+}
+
+
+@pytest.mark.parametrize("case", SINGLETON_DATASETS)
+def test_max_single_is_the_largest_singleton_value(tmp_path, case):
+    """The context's max_single, one batch of gains on the empty state,
+    equals the largest singleton value, and 0.0 on an empty ground."""
+    kind, dataset = SINGLETON_DATASETS[case]
+    if kind in ("tags", "edges"):
+        path = tmp_path / "data.txt"
+        path.write_text(dataset)
+        dataset = str(path)
+    context = _build_context(small_grid(dataset, kind=kind))
+    base = context.base
+    assert context.max_single == max((base.peek((u,)) for u in range(base.n)), default=0.0)
+    assert (context.max_single > 0.0) == ("empty" not in case)
+
 
 class TestEmitPlotData:
     def make_csv(self, tmp_path, seeds=(0, 1, 2)):

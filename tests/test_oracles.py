@@ -394,7 +394,8 @@ def test_child_is_a_copy_with_the_add(kind, data):
     over a chain of children: the same class, members and value, and equal
     bookkeeping (a cut state's inside weights; a coverage state's covered
     mask and its per-tag counts and gain vector once built), with no query
-    charged and the parent left as it was."""
+    charged and the parent left as it was (its counts and gain vector
+    against snapshots taken before the child, as a copy carries neither)."""
     n = data.draw(st.integers(1, 30))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if kind in ("unit", "weighted", "view"):
@@ -417,6 +418,9 @@ def test_child_is_a_copy_with_the_add(kind, data):
         x = data.draw(st.sampled_from(sorted(set(range(oracle.n)) - state.members)))
         gain = state.gain(x)
         before, queries = state.copy(), oracle.query_count
+        parent = getattr(state, "_inner", state)
+        snapshot = {name: None if getattr(parent, name, None) is None else getattr(parent, name).copy()
+                    for name in ("_count", "_vec")}
         child = state._child(x, gain)
         ref = state.copy()
         ref._apply_add(x)
@@ -429,7 +433,8 @@ def test_child_is_a_copy_with_the_add(kind, data):
             if isinstance(one, _CoverageState):
                 assert one._covered == other._covered
                 for name in ("_count", "_vec"):
-                    a, b = getattr(one, name), getattr(other, name)
+                    a = getattr(one, name)
+                    b = snapshot[name] if one is parent else getattr(other, name)
                     assert (a is None and b is None) or np.array_equal(a, b)
             else:
                 assert np.array_equal(one._inside, other._inside)
@@ -472,7 +477,14 @@ def test_graph_cut_state_matches_peek(graph, ops):
         batch = outside[::-1] + outside
         assert state.gains(batch).tolist() == [state.gain(x) for x in batch]
 
-    state = oracle.state(())
+    run_state_ops(oracle.state(()), ops, check)
+
+
+def run_state_ops(state, ops, check):
+    """Run STATE_OPS on state, calling check after each, then check every
+    state copied from, which must hold the members and value it had at its
+    copy."""
+    n = state.oracle.n
     parents = []  # (copied state, its members and value at the copy)
     for op, pick in ops:
         inside = sorted(state.members)
@@ -494,6 +506,34 @@ def test_graph_cut_state_matches_peek(graph, ops):
     for parent, members, value in parents:
         assert parent.members == members and parent.value == value
         check(parent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), cap=st.none() | st.integers(0, 36),
+       ops=STATE_OPS)
+def test_coverage_state_matches_peek_under_full_batches(n, seed, cap, ops):
+    """The cut test's ops on coverage states, bare or truncated at a
+    half-integer level, with a batch over every non-member on the state
+    itself after each op: it builds the gain vector, or brings it up to
+    date after adds, so later adds, removals and copies meet a state that
+    holds it (and, once it has members, the per-tag counts that the
+    removal gains build).  Integer values, so every check is exact."""
+    view = oracle = random_coverage(np.random.default_rng(seed), n)
+    if cap is not None:
+        view = TruncatedOracle(oracle, cap / 2.0)
+
+    def check(state):
+        members = state.members
+        value = view.peek(members)
+        assert state.value == value
+        outside = [x for x in range(n) if x not in members]
+        expected = [view.peek(members | {x}) - value for x in outside]
+        assert state.gains(outside).tolist() == expected
+        assert [state.gain(x) for x in outside] == expected
+        for x in members:
+            assert state.removal_gain(x) == view.peek(members - {x}) - value
+
+    run_state_ops(view.state(()), ops, check)
 
 
 @settings(max_examples=100, deadline=None)
@@ -603,6 +643,29 @@ def test_cut_value_matches_the_two_orientation_fsum(n, data):
     oracle = GraphCutOracle(n, edges)
     members = set(data.draw(st.lists(vertex, max_size=n)))
     assert oracle.peek(members) == reference_cut_value_fsum(oracle, members)
+
+
+def test_near_zero_cut_reads_zero():
+    """The full ground of this graph sums to -5.6e-17 (the weighted degrees'
+    rounding error): the oracle, its full view and a full-ground state read
+    0.0."""
+    oracle = GraphCutOracle(4, [(1, 3, 0.7), (1, 0, 0.1), (1, 3, 0.2), (3, 2, 0.7), (1, 0, 0.1)])
+    ground = range(4)
+    assert oracle.peek(ground) == oracle.restrict(ground).peek(ground) == 0.0
+    assert oracle.state(ground).value == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_cut_values_are_never_negative(n, data):
+    """Every subset of a small graph with weights in 0.1-0.7, duplicates and
+    self-loops included, peeks >= 0."""
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7]) | st.floats(0.1, 0.7)
+    oracle = GraphCutOracle(n, data.draw(st.lists(st.tuples(vertex, vertex, weight), max_size=3 * n)))
+    for size in range(n + 1):
+        for members in itertools.combinations(range(n), size):
+            assert oracle.peek(members) >= 0.0
 
 
 class TestRestrict:

@@ -102,13 +102,14 @@ def reference_cut_value_fsum(oracle, members):
     """Cut value of the set members as one math.fsum over the members'
     weighted degrees and the negated weight of both orientations of every
     internal edge: the gathered value before each internal edge entered
-    the sum once, as -2 * w."""
+    the sum once, as -2 * w.  A sum below 0 (the degrees' rounding error)
+    reads 0.0, as the oracle clamps it."""
     terms = [oracle.weighted_degree.item(v) for v in members]
     for v in members:
         for nbr, w in zip(oracle.adjacency[v].tolist(), oracle.edge_weights[v].tolist()):
             if nbr in members:
                 terms.append(-w)
-    return math.fsum(terms)
+    return max(0.0, math.fsum(terms))
 
 
 def reference_cut_inside(oracle, members):
