@@ -20,20 +20,19 @@ def derive_seed(seed, *key):
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
-def _outside_gains(state, candidates, inside):
-    """The candidates (valid int64 ids) outside the solution and their gains,
-    charged in one tick.  inside is the solution's bool membership mask; the
-    caller sets inside[x] after each add."""
-    candidates = candidates[~inside[candidates]]
+def _outside_gains(state, candidates):
+    """The candidates (valid int64 ids) outside the solution, read from the
+    state's membership mask, and their gains, charged in one tick."""
+    candidates = state._outside(candidates)
     state.oracle._counter.tick(candidates.size)
     return candidates, state._gains(candidates)
 
 
-def _best_gain(state, candidates, inside):
+def _best_gain(state, candidates):
     """Argmax marginal gain over the candidates outside the solution, or
     Nones when there is none; candidates in ascending order make argmax's
     first occurrence the lowest-id tie-break."""
-    candidates, gains = _outside_gains(state, candidates, inside)
+    candidates, gains = _outside_gains(state, candidates)
     if not candidates.size:
         return None, None
     i = int(gains.argmax())
@@ -44,24 +43,21 @@ def _greedy(state, done):
     """Add the element of largest gain until done(state), and return True;
     return False first if no element outside the solution gains above TOL."""
     ground = np.arange(state.oracle.n)
-    inside = np.zeros(state.oracle.n, dtype=bool)
     while not done(state):
-        best, gain = _best_gain(state, ground, inside)
+        best, gain = _best_gain(state, ground)
         if best is None or gain <= TOL:
             return False
         state.add(best, gain)
-        inside[best] = True
     return True
 
 
-def _sampled_step(state, inside, rng, size):
+def _sampled_step(state, rng, size):
     """Add the best element of a uniform sample of size ids, if the sample
     holds one outside the solution, whatever its gain."""
     sample = np.sort(rng.choice(state.oracle.n, size=size, replace=False))
-    best, gain = _best_gain(state, sample, inside)
+    best, gain = _best_gain(state, sample)
     if best is not None:
         state.add(best, gain)
-        inside[best] = True
 
 
 def greedy_cover(instance, eps):
@@ -99,15 +95,13 @@ def threshold_greedy_cover(instance, eps):
     if w <= TOL:
         return run.finish(state.members, Status.INFEASIBLE)
     floor = eps * w / oracle.n
-    inside = np.zeros(oracle.n, dtype=bool)
     status = None
     while status is None:
         # one pass in id order: each hit is added and the rest of the pass
         # is scanned against the new state
-        rest = np.flatnonzero(~inside)
+        rest = state._outside(np.arange(oracle.n))
         for k, _, gain in _threshold_scan(rest, [state], w - TOL):
             state.add(rest.item(k), gain)
-            inside[rest.item(k)] = True
             if state.value >= run.target - TOL:
                 status = Status.SOLVED
                 break
@@ -142,7 +136,6 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
     capped = TruncatedOracle(oracle, tau)  # shares the query counter
     num_solutions = convert_rand_repetitions(delta)
     states = [capped.state(()) for _ in range(num_solutions)]
-    insides = [np.zeros(n, dtype=bool) for _ in range(num_solutions)]
     rngs = [np.random.default_rng(derive_seed(seed, i)) for i in range(num_solutions)]
     lead = math.log(3.0 / eps)
     guesses = _budget_schedule(n, alpha, initial_guess)
@@ -156,8 +149,8 @@ def stochastic_greedy_cover(instance, eps, delta, alpha, seed, initial_guess=Non
             status = Status.INFEASIBLE
             break
         sample_size = min(n, math.ceil(n * lead / g))
-        for st, inside, rng in zip(states, insides, rngs):
-            _sampled_step(st, inside, rng, sample_size)
+        for st, rng in zip(states, rngs):
+            _sampled_step(st, rng, sample_size)
         r += 1
         if r > lead * g:
             g = next(guesses, g)
@@ -186,11 +179,10 @@ def stochastic_max_subroutine(eps):
         # clamped in float: n / kappa and lead * kappa may overflow to inf
         sample_size = math.ceil(min(float(oracle.n), (oracle.n / kappa) * lead))
         state = oracle.state(())
-        inside = np.zeros(oracle.n, dtype=bool)
         step = 0
         while step < lead * kappa and len(state.members) < oracle.n:
             step += 1
-            _sampled_step(state, inside, rng, sample_size)
+            _sampled_step(state, rng, sample_size)
         return tuple(sorted(state.members))
 
     return run

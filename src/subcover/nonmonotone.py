@@ -293,13 +293,12 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
     rng = np.random.default_rng(seed)
     pool = np.asarray(ids, dtype=np.int64)
     state = view.state(())
-    inside = np.zeros(view.n, dtype=bool)
     tick, changed = view._counter.tick, True
     for _ in range(kappa):
         if target is not None and state.value >= target - TOL:
             break
         if changed:
-            cands, gains = _outside_gains(state, pool, inside)
+            cands, gains = _outside_gains(state, pool)
             if not cands.size:
                 break
             top = np.lexsort((cands, -gains))[:kappa]
@@ -311,9 +310,7 @@ def random_greedy_max(oracle, kappa, seed, ground=None, target=None):
             tick(cands.size)
         pick = int(rng.integers(kappa))
         if pick < top.size:
-            x = cands.item(top[pick])
-            state.add(x, gains.item(top[pick]))
-            inside[x] = True
+            state.add(cands.item(top[pick]), gains.item(top[pick]))
             changed = True
     return back(sorted(state.members))
 
@@ -329,10 +326,7 @@ def double_greedy_max(oracle, seed, ground=None):
         a = grow.gain(u)
         b = shrink.removal_gain(u)
         a_pos, b_pos = max(a, 0.0), max(b, 0.0)
-        if a_pos + b_pos <= 1e-12:
-            shrink.remove(u, b)
-            continue
-        if rng.random() < a_pos / (a_pos + b_pos):
+        if a_pos + b_pos > 1e-12 and rng.random() < a_pos / (a_pos + b_pos):
             grow.add(u, a)
         else:
             shrink.remove(u, b)

@@ -134,6 +134,7 @@ class SolutionState:
     Either way the id is checked, and must lie outside the solution for
     ``add`` and inside it for ``remove``.
     """
+    _mask = None  # see _outside
 
     def __init__(self, oracle, members):
         self.oracle = oracle
@@ -186,6 +187,9 @@ class SolutionState:
             self.oracle._counter.tick()
             gain = self._gain(x)
         self._apply_add(x)
+        self.members.add(x)
+        if self._mask is not None:
+            self._mask[x] = True
         self.value += gain
         return gain
 
@@ -195,12 +199,16 @@ class SolutionState:
             self.oracle._counter.tick()
             gain = self._removal_gain(x)
         self._apply_remove(x)
+        self.members.discard(x)
+        if self._mask is not None:
+            self._mask[x] = False
         self.value += gain
         return gain
 
     def copy(self):
         dup = object.__new__(type(self))
         dup.__dict__.update(self.__dict__)
+        dup.members, dup._mask = set(self.members), None
         self._copy_into(dup)
         return dup
 
@@ -209,8 +217,17 @@ class SolutionState:
         its marginal gain here; unchecked and uncounted."""
         child = self.copy()
         child._apply_add(x)
+        child.members.add(x)
         child.value += gain
         return child
+
+    def _outside(self, ids):
+        """The ids (valid, an int64 array) outside the solution, in order, from
+        a bool mask: built by the first call, kept by add and remove, not copied."""
+        if self._mask is None:
+            self._mask = np.zeros(self.oracle.n, dtype=bool)
+            self._mask[np.fromiter(self.members, dtype=np.int64, count=len(self.members))] = True
+        return ids[~self._mask[ids]]
 
     # default implementations fall back to full evaluation
     def _gain(self, x):
@@ -222,14 +239,16 @@ class SolutionState:
     def _removal_gain(self, x):
         return self.oracle._value(self.members - {x}) - self.value
 
+    # the state keeps members; these move only a subclass's own structures,
+    # before the set changes
     def _apply_add(self, x):
-        self.members.add(x)
+        pass
 
     def _apply_remove(self, x):
-        self.members.discard(x)
+        pass
 
     def _copy_into(self, dup):
-        dup.members = set(self.members)
+        pass
 
 
 # a scan window narrower than this is scanned one scalar gain at a time (see
@@ -472,14 +491,12 @@ class _CoverageState(SolutionState):
         return -float(np.count_nonzero(self._counts()[self.oracle._row(x)] == 1))
 
     def _apply_add(self, x):
-        self.members.add(x)
         self._count = None
         self._covered |= self.oracle._masks[x]
 
     def _apply_remove(self, x):
         count = self._counts()
         self._vec = None
-        self.members.discard(x)
         tags = self.oracle._row(x)
         count[tags] -= 1
         gone = np.zeros(64 * self.oracle._width, dtype=bool)
@@ -487,7 +504,6 @@ class _CoverageState(SolutionState):
         self._covered &= ~int.from_bytes(np.packbits(gone, bitorder="little").tobytes(), "little")
 
     def _copy_into(self, dup):
-        dup.members = set(self.members)
         dup._count = dup._vec = None
 
 
@@ -633,15 +649,12 @@ class _GraphCutState(SolutionState):
         return 2.0 * self._inside.item(x) - self.oracle._degrees[x]
 
     def _apply_add(self, x):
-        self.members.add(x)
         self._inside[self.oracle.adjacency[x]] += self.oracle.edge_weights[x]
 
     def _apply_remove(self, x):
-        self.members.discard(x)
         self._inside[self.oracle.adjacency[x]] -= self.oracle.edge_weights[x]
 
     def _copy_into(self, dup):
-        dup.members = set(self.members)
         dup._inside = self._inside.copy()
 
     def _child(self, x, gain):

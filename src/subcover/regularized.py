@@ -42,11 +42,10 @@ def distorted_greedy_max(inst, kappa, eps, on_event=None):
     oracle = inst.oracle
     state = oracle.state(())
     ground = np.arange(oracle.n)
-    inside = np.zeros(oracle.n, dtype=bool)
     step = 1
     while len(state.members) < t:
         factor = (1.0 - 1.0 / kappa) ** (t - step)
-        cands, gains = _outside_gains(state, ground, inside)
+        cands, gains = _outside_gains(state, ground)
         if not cands.size:
             break
         scores = factor * gains - inst.costs[cands]
@@ -55,7 +54,6 @@ def distorted_greedy_max(inst, kappa, eps, on_event=None):
         if best_score <= TOL:
             break
         state.add(best, float(gains[i]))
-        inside[best] = True
         if on_event is not None:
             on_event("step", {"step": step, "element": best, "score": float(best_score)})
         step += 1

@@ -1,10 +1,14 @@
-"""The greedy-style loops' membership masks against the step they replaced.
+"""The greedy-style loops' steps over the state's membership mask against
+the step they replaced.
 
-Each loop keeps a bool mask of its solution and charges the candidates
-outside it in one tick.  These tests run every such loop once as it is and
-once with each step routed through ``reference_outside_gains`` /
-``reference_best_gain`` (the unselected ids rebuilt from ``state.members``
-and the checked ``state.gains``), and check the charge of each sampled step.
+Each loop reads the candidates outside its solution through
+``SolutionState._outside``, a bool mask that the state builds on first use
+and keeps through add and remove, and charges them in one tick.  These
+tests run every such loop once as it is, checking each state's mask against
+its members at every step, and once with each step routed through
+``reference_outside_gains`` / ``reference_best_gain`` (the unselected ids
+rebuilt from ``state.members`` and the checked ``state.gains``), and check
+the charge of each sampled step.
 """
 
 import contextlib
@@ -39,45 +43,50 @@ from util import (
 )
 
 
-def assert_mask(state, inside):
-    assert np.flatnonzero(inside).tolist() == sorted(state.members)
+def assert_mask(state):
+    """A built mask holds exactly the members."""
+    if state._mask is not None:
+        assert np.flatnonzero(state._mask).tolist() == sorted(state.members)
 
 
 @contextlib.contextmanager
-def reference_steps():
-    """Route every masked step through the reference step.  Each step first
-    checks the caller's mask against the solution, and every mask seen is
-    checked again on exit.  Yields the list of steps taken, by helper name."""
-    masks, steps = {}, []
+def checked_steps(reference):
+    """Check every state's mask against its solution before and after each
+    masked step, and again on exit, the step being the loop's own or, with
+    reference, the reference step.  Yields the list of steps taken, by
+    helper name."""
+    seen, steps = {}, []
+    best_gain = reference_best_gain if reference else monotone._best_gain
+    outside_gains = reference_outside_gains if reference else monotone._outside_gains
 
-    def check(name, state, inside):
-        steps.append(name)
-        masks[id(inside)] = (state, inside)
-        assert_mask(state, inside)
-
-    def best_gain(state, candidates, inside):
-        check("best_gain", state, inside)
-        return reference_best_gain(state, candidates)
-
-    def outside_gains(state, candidates, inside):
-        check("outside_gains", state, inside)
-        return reference_outside_gains(state, candidates)
+    def checked(name, step):
+        def run(state, candidates):
+            steps.append(name)
+            seen[id(state)] = state
+            assert_mask(state)
+            found = step(state, candidates)
+            assert_mask(state)
+            return found
+        return run
 
     def threshold_scan(ids, states, bar):
         # threshold greedy's mask only picks each pass's ids: the unselected ids in order
         steps.append("threshold_scan")
+        assert_mask(states[0])
         members = states[0].members
         rest = np.array([x for x in range(states[0].oracle.n) if x not in members], dtype=np.int64)
         assert ids.tolist() == rest.tolist()
         yield from oracles._threshold_scan(rest, states, bar)
 
-    with mock.patch.object(monotone, "_best_gain", best_gain), \
-            mock.patch.object(regularized, "_outside_gains", outside_gains), \
-            mock.patch.object(nonmonotone, "_outside_gains", outside_gains), \
+    with mock.patch.object(monotone, "_best_gain", checked("best_gain", best_gain)), \
+            mock.patch.object(regularized, "_outside_gains",
+                              checked("outside_gains", outside_gains)), \
+            mock.patch.object(nonmonotone, "_outside_gains",
+                              checked("outside_gains", outside_gains)), \
             mock.patch.object(monotone, "_threshold_scan", threshold_scan):
         yield steps
-    for state, inside in masks.values():
-        assert_mask(state, inside)
+    for state in seen.values():
+        assert_mask(state)
 
 
 def _coverage(rng, cls=CoverageOracle):
@@ -154,15 +163,16 @@ CASES = [(solver, kind) for solver, (monotone_only, _) in SOLVERS.items()
 @pytest.mark.parametrize("solver, kind", CASES)
 def test_masked_steps_match_the_reference(solver, kind):
     """Equal solutions, statuses and query counts through both steps, with
-    the mask equal to the solution at every step."""
+    each state's mask equal to its solution at every step."""
     run = SOLVERS[solver][1]
     for seed in range(3):
         fresh = ORACLES[kind](np.random.default_rng((seed, 21)))
-        masked = run(fresh(), np.random.default_rng(seed))
-        with reference_steps() as steps:
-            reference = run(fresh(), np.random.default_rng(seed))
-        assert steps
-        assert masked == reference
+        outcomes = []
+        for reference in (False, True):
+            with checked_steps(reference) as steps:
+                outcomes.append(run(fresh(), np.random.default_rng(seed)))
+            assert steps
+        assert outcomes[0] == outcomes[1]
 
 
 def _charged_steps(solve):
@@ -175,10 +185,10 @@ def _charged_steps(solve):
         ticks.append(queries)
         tick(counter, queries)
 
-    def step(state, candidates, inside):
+    def step(state, candidates):
         outside = sum(x not in state.members for x in candidates.tolist())
         start = len(ticks)
-        found = best_gain(state, candidates, inside)
+        found = best_gain(state, candidates)
         assert ticks[start:] == [outside]
         charges.append(outside)
         return found
@@ -208,12 +218,10 @@ class TestSampledStepCharge:
     def test_step_over_members_only_charges_nothing(self):
         oracle = CoverageOracle(self.ORACLE)
         state = oracle.state(())
-        inside = np.zeros(oracle.n, dtype=bool)
         for x in (1, 4):
             state.add(x)
-            inside[x] = True
         before = oracle.query_count
-        assert monotone._best_gain(state, np.array([1, 4]), inside) == (None, None)
+        assert monotone._best_gain(state, np.array([1, 4])) == (None, None)
         assert oracle.query_count == before
-        assert monotone._best_gain(state, np.array([1, 2, 4, 6]), inside) == (2, 1.0)
+        assert monotone._best_gain(state, np.array([1, 2, 4, 6])) == (2, 1.0)
         assert oracle.query_count == before + 2

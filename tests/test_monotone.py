@@ -232,7 +232,7 @@ class TestStochasticGreedyCover:
         oracle = CoverageOracle([{0, 1}, {0}, {1}, set()])
         moves = iter([1, None, 2, 0, 3])  # the two solutions step in turn, then stop
 
-        def step(state, inside, rng, size):
+        def step(state, rng, size):
             x = next(moves, None)
             if x is not None:
                 state.add(x)
@@ -283,9 +283,9 @@ class TestStochasticGreedyMax:
         oracle = CoverageOracle([[0], [1], [2]])
         best_gain = monotone._best_gain
 
-        def step(state, candidates, inside):
+        def step(state, candidates):
             assert len(state.members) < oracle.n, "a step ran with every element selected"
-            return best_gain(state, candidates, inside)
+            return best_gain(state, candidates)
 
         with mock.patch.object(monotone, "_best_gain", step):
             assert stochastic_max_subroutine(0.2)(oracle, budget, 0) == expected
@@ -459,7 +459,7 @@ class TestBudgetSchedule:
             res = stochastic_greedy_cover(CoverInstance(oracle, 2.0 * n), eps, 0.5, alpha,
                                           seed=1, initial_guess=initial)
         assert res.status == Status.INFEASIBLE  # one repetition: one step per iteration
-        sizes = [call.args[3] for call in step.call_args_list]
+        sizes = [call.args[2] for call in step.call_args_list]
         lead = math.log(3 / eps)
         guesses = _budget_schedule(n, alpha, initial)
         g, expected = next(guesses), []

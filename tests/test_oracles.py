@@ -390,12 +390,13 @@ def cut_graphs(draw):
 @given(kind=st.sampled_from(["unit", "weighted", "view", "coverage", "truncated"]),
        data=st.data())
 def test_child_is_a_copy_with_the_add(kind, data):
-    """state._child(x, gain) against copy(), _apply_add(x) and value += gain,
-    over a chain of children: the same class, members and value, and equal
-    bookkeeping (a cut state's inside weights; a coverage state's covered
-    mask and its per-tag counts and gain vector once built), with no query
-    charged and the parent left as it was (its counts and gain vector
-    against snapshots taken before the child, as a copy carries neither)."""
+    """state._child(x, gain) against copy(), _apply_add(x), members.add(x)
+    and value += gain, over a chain of children: the same class, members and
+    value, and equal bookkeeping (a cut state's inside weights; a coverage
+    state's covered mask and its per-tag counts and gain vector once built),
+    with no query charged, no membership mask on the child, and the parent
+    left as it was (its counts and gain vector against snapshots taken
+    before the child, as a copy carries neither)."""
     n = data.draw(st.integers(1, 30))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if kind in ("unit", "weighted", "view"):
@@ -424,8 +425,9 @@ def test_child_is_a_copy_with_the_add(kind, data):
         child = state._child(x, gain)
         ref = state.copy()
         ref._apply_add(x)
+        ref.members.add(x)
         ref.value += gain
-        assert oracle.query_count == queries
+        assert oracle.query_count == queries and child._mask is None
         for one, other in ((child, ref), (state, before)):
             assert type(one) is type(other)
             assert one.members == other.members and one.value == other.value
@@ -444,7 +446,7 @@ def test_child_is_a_copy_with_the_add(kind, data):
 
 
 STATE_OPS = st.lists(
-    st.tuples(st.sampled_from(["add", "remove", "copy", "gain", "removal_gain"]),
+    st.tuples(st.sampled_from(["add", "remove", "copy", "gain", "removal_gain", "outside"]),
               st.integers(0, 1000)),
     max_size=25,
 )
@@ -483,13 +485,24 @@ def test_graph_cut_state_matches_peek(graph, ops):
 def run_state_ops(state, ops, check):
     """Run STATE_OPS on state, calling check after each, then check every
     state copied from, which must hold the members and value it had at its
-    copy."""
+    copy.  The "outside" op builds the state's membership mask; once built,
+    it must list exactly the non-members after every op, and a fresh copy
+    must carry no mask."""
     n = state.oracle.n
     parents = []  # (copied state, its members and value at the copy)
+
+    def check_mask(state):
+        if state._mask is not None:
+            assert state._outside(np.arange(n)).tolist() == [
+                x for x in range(n) if x not in state.members]
+        assert state.copy()._mask is None
+
     for op, pick in ops:
         inside = sorted(state.members)
         outside = [x for x in range(n) if x not in state.members]
-        if op == "copy":
+        if op == "outside":
+            state._outside(np.arange(n))
+        elif op == "copy":
             parents.append((state, set(state.members), state.value))
             state = state.copy()
         elif op in ("add", "gain") and outside:
@@ -502,9 +515,11 @@ def run_state_ops(state, ops, check):
             gain = state.removal_gain(x)
             if op == "remove":
                 state.remove(x, gain)
+        check_mask(state)
         check(state)
     for parent, members, value in parents:
         assert parent.members == members and parent.value == value
+        check_mask(parent)
         check(parent)
 
 
@@ -857,11 +872,18 @@ class TestCoverageStateBookkeeping:
         state = oracle.state([0])
         state.removal_gain(0)
         state.gains([1, 2, 3])
+        state._outside(np.arange(oracle.n))
+        names = ("_count", "_vec", "_mask")
+        snapshot = [getattr(state, name).copy() for name in names]
         dup = state.copy()
-        assert dup._count is not state._count and dup._vec is not state._vec
+        assert all(getattr(dup, name) is None for name in names)
         dup.add(2)
+        assert dup.gains([1, 3]).tolist() == [0.0, 1.0]  # builds the copy's gain vector
+        assert dup._outside(np.arange(oracle.n)).tolist() == [1, 3]
         dup.remove(0)
         assert dup.gains([0, 1, 3]).tolist() == [2.0, 1.0, 1.0]
+        for name, before in zip(names, snapshot):
+            assert np.array_equal(getattr(state, name), before)
         assert state.gains([1, 2, 3]).tolist() == [1.0, 2.0, 1.0]
         assert state.removal_gain(0) == -2.0
 
